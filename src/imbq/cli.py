@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import inflation, reports, solver, svgplot, symbols
 from .grid import lambda_symbol, make_grid, random_real_field, sobolev_norm
-from .inflation import QuadratureConfig, QuadratureError, WrapError
+from .inflation import QuadratureConfig, QuadratureError
 from .solver import ConvergenceError, SolverConfig
 from .symbols import BesovConvergenceError, Symbol
 
@@ -74,8 +75,10 @@ def _number_list(cond=None):
     def check(v):
         if not isinstance(v, list) or not v:
             raise ConfigError(f"expected a non-empty list, got {v!r}")
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
+            raise ConfigError(f"expected a list of numbers, got {v!r}")
         out = [float(x) for x in v]
-        if cond is not None and not all(cond(x) for x in out):
+        if not all(math.isfinite(x) and (cond is None or cond(x)) for x in out):
             raise ConfigError(f"list values out of range: {v!r}")
         return out
 
@@ -131,7 +134,6 @@ SCHEMAS = {
         "sign": (1, _typed(int, lambda v: v in (1, -1), " (+1 or -1)")),
         "tau_nodes": (65, _int_ge(5)),
         "dxi": (1.0 / 64.0, _pos_float()),
-        "pad_factor": (None, _nullable(_pos_float())),
         "slope_tol": (0.2, _pos_float()),
     },
     "lemma-check": {
@@ -333,10 +335,10 @@ def _run_solve(cfg: RunConfig) -> int:
 
 
 def _inflate_row(job) -> inflation.InflationRow:
-    n, p, sign, s, t, tau_nodes, dxi, pad, n_max = job
+    n, p, sign, s, t, tau_nodes, dxi, n_max = job
     grid = inflation.grid_for_boxes(n_max, p, dxi)
     d = inflation.make_ip_data(n, grid)
-    q = QuadratureConfig(tau_nodes=tau_nodes, pad_factor=pad, dxi=dxi)
+    q = QuadratureConfig(tau_nodes=tau_nodes, dxi=dxi)
     return inflation.inflation_ratio(d, p, sign, s, t, q)
 
 
@@ -344,8 +346,7 @@ def _run_inflate(cfg: RunConfig) -> int:
     p = cfg.params
     n_list = sorted(int(n) for n in p["N"])
     jobs = [
-        (n, p["p"], p["sign"], p["s"], p["t"], p["tau_nodes"], p["dxi"], p["pad_factor"], max(n_list))
-        for n in n_list
+        (n, p["p"], p["sign"], p["s"], p["t"], p["tau_nodes"], p["dxi"], max(n_list)) for n in n_list
     ]
     # degree defaults to the available cores, capped by the configured value
     workers = min(cfg.jobs or (os.cpu_count() or 1), len(jobs))
@@ -360,7 +361,7 @@ def _run_inflate(cfg: RunConfig) -> int:
         p["sign"],
         p["s"],
         p["t"],
-        QuadratureConfig(tau_nodes=p["tau_nodes"], pad_factor=p["pad_factor"], dxi=p["dxi"]),
+        QuadratureConfig(tau_nodes=p["tau_nodes"], dxi=p["dxi"]),
         rows=rows,
     )
     reports.write_inflation_csv(os.path.join(cfg.out, "inflate.csv"), report)
@@ -526,7 +527,7 @@ def run(cfg: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
     try:
         return _RUNNERS[cfg.command](cfg)
-    except (ConvergenceError, QuadratureError, WrapError, BesovConvergenceError, RuntimeError) as err:
+    except (ConvergenceError, QuadratureError, BesovConvergenceError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except ValueError as err:

@@ -12,9 +12,10 @@ frequency convolution; its restricted H^s size, divided by the p-th power
 of the data's H^s size, grows like a power of N for s < 0.  Measuring that
 growth exponent is the point of this module.
 
-Two independent routes compute the derivative: a padded-FFT convolution
-with Simpson time quadrature (:func:`compute_Ap`) and a direct nested sum
-with the time integral in closed form (:func:`brute_force_Ap`).
+Two independent routes compute the derivative: a convolution confined to
+the two boxes, with Simpson time quadrature (:func:`compute_Ap`), and a
+direct nested sum with the time integral in closed form
+(:func:`brute_force_Ap`).
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .grid import (
     BandWindow,
     FrequencyGrid,
     SpectralField,
-    _pad_amplitudes,
-    _padded_node_count,
-    _truncate_amplitudes,
     lambda_symbol,
     restricted_norm,
     sobolev_norm,
@@ -55,16 +53,11 @@ __all__ = [
     "inflation_ratio",
     "ratio_sweep",
     "flowmap_derivative_check",
-    "WrapError",
     "QuadratureError",
 ]
 
 EVEN_BAND = BandWindow(0.25, 0.5)
 DEGENERACY_RTOL = 1e-8
-
-
-class WrapError(RuntimeError):
-    """The padded convolution leaked mass to the boundary (circular wrap)."""
 
 
 class QuadratureError(RuntimeError):
@@ -75,19 +68,15 @@ class QuadratureError(RuntimeError):
 class QuadratureConfig:
     """Controls for the derivative computation.
 
-    ``dxi`` must divide 1 so the unit boxes are resolved by whole bins;
-    ``pad_factor`` defaults to p+1, comfortably past the wrap-free minimum.
+    ``dxi`` must divide 1 so the unit boxes are resolved by whole bins.
     """
 
     tau_nodes: int = 65
-    pad_factor: float | None = None
     dxi: float = 1.0 / 64.0
 
     def __post_init__(self):
         if self.tau_nodes % 2 == 0 or self.tau_nodes < 5:
             raise ValueError("tau_nodes must be odd and >= 5")
-        if self.pad_factor is not None and self.pad_factor < 1.0:
-            raise ValueError("pad_factor must be >= 1")
         if abs(1.0 / self.dxi - round(1.0 / self.dxi)) > 1e-9:
             raise ValueError(f"dxi must divide 1 exactly, got {self.dxi}")
 
@@ -246,50 +235,63 @@ class GenericTermParams:
 # the p-th derivative, FFT route
 
 
-def _line_convolution_power(
-    amp: np.ndarray, grid: FrequencyGrid, p: int, pad_factor: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """p-fold convolution power of a Hermitian spectrum via padded transforms.
+def _box_slice(mask: np.ndarray) -> slice:
+    idx = np.flatnonzero(mask)
+    return slice(int(idx[0]), int(idx[-1]) + 1)
 
-    Returns the result truncated to the grid and the full padded spectrum
-    (for wrap inspection).  Equals the nested dxi^{p-1}-weighted node sum
-    times (1/2pi)^{p-1}: the normalization the flow map itself produces for
-    the transform of a pointwise p-th power, which keeps the derivative
-    comparable to the solver extraction in :func:`flowmap_derivative_check`.
+
+def _box_power_terms(d: IPData, g_plus: np.ndarray, g_minus: np.ndarray, p: int):
+    """p-fold convolution power of a spectrum supported on the two boxes.
+
+    ``g_plus`` and ``g_minus`` hold the values on the plus and minus box
+    (last axis; leading axes are batched).  The power is the binomial sum
+    over k of P^{*k} * M^{*(p-k)}; each term is one transform product of
+    length >= p*L, so the cost does not depend on the grid.  Yields
+    ``(lo, hi, values)``: each term clipped to the grid nodes [lo, hi).
+    Equals the nested dxi^{p-1}-weighted node sum times (1/2pi)^{p-1}: the
+    normalization the flow map itself produces for the transform of a
+    pointwise p-th power, which keeps the derivative comparable to the
+    solver extraction in :func:`flowmap_derivative_check`.
     """
-    padded = _padded_node_count(grid.node_count, pad_factor)
-    dx_fine = 2.0 * np.pi / (padded * grid.dxi)
-    pos = np.fft.ifft(np.fft.ifftshift(_pad_amplitudes(amp, padded))).real / dx_fine
-    spec = dx_fine * np.fft.fftshift(np.fft.fft(pos**p))
-    return _truncate_amplitudes(spec, grid.node_count), spec
+    m = d.grid.node_count
+    i_plus, i_minus = _box_slice(d.plus_mask).start, _box_slice(d.minus_mask).start
+    L = g_plus.shape[-1]  # the minus box mirrors the plus box node for node
+    width = p * (L - 1) + 1
+    n_fft = 1 << (p * L - 1).bit_length()
+    f_plus = np.fft.fft(g_plus, n_fft, axis=-1)
+    f_minus = np.fft.fft(g_minus, n_fft, axis=-1)
+    scale = (d.grid.dxi / (2.0 * np.pi)) ** (p - 1)
+    for k in range(p + 1):
+        start = k * i_plus + (p - k) * i_minus - (p - 1) * (m // 2)
+        lo, hi = max(start, 0), min(start + width, m)
+        if lo < hi:
+            term = np.fft.ifft(f_plus**k * f_minus ** (p - k), axis=-1)[..., lo - start : hi - start]
+            yield lo, hi, (math.comb(p, k) * scale) * term
 
 
-def _check_wrap(padded_spec: np.ndarray, scale: float):
-    guard = 3  # nodes within 2*dxi of each padded edge
-    edge = max(np.max(np.abs(padded_spec[:guard])), np.max(np.abs(padded_spec[-guard:])))
-    if edge > 1e-10 * scale:
-        raise WrapError(
-            f"convolution mass {edge:.3e} within 2 bins of the padded boundary "
-            f"(scale {scale:.3e}); increase the grid extent or padding"
-        )
-
-
-def _ap_amplitudes(
-    d: IPData, p: int, sign: int, t: float, tau_nodes: int, pad_factor: float, check_wrap: bool
-) -> np.ndarray:
-    grid = d.grid
-    lam = lambda_symbol(grid.xi)
-    taus = np.linspace(0.0, t, tau_nodes)
-    w = np.ones(tau_nodes)
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    w = np.ones(n)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= (taus[1] - taus[0]) / 3.0
-    accum = np.zeros(grid.node_count, dtype=np.complex128)
-    for j, tau in enumerate(taus):
-        g_tau = np.exp(-1j * tau * lam) * d.plus_mask + np.exp(1j * tau * lam) * d.minus_mask
-        conv, padded_spec = _line_convolution_power(g_tau, grid, p, pad_factor)
-        if check_wrap and j == 0:
-            _check_wrap(padded_spec, float(np.max(np.abs(padded_spec))))
-        accum += w[j] * np.sin((t - tau) * lam) * conv
+    return w * (h / 3.0)
+
+
+def _ap_amplitudes(d: IPData, p: int, sign: int, t: float, tau_nodes: int) -> np.ndarray:
+    """Simpson sums with ``tau_nodes`` nodes and with doubled nodes, as rows.
+
+    The base rule uses the even-indexed nodes of the doubled one, so every
+    tau node is transformed once.
+    """
+    fine = 2 * (tau_nodes - 1) + 1
+    taus = np.linspace(0.0, t, fine)
+    weights = np.zeros((2, fine))
+    weights[0, ::2] = _simpson_weights(tau_nodes, taus[2] - taus[0])
+    weights[1] = _simpson_weights(fine, taus[1] - taus[0])
+    lam = lambda_symbol(d.grid.xi)
+    g_plus = np.exp(-1j * np.outer(taus, lam[_box_slice(d.plus_mask)]))
+    g_minus = np.exp(1j * np.outer(taus, lam[_box_slice(d.minus_mask)]))
+    accum = np.zeros((2, d.grid.node_count), dtype=np.complex128)
+    for lo, hi, term in _box_power_terms(d, g_plus, g_minus, p):
+        accum[:, lo:hi] += weights @ (np.sin(np.outer(t - taus, lam[lo:hi])) * term)
     return -sign * math.factorial(p) * lam * accum
 
 
@@ -298,11 +300,12 @@ def compute_Ap(
 ) -> SpectralField:
     """p-th derivative of the flow map at zero along the box data, at time t.
 
-    For each Simpson node tau the free evolution's spectrum is raised to
-    the p-th convolution power on a padded grid, weighted by
-    -sign * p! * lambda * sin((t - tau) lambda), and accumulated.  The
+    For each Simpson node tau the free evolution's spectrum, supported on
+    the two boxes, is raised to the p-th convolution power box by box,
+    weighted by -sign * p! * lambda * sin((t - tau) lambda), and
+    accumulated; the part of the power beyond the grid is dropped.  The
     result is recomputed with doubled tau nodes and must agree to 1e-6
-    relative; mass near the padded boundary raises :class:`WrapError`.
+    relative, else :class:`QuadratureError`.
     """
     q = q or QuadratureConfig()
     if p < 2:
@@ -311,15 +314,9 @@ def compute_Ap(
         raise ValueError("sign must be +1 or -1")
     if t < 0:
         raise ValueError("t must be >= 0")
-    if d.grid.extent < p * (d.N + 2) - 1e-9:
-        raise ValueError(
-            f"grid extent {d.grid.extent} below p*(N+2) = {p * (d.N + 2)}; convolution would wrap"
-        )
     if t == 0.0:
         return SpectralField.zero(d.grid)
-    pad = q.pad_factor if q.pad_factor is not None else float(p + 1)
-    base = _ap_amplitudes(d, p, sign, t, q.tau_nodes, pad, check_wrap=True)
-    refined = _ap_amplitudes(d, p, sign, t, 2 * (q.tau_nodes - 1) + 1, pad, check_wrap=False)
+    base, refined = _ap_amplitudes(d, p, sign, t, q.tau_nodes)
     scale = float(np.linalg.norm(refined))
     if scale > 0 and float(np.linalg.norm(refined - base)) > 1e-6 * scale:
         raise QuadratureError(
@@ -337,7 +334,7 @@ def brute_force_Ap(d: IPData, p: int, sign: int, t: float) -> SpectralField:
     """Direct nested summation over the box nodes, exact in the time variable.
 
     Tractable for p in {2, 3} on coarse grids; guards the FFT route against
-    scaling and wrap mistakes.
+    scaling and placement mistakes.
     """
     if p not in (2, 3):
         raise ValueError("brute force supports p in {2, 3}")

@@ -44,6 +44,15 @@ def test_parse_rejects_unknown_keys(tmp_path):
         parse_config(["solve", "--config", cfg_path])
 
 
+def test_number_list_rejects_non_numbers_with_exit_2(tmp_path, capsys):
+    for bad in (["x"], [None]):
+        cfg_path = write_config(tmp_path, {"inflate": {"p": 2, "s": -0.5, "t": 0.5, "N": bad}})
+        with pytest.raises(ConfigError, match="list of numbers"):
+            parse_config(["inflate", "--config", cfg_path])
+        assert main(["inflate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_parse_reports_json_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"inflate": }')

@@ -8,7 +8,9 @@ from imbq.grid import BandWindow, FrequencyGrid, lambda_symbol, restricted_norm,
 from imbq.inflation import (
     GenericTermParams,
     QuadratureConfig,
-    WrapError,
+    QuadratureError,
+    _box_power_terms,
+    _box_slice,
     brute_force_Ap,
     compute_Ap,
     free_evolution_hat,
@@ -25,6 +27,16 @@ from imbq.solver import free_propagator
 def coarse_setup(N=8):
     grid = FrequencyGrid(1.0 / 16.0, 2 * 4 * (N + 2) * 16)
     return make_ip_data(N, grid)
+
+
+def padded_fft_power(amp, grid, p):
+    # reference: pointwise p-th power on the (p+1)-fold zero-padded dual grid, truncated
+    m, lo = grid.node_count, p * grid.node_count // 2
+    padded = np.zeros((p + 1) * m, dtype=complex)
+    padded[lo : lo + m] = amp
+    dx_fine = 2 * np.pi / (padded.size * grid.dxi)
+    pos = np.fft.ifft(np.fft.ifftshift(padded)) / dx_fine
+    return (dx_fine * np.fft.fftshift(np.fft.fft(pos**p)))[lo : lo + m]
 
 
 def quad_re(a, b, t):
@@ -206,12 +218,38 @@ def test_compute_ap_tau_refinement_stable():
     assert rel < 1e-6
 
 
-def test_compute_ap_wrap_detection():
-    # extent below p*(N+2) is rejected before any work
-    grid = FrequencyGrid(1.0 / 16.0, 2 * 18 * 16)
-    d = make_ip_data(8, grid)
-    with pytest.raises(ValueError):
-        compute_Ap(d, 2, 1, 0.5)
+def test_compute_ap_coarse_tau_rule_raises():
+    # 5 Simpson nodes cannot resolve the oscillation over t = 20
+    with pytest.raises(QuadratureError):
+        compute_Ap(coarse_setup(), 2, 1, 20.0, QuadratureConfig(tau_nodes=5))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_box_power_matches_padded_fft_power(p):
+    # arbitrary complex box values, on a grid that holds the whole power and
+    # on one (extent 18) that truncates it
+    rng = np.random.default_rng(p)
+    for d in (coarse_setup(), make_ip_data(8, FrequencyGrid(1.0 / 16.0, 2 * 18 * 16))):
+        plus, minus = _box_slice(d.plus_mask), _box_slice(d.minus_mask)
+        g_plus, g_minus = (rng.normal(size=(16, 2)) @ np.array([1, 1j]) for _ in range(2))
+        amp = np.zeros(d.grid.node_count, dtype=complex)
+        amp[plus], amp[minus] = g_plus, g_minus
+        got = np.zeros_like(amp)
+        for lo, hi, term in _box_power_terms(d, g_plus, g_minus, p):
+            got[lo:hi] += term
+        ref = padded_fft_power(amp, d.grid, p)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_compute_ap_narrow_grid_matches_wide_grid():
+    # below extent p*(N+2) the power is cut at the grid edge; nothing wraps back
+    wide = coarse_setup()
+    narrow = make_ip_data(8, FrequencyGrid(1.0 / 16.0, 2 * 18 * 16))
+    off = (wide.grid.node_count - narrow.grid.node_count) // 2
+    for p in (2, 3):
+        common = compute_Ap(wide, p, 1, 0.5).amplitudes[off : off + narrow.grid.node_count]
+        got = compute_Ap(narrow, p, 1, 0.5).amplitudes
+        assert np.max(np.abs(got - common)) <= 1e-12 * np.max(np.abs(common))
 
 
 def test_beta_control_for_balanced_patterns():

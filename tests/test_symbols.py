@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from imbq.grid import SpectralField, lambda_symbol, make_grid, random_real_field, sobolev_norm
 from imbq.symbols import (
@@ -137,16 +138,29 @@ def test_kernel_inequality_symmetric_case():
     assert chk.ratio == pytest.approx(chk.lhs, rel=1e-12)
 
 
+def test_kernel_closed_form_against_adaptive_quadrature():
+    for d in (-30.0, -3.0, -1.0, 0.0, 0.5, 2.0, 10.0, 30.0):
+        f = lambda z: 1.0 / ((1.0 + (z - d) ** 2) * (1.0 + z**2) ** 2)
+        lo, hi = min(d, 0.0), max(d, 0.0)
+        pieces = ((-np.inf, lo), (lo, hi), (hi, np.inf))
+        ref = sum(quad(f, a, b, epsabs=1e-15, epsrel=1e-12, limit=200)[0] for a, b in pieces)
+        assert check_kernel_inequality(d, 0.0).lhs == pytest.approx(ref, rel=1e-9)
+
+
 def test_kernel_ratio_sweep_bounded():
-    checks = kernel_ratio_sweep([-100, -10, -1, 0, 1, 10, 100])
+    checks = kernel_ratio_sweep([-100, -10, -1, 0, 1, 10, 100, 1e200])  # 1e200: (a-b)^2 overflows
     ratios = [c.ratio for c in checks]
     assert max(ratios) / min(ratios) < 10.0
 
 
 def test_kernel_far_asymptotics():
     chk = check_kernel_inequality(0.0, 1e6)
-    # lhs ~ (pi/2) / <a-b>^2 for large separation
-    assert np.pi / 2 / 10 < chk.ratio < np.pi / 2 * 10
+    # both peaks as breakpoints; lhs = (pi/2) / <a-b>^2 up to O(<a-b>^-4)
+    mpmath.mp.dps = 30
+    f = lambda z: 1 / ((1 + z**2) * (1 + (z - 1e6) ** 2) ** 2)
+    exact = float(mpmath.quad(f, [-mpmath.inf, 0, 1e6, mpmath.inf]))
+    assert chk.lhs == pytest.approx(exact, rel=1e-9)
+    assert chk.ratio == pytest.approx(np.pi / 2, rel=1e-9)
 
 
 def test_symbol_difference_bound_basics():
