@@ -6,6 +6,8 @@ data they should agree to quadrature accuracy, and the conserved energy
 should barely drift.
 """
 
+import time
+
 import numpy as np
 
 from imbq import (
@@ -25,8 +27,11 @@ cfg = SolverConfig(p=2, sign=1, horizon=0.25)
 
 print("data size: |u0|_L2 = %.4f, sup|u0| = %.4f" % (sobolev_norm(data.u0, 0), sup_norm(data.u0)))
 
+start = time.perf_counter()
 picard = solve(data, cfg)
-print(f"picard: {len(picard.window_reports)} window(s)")
+elapsed = time.perf_counter() - start
+iterations = sum(rep.iterations for rep in picard.window_reports)
+print(f"picard: {len(picard.window_reports)} window(s), {iterations} iterations in {elapsed:.2f} s")
 for i, rep in enumerate(picard.window_reports):
     print(f"  window {i}: {rep.iterations} iterations, first ratio {rep.contraction_ratio:.2e}")
 

@@ -119,11 +119,35 @@ def lambda_symbol(xi):
     return np.abs(xi) / np.hypot(1.0, xi)
 
 
-def _hermitian_defect(grid: FrequencyGrid, amplitudes: np.ndarray) -> float:
+def _sin_over_lambda(lam: np.ndarray, t) -> np.ndarray:
+    """sin(t lam)/lam, the symbol R_t of the linear flow; ``t`` broadcasts against ``lam``.
+
+    The removable singularity at lam = 0 is handled by the series
+    t*(1 - (t lam)^2/6 + (t lam)^4/120) wherever |t lam| < 1e-4.
+    """
+    s = t * lam
+    small = np.abs(s) < 1e-4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.sin(s) / lam
+    series = t * (1.0 - s**2 / 6.0 + s**4 / 120.0)
+    return np.where(small, series, direct)
+
+
+def _hermitian_defect(amplitudes: np.ndarray) -> np.ndarray:
+    """Relative Hermitian defect of each row (last axis) of ``amplitudes``."""
     # pairs (k, M-k) for k = 1..M-1; the leftmost node k = 0 has no partner
-    a = amplitudes[1:]
-    scale = float(np.max(np.abs(amplitudes))) or 1.0
-    return float(np.max(np.abs(a - np.conj(a[::-1])))) / scale
+    a = amplitudes[..., 1:]
+    scale = np.max(np.abs(amplitudes), axis=-1)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    return np.max(np.abs(a - np.conj(a[..., ::-1])), axis=-1) / scale
+
+
+def _check_amplitudes(amp: np.ndarray, real_valued: bool) -> None:
+    """Finiteness and, for real-valued fields, the Hermitian test of every row."""
+    if not np.all(np.isfinite(amp.view(np.float64))):
+        raise ValueError("amplitudes must be finite")
+    if real_valued and np.any(_hermitian_defect(amp) > HERMITIAN_RTOL):
+        raise ValueError("field marked real_valued violates Hermitian symmetry")
 
 
 @dataclass(frozen=True)
@@ -145,20 +169,17 @@ class SpectralField:
             raise ValueError(
                 f"amplitude count {amp.shape} does not match grid size {self.grid.node_count}"
             )
-        if not np.all(np.isfinite(amp.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
+        _check_amplitudes(amp, self.real_valued)
         amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-        if self.real_valued and _hermitian_defect(self.grid, amp) > HERMITIAN_RTOL:
-            raise ValueError("field marked real_valued violates Hermitian symmetry")
 
     @classmethod
     def zero(cls, grid: FrequencyGrid, real_valued: bool = True) -> "SpectralField":
         return cls(grid, np.zeros(grid.node_count, dtype=np.complex128), real_valued)
 
     def hermitian_defect(self) -> float:
-        return _hermitian_defect(self.grid, self.amplitudes)
+        return float(_hermitian_defect(self.amplitudes))
 
     # Linear arithmetic preserves Hermitian symmetry exactly (conjugation
     # commutes with IEEE +/-/scale), so derived fields keep the flag without
@@ -185,16 +206,34 @@ class SpectralField:
 
 def _combine(grid: FrequencyGrid, amplitudes: np.ndarray, real_valued: bool) -> SpectralField:
     """Field from arithmetic on validated fields: finiteness checked, symmetry trusted."""
-    f = object.__new__(SpectralField)
     amp = np.asarray(amplitudes, dtype=np.complex128)
-    if not np.all(np.isfinite(amp.view(np.float64))):
-        raise ValueError("amplitudes must be finite")
+    _check_amplitudes(amp, False)
     amp = amp.copy()
     amp.setflags(write=False)
+    return _unchecked_field(grid, amp, real_valued)
+
+
+def _unchecked_field(grid: FrequencyGrid, amp: np.ndarray, real_valued: bool) -> SpectralField:
+    """Field around an already validated, read-only ``amp``."""
+    f = object.__new__(SpectralField)
     object.__setattr__(f, "grid", grid)
     object.__setattr__(f, "amplitudes", amp)
     object.__setattr__(f, "real_valued", real_valued)
     return f
+
+
+def _real_fields(grid: FrequencyGrid, rows: np.ndarray) -> list[SpectralField]:
+    """Real-valued fields, one per row of an (n, M) amplitude matrix, validated in one pass.
+
+    The fields are read-only views of ``rows``, which they take over: the
+    caller must not write to the matrix afterwards.
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    if rows.ndim != 2 or rows.shape[1] != grid.node_count:
+        raise ValueError(f"amplitude matrix {rows.shape} does not fit grid size {grid.node_count}")
+    _check_amplitudes(rows, True)
+    rows.setflags(write=False)
+    return [_unchecked_field(grid, row, True) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -258,7 +297,7 @@ def to_frequency(g: PositionField, real_valued: bool | None = None) -> SpectralF
     """
     amp = g.grid.dx * np.fft.fftshift(np.fft.fft(g.samples))
     if real_valued is None:
-        real_valued = _hermitian_defect(g.grid, amp) <= HERMITIAN_RTOL
+        real_valued = bool(_hermitian_defect(amp) <= HERMITIAN_RTOL)
     return SpectralField(g.grid, amp, real_valued)
 
 

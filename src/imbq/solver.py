@@ -16,7 +16,8 @@ integrator of the first-order system serves as the independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .grid import (
     _padded_node_count,
     _position_samples_padded,
     _power_amplitudes,
+    _real_fields,
+    _sin_over_lambda,
     lambda_symbol,
     sobolev_norm,
     sup_norm,
@@ -93,7 +96,10 @@ class SolverConfig:
     The window length used by :func:`solve` is
     ``window_safety * R^{-(p-1)/2}`` with R = ``radius_constant`` times the
     summed H^s-plus-sup size of the data; on non-convergence the windows
-    are halved, up to ``max_window_halvings`` times.
+    are halved, up to ``max_window_halvings`` times.  Picard stops once the
+    max over the window nodes of H^s + (dxi/2pi) sum |u_hat| of the iterate
+    difference, an upper bound of its H^s-plus-sup size, is below
+    ``picard_tol``.
     """
 
     p: int
@@ -187,13 +193,21 @@ class Trajectory:
 # linear propagator
 
 
-def _sin_over(lam: np.ndarray, t: float) -> np.ndarray:
+class _FlowTable(NamedTuple):
+    """lam and cos, sin, sin/lam of t*lam at each grid node; one row per time."""
+
+    lam: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    sin_over: np.ndarray
+
+
+def _flow_table(grid: FrequencyGrid, times) -> _FlowTable:
+    """Table of the linear flow at ``times`` (a scalar gives 1-D rows)."""
+    lam = lambda_symbol(grid.xi)
+    t = np.asarray(times, dtype=float)[..., None]
     s = t * lam
-    small = np.abs(s) < 1e-4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.sin(s) / lam
-    series = t * (1.0 - s**2 / 6.0 + s**4 / 120.0)
-    return np.where(small, series, direct)
+    return _FlowTable(lam, np.cos(s), np.sin(s), _sin_over_lambda(lam, t))
 
 
 def free_propagator(d: CauchyData, t: float) -> SpectralField:
@@ -201,15 +215,15 @@ def free_propagator(d: CauchyData, t: float) -> SpectralField:
 
     At xi = 0 this reduces to u0_hat(0) + t*u1_hat(0).
     """
-    lam = lambda_symbol(d.grid.xi)
-    amp = np.cos(t * lam) * d.u0.amplitudes + _sin_over(lam, t) * d.u1.amplitudes
+    table = _flow_table(d.grid, t)
+    amp = table.cos * d.u0.amplitudes + table.sin_over * d.u1.amplitudes
     return SpectralField(d.grid, amp, real_valued=True)
 
 
 def free_velocity(d: CauchyData, t: float) -> SpectralField:
     """Time derivative of the free flow: -lam sin(t lam) u0_hat + cos(t lam) u1_hat."""
-    lam = lambda_symbol(d.grid.xi)
-    amp = -lam * np.sin(t * lam) * d.u0.amplitudes + np.cos(t * lam) * d.u1.amplitudes
+    table = _flow_table(d.grid, t)
+    amp = -table.lam * table.sin * d.u0.amplitudes + table.cos * d.u1.amplitudes
     return SpectralField(d.grid, amp, real_valued=True)
 
 
@@ -252,25 +266,45 @@ def _prefix_weights(n_nodes: int, h: float) -> np.ndarray:
 
 
 def _power_matrix(u_mat: np.ndarray, grid: FrequencyGrid, cfg: SolverConfig) -> np.ndarray:
+    """Amplitudes of u^p for every Hermitian row of ``u_mat``: one irfft/rfft pair.
+
+    The half spectrum carries the Hermitian part of each padded row, so the
+    unpaired node k = 0 (mode -M/2) enters as conj(a_0)/2 at mode +M/2 and
+    is read back as the conjugate of that bin.
+    """
+    m = u_mat.shape[1]
+    h = m // 2
+    padded = _padded_node_count(m, cfg.dealias)
+    dx_fine = 2.0 * np.pi / (padded * grid.dxi)
+    half = np.zeros((u_mat.shape[0], padded // 2 + 1), dtype=np.complex128)
+    half[:, :h] = u_mat[:, h:]
+    half[:, h] = 0.5 * np.conj(u_mat[:, 0])
+    samples = np.fft.irfft(half, padded, axis=1)
+    del half
+    samples /= dx_fine
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples **= cfg.p
+    if not np.all(np.isfinite(samples)):
+        raise OverflowError("position samples overflowed while forming the pointwise power")
+    spec = np.fft.rfft(samples, axis=1)[:, : h + 1]
+    spec *= dx_fine
     out = np.empty_like(u_mat)
-    for j in range(u_mat.shape[0]):
-        out[j] = _power_amplitudes(u_mat[j], grid, cfg.p, 1, cfg.dealias)
+    out[:, h:] = spec[:, :h]
+    out[:, 1:h] = np.conj(spec[:, h - 1 : 0 : -1])
+    out[:, 0] = np.conj(spec[:, h])
     return out
 
 
 def _duhamel_apply(
     u_mat: np.ndarray,
     d: CauchyData,
-    times: np.ndarray,
+    table: _FlowTable,
     weights: np.ndarray,
     cfg: SolverConfig,
     forcing: bool,
 ) -> np.ndarray:
     """Evaluate the Duhamel functional on node-sampled amplitudes."""
-    lam = lambda_symbol(d.grid.xi)
-    cos_t = np.cos(times[:, None] * lam[None, :])
-    sin_t = np.sin(times[:, None] * lam[None, :])
-    sin_over = np.vstack([_sin_over(lam, t) for t in times])
+    lam, cos_t, sin_t, sin_over = table
     free = cos_t * d.u0.amplitudes[None, :] + sin_over * d.u1.amplitudes[None, :]
     if not forcing:
         return free
@@ -283,15 +317,13 @@ def _duhamel_apply(
 def _duhamel_velocity(
     u_mat: np.ndarray,
     d: CauchyData,
-    times: np.ndarray,
+    table: _FlowTable,
     weights: np.ndarray,
     cfg: SolverConfig,
     forcing: bool,
 ) -> np.ndarray:
     """Differentiated Duhamel formula, used for window continuation."""
-    lam = lambda_symbol(d.grid.xi)
-    cos_t = np.cos(times[:, None] * lam[None, :])
-    sin_t = np.sin(times[:, None] * lam[None, :])
+    lam, cos_t, sin_t, _ = table
     out = -lam[None, :] * sin_t * d.u0.amplitudes[None, :] + cos_t * d.u1.amplitudes[None, :]
     if not forcing:
         return out
@@ -300,16 +332,24 @@ def _duhamel_velocity(
     return out - cfg.sign * lam[None, :] ** 2 * integral
 
 
-def _node_size(amp: np.ndarray, grid: FrequencyGrid, s: float) -> float:
-    f = SpectralField(grid, amp)
-    return sobolev_norm(f, s) + sup_norm(f)
+def _node_sizes(amp: np.ndarray, grid: FrequencyGrid, s: float) -> np.ndarray:
+    """H^s norm plus (dxi/2pi) sum |u_hat| of each row of ``amp``.
+
+    The second term is the Wiener-algebra bound |u(x)| <= (dxi/2pi) sum_k
+    |u_hat(xi_k)|, so each value is at least the row's H^s-plus-sup size.
+    """
+    mag = np.abs(amp)
+    c = grid.dxi / (2.0 * np.pi)
+    weights = (1.0 + grid.xi**2) ** s
+    # a blown-up difference reads inf, and Picard goes on until the power overflows
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(weights * mag**2, axis=-1) * c) + c * np.sum(mag, axis=-1)
 
 
 def _trajectory_from_matrices(
     grid: FrequencyGrid, times: np.ndarray, u_mat: np.ndarray, ut_mat: np.ndarray, **kwargs
 ) -> Trajectory:
-    u = [SpectralField(grid, row, real_valued=True) for row in u_mat]
-    ut = [SpectralField(grid, row, real_valued=True) for row in ut_mat]
+    u, ut = _real_fields(grid, u_mat), _real_fields(grid, ut_mat)
     return Trajectory(times=times, u=u, u_t=ut, **kwargs)
 
 
@@ -330,9 +370,10 @@ def duhamel_functional(
     if times[0] != 0.0 or not np.allclose(np.diff(times), h, rtol=1e-12, atol=0):
         raise ValueError("trajectory nodes must be uniform and start at 0")
     weights = _prefix_weights(n, h)
+    table = _flow_table(d.grid, times)
     u_mat = np.vstack([f.amplitudes for f in u.u])
-    z = _duhamel_apply(u_mat, d, times, weights, cfg, forcing)
-    zt = _duhamel_velocity(u_mat, d, times, weights, cfg, forcing)
+    z = _duhamel_apply(u_mat, d, table, weights, cfg, forcing)
+    zt = _duhamel_velocity(u_mat, d, table, weights, cfg, forcing)
     return _trajectory_from_matrices(d.grid, times, z, zt)
 
 
@@ -341,28 +382,39 @@ def picard_window(
 ) -> tuple[Trajectory, ContractionReport]:
     """Iterate the Duhamel map to its fixed point on [0, window].
 
-    Starts from the free evolution and stops when the max-over-nodes of
-    (H^s + sup) of the iterate difference drops below ``picard_tol``.
-    Raises :class:`ConvergenceError` with the difference history when
-    ``max_iterations`` is exhausted (window too long or data too large).
+    Starts from the free evolution and stops when the max over the nodes of
+    H^s + (dxi/2pi) sum |u_hat| of the iterate difference, the report's
+    ``differences``, drops below ``picard_tol``; the second term bounds the
+    sup norm from above.  Raises :class:`ConvergenceError` with the
+    difference history when ``max_iterations`` is exhausted (window too
+    long or data too large) or when the pointwise power overflows.
     """
     if not window > 0:
         raise ValueError("window length must be positive")
     n = cfg.quadrature_nodes
     times = np.linspace(0.0, window, n)
     weights = _prefix_weights(n, times[1])
-    zeros = np.zeros((n, d.grid.node_count), dtype=np.complex128)
-    current = _duhamel_apply(zeros, d, times, weights, cfg, forcing=False)  # free evolution
+    table = _flow_table(d.grid, times)
+    current = _duhamel_apply(None, d, table, weights, cfg, forcing=False)  # free evolution
     diffs: list[float] = []
     converged = False
-    for _ in range(cfg.max_iterations):
-        new = _duhamel_apply(current, d, times, weights, cfg, forcing)
-        diff = max(_node_size(new[i] - current[i], d.grid, cfg.s) for i in range(n))
-        diffs.append(diff)
-        current = new
-        if diff < cfg.picard_tol:
-            converged = True
-            break
+    try:
+        for _ in range(cfg.max_iterations):
+            new = _duhamel_apply(current, d, table, weights, cfg, forcing)
+            diff = float(np.max(_node_sizes(new - current, d.grid, cfg.s)))
+            diffs.append(diff)
+            current = new
+            if diff < cfg.picard_tol:
+                converged = True
+                break
+        if converged:
+            ut = _duhamel_velocity(current, d, table, weights, cfg, forcing)
+    except OverflowError as err:
+        raise ConvergenceError(
+            f"Picard iteration on a window of length {window:g} failed after "
+            f"{len(diffs)} iterations: {err}",
+            history=diffs,
+        ) from err
     ratios = tuple(b / a for a, b in zip(diffs[:-1], diffs[1:]) if a > 0)
     if not converged:
         raise ConvergenceError(
@@ -376,7 +428,6 @@ def picard_window(
         differences=tuple(diffs),
         ratios=ratios,
     )
-    ut = _duhamel_velocity(current, d, times, weights, cfg, forcing)
     traj = _trajectory_from_matrices(
         d.grid, times, current, ut, window_edges=(0.0, window), window_reports=(report,)
     )

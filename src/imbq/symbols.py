@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import SpectralField, lambda_symbol
+from .grid import SpectralField, _sin_over_lambda, lambda_symbol
 
 __all__ = [
     "Symbol",
@@ -37,7 +37,6 @@ __all__ = [
 SYMBOL_NAMES = ("m1", "m2_plus", "m2_minus", "m3", "P", "Q_t", "R_t", "lambda")
 _TIME_FREE = ("m1", "P", "lambda")
 _REAL_SYMBOLS = ("m1", "m3", "P", "Q_t", "R_t", "lambda")
-M3_SERIES_CUTOFF = 1e-4
 
 
 class BesovConvergenceError(RuntimeError):
@@ -74,15 +73,6 @@ class Symbol:
 
     def __str__(self):
         return self.name if self.t is None else f"{self.name}(t={self.t:g})"
-
-
-def _sin_over_lambda(lam: np.ndarray, t: float) -> np.ndarray:
-    s = t * lam
-    small = np.abs(s) < M3_SERIES_CUTOFF
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.sin(s) / lam
-    series = t * (1.0 - s**2 / 6.0 + s**4 / 120.0)
-    return np.where(small, series, direct)
 
 
 def eval_symbol(sym: Symbol, xi):

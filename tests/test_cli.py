@@ -155,6 +155,29 @@ def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys):
     assert "window 0" in capsys.readouterr().err
 
 
+def test_solve_power_overflow_exits_3(tmp_path, capsys):
+    # the pointwise power overflows inside a Picard window; without halvings
+    # that is a non-convergence (exit 3), not a traceback
+    cfg_path = write_config(
+        tmp_path,
+        {
+            "solve": {
+                "p": 3,
+                "sign": -1,
+                "T": 50.0,
+                "nodes": 64,
+                "data": {"kind": "gaussian", "amplitude": 3.0},
+                "max_window_halvings": 0,
+            }
+        },
+    )
+    code = main(["solve", "--config", cfg_path, "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: window ")
+    assert "overflowed" in err
+
+
 def test_dispersion_command(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"dispersion": {"k": [1.0], "T": 10.0, "dt": 0.005}})
     out = tmp_path / "disp"

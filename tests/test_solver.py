@@ -25,7 +25,9 @@ from imbq.solver import (
     single_mode_data,
     solve,
 )
-from imbq.solver import _prefix_weights
+from imbq.grid import _power_amplitudes, random_real_field
+from imbq.solver import _flow_table, _node_sizes, _power_matrix, _prefix_weights
+from imbq.symbols import Symbol, eval_symbol
 
 
 def small_data(grid=None, amplitude=0.2):
@@ -66,6 +68,72 @@ def test_prefix_weights_fourth_order():
     t2 = np.arange(2 * (n - 1) + 1) * h / 2
     err2 = np.max(np.abs(w2 @ np.exp(t2) - (np.exp(t2) - 1.0)))
     assert err / err2 > 10
+
+
+def test_flow_table_rows_equal_the_symbols():
+    # one sin(t lam)/lam helper: the vectorised table reproduces the
+    # per-time symbols bit for bit, the series branch (|t lam| < 1e-4) included
+    g = make_grid(16.0, 512)
+    times = np.concatenate([np.linspace(0.0, 0.4, 9), [1e-3, 5.0]])
+    table = _flow_table(g, times)
+    for i, t in enumerate(times):
+        assert np.array_equal(table.sin_over[i], eval_symbol(Symbol("R_t", float(t)), g.xi))
+        assert np.array_equal(table.cos[i], eval_symbol(Symbol("Q_t", float(t)), g.xi))
+        assert np.array_equal(table.sin[i], np.sin(t * table.lam))
+
+
+def hermitian_rows(m, n, rng):
+    """Random rows with a[M-k] = conj(a[k]), a real zero mode and a free k = 0 node."""
+    a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    h = m // 2
+    a[:, h] = a[:, h].real
+    a[:, h + 1 :] = np.conj(a[:, h - 1 : 0 : -1])
+    return a
+
+
+@pytest.mark.parametrize("m", [10, 512])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_power_matrix_matches_per_row_power(p, m):
+    g = make_grid(4.0, m)
+    cfg = SolverConfig(p=p, sign=1, horizon=1.0)
+    rows = hermitian_rows(m, 7, np.random.default_rng(100 * p + m))
+    assert np.all(rows[:, 0] != 0)  # the unpaired node takes part
+    got = _power_matrix(rows, g, cfg)
+    ref = np.vstack([_power_amplitudes(r, g, p, 1, cfg.dealias) for r in rows])
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_power_matrix_overflow_raises():
+    g = make_grid(4.0, 32)
+    cfg = SolverConfig(p=3, sign=1, horizon=1.0)
+    rows = hermitian_rows(32, 3, np.random.default_rng(1))
+    rows[1] *= 1e200
+    with pytest.raises(OverflowError):
+        _power_matrix(rows, g, cfg)
+
+
+def test_stopping_norm_bounds_sobolev_plus_sup():
+    # (dxi/2pi) sum |u_hat| never falls below sup|u|, so the stopping test
+    # never lets Picard stop earlier than an H^s-plus-sup test would
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        g = make_grid(8.0 + seed, 64 * (1 + seed % 3))
+        fields = [random_real_field(g, rng, decay=dec) for dec in (0.0, 1.0, 3.0)]
+        amps = np.vstack([f.amplitudes for f in fields])
+        for s in (0.0, 0.5, 1.0):
+            sizes = _node_sizes(amps, g, s)
+            for f, size in zip(fields, sizes):
+                l1 = g.dxi / (2 * np.pi) * np.sum(np.abs(f.amplitudes))
+                assert l1 >= sup_norm(f)
+                assert size == pytest.approx(sobolev_norm(f, s) + l1, rel=1e-14)
+
+
+def test_picard_iteration_counts_on_quick_start_data():
+    # the l1 stopping norm keeps the counts of the sup-norm test it replaced
+    d = small_data()
+    traj = solve(d, SolverConfig(p=2, sign=1, horizon=2.0))
+    counts = [r.iterations for r in traj.window_reports]
+    assert (len(counts), sum(counts)) == (9, 33)
 
 
 def test_free_propagator_identity_at_zero():
@@ -255,6 +323,15 @@ def test_solve_grid_convergence_for_band_limited_data():
         traj = solve(d, SolverConfig(p=2, sign=1, horizon=0.25))
         finals.append(sobolev_norm(traj.u[-1], 0.0))
     assert abs(finals[1] - finals[0]) < 1e-6
+
+
+def test_picard_power_overflow_is_a_convergence_error():
+    g = make_grid(16.0, 64)
+    d = gaussian_data(g, amplitude=1e120)
+    cfg = SolverConfig(p=3, sign=-1, horizon=1.0)
+    with pytest.raises(ConvergenceError, match="overflowed") as exc:
+        picard_window(d, 1e-3, cfg)
+    assert exc.value.history == []
 
 
 def test_solve_propagates_window_index_on_failure():
