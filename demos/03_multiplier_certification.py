@@ -8,6 +8,8 @@ Three certifications:
   * boundedness of the convolution-kernel integral against 1/<a-b>^2.
 """
 
+import time
+
 import numpy as np
 
 from imbq import (
@@ -20,6 +22,7 @@ from imbq import (
     sobolev_norm,
 )
 
+start = time.perf_counter()
 rng = np.random.default_rng(0)
 grid = make_grid(16.0, 256)
 t = 1.8
@@ -44,6 +47,7 @@ for tv in (0.5, 1.0, 2.0, 4.0):
     m3 = besov_seminorm(Symbol("m3", tv), resolution=120).value
     print(f"{tv:5.1f}  {m2:8.4f}  {m2 / tv:7.4f}  {m3:9.4f}  {m3 / max(tv, tv**3):9.4f}")
 print("the normalized columns stay within a bounded band: linear and cubic growth shapes")
+print(f"corpus and seminorms took {time.perf_counter() - start:.2f} s")
 
 checks = kernel_ratio_sweep([-100, -10, -1, 0, 1, 10, 100])
 ratios = [c.ratio for c in checks]

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +57,22 @@ class RunConfig:
 REQUIRED = object()
 
 
+def _as_float(v):
+    """``v`` as a finite float, or None if it is not a finite number."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return None
+    try:
+        v = float(v)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return v if math.isfinite(v) else None
+
+
 def _typed(kind, cond=None, desc=""):
-    def check(v):
-        if kind is float and isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
+    def check(value):
+        v = _as_float(value) if kind is float else value
         if not isinstance(v, kind) or isinstance(v, bool) and kind is not bool:
-            raise ConfigError(f"expected {getattr(kind, '__name__', kind)}{desc}, got {v!r}")
+            raise ConfigError(f"expected {'finite ' if kind is float else ''}{kind.__name__}{desc}, got {value!r}")
         if cond is not None and not cond(v):
             raise ConfigError(f"value {v!r} out of range{desc}")
         return v
@@ -77,8 +86,8 @@ def _number_list(cond=None):
             raise ConfigError(f"expected a non-empty list, got {v!r}")
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
             raise ConfigError(f"expected a list of numbers, got {v!r}")
-        out = [float(x) for x in v]
-        if not all(math.isfinite(x) and (cond is None or cond(x)) for x in out):
+        out = [_as_float(x) for x in v]
+        if not all(x is not None and (cond is None or cond(x)) for x in out):
             raise ConfigError(f"list values out of range: {v!r}")
         return out
 
@@ -161,8 +170,13 @@ SCHEMAS = {
 
 TOP_LEVEL_KEYS = {"command", "out", "jobs", "seed", "plot"} | set(SCHEMAS)
 
+# work budget of the dispersion command: RK4 steps per mode, round(T/dt)
+MAX_DISPERSION_STEPS = 10**6
 
-def _validate_block(command: str, block: dict) -> dict:
+
+def _validate_block(command: str, block) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{command}' block must be a JSON object, got {block!r}")
     schema = SCHEMAS[command]
     unknown = set(block) - set(schema)
     if unknown:
@@ -178,6 +192,12 @@ def _validate_block(command: str, block: dict) -> dict:
             out[key] = default
     if command == "solve":
         out["data"] = _validate_data(out["data"])
+    if command == "dispersion":
+        steps = out["T"] / out["dt"]  # may be inf; the RK4 loop takes round(T/dt) steps
+        if steps > MAX_DISPERSION_STEPS + 0.5:
+            raise ConfigError(
+                f"dispersion T/dt asks for {steps:.6g} RK4 steps per mode; the limit is {MAX_DISPERSION_STEPS}"
+            )
     return out
 
 
@@ -185,7 +205,7 @@ def _validate_data(block) -> dict:
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("solve data block must be an object with a 'kind' key")
     kind = block["kind"]
-    if kind not in DATA_SCHEMAS:
+    if not isinstance(kind, str) or kind not in DATA_SCHEMAS:
         raise ConfigError(f"unknown data kind {kind!r}, expected one of {sorted(DATA_SCHEMAS)}")
     schema = DATA_SCHEMAS[kind]
     unknown = set(block) - set(schema) - {"kind"}
@@ -351,6 +371,8 @@ def _run_inflate(cfg: RunConfig) -> int:
     # degree defaults to the available cores, capped by the configured value
     workers = min(cfg.jobs or (os.cpu_count() or 1), len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: keeps `import imbq.cli` light
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_inflate_row, jobs))
     else:
@@ -455,21 +477,21 @@ def _run_lemma_check(cfg: RunConfig) -> int:
 def _run_dispersion(cfg: RunConfig) -> int:
     p = cfg.params
     rows = []
-    for k in p["k"]:
-        fitted = solver.dispersion_check(k, p["T"], p["dt"])
+    # every k is stepped once, in one stacked RK4 run; k[0]'s row is the plotted trace
+    times, traces = solver.mode_amplitude_traces(p["k"], p["T"], p["dt"])
+    for k, trace in zip(p["k"], traces):
+        fitted = solver.fit_mode_frequency(times, trace)
         expected = float(lambda_symbol(k))
         rows.append(reports.DispersionRow(k=k, fitted_omega=fitted, expected_omega=expected))
         print(
             f"dispersion k={k:g}: fitted omega={fitted:.10f} expected={expected:.10f} "
             f"rel error={rows[-1].rel_error:.3e}"
         )
-    trace_k = p["k"][0]
-    times, amps = solver.mode_amplitude_trace(trace_k, p["T"], p["dt"])
     report = reports.DispersionReport(
         rows=tuple(rows),
-        trace_k=trace_k,
+        trace_k=p["k"][0],
         trace_times=tuple(float(t) for t in times),
-        trace_values=tuple(float(a) for a in amps),
+        trace_values=tuple(float(a) for a in traces[0]),
     )
     reports.write_dispersion_csv(os.path.join(cfg.out, "dispersion.csv"), report)
     reports.write_json(
@@ -481,7 +503,7 @@ def _run_dispersion(cfg: RunConfig) -> int:
                 for r in rows
             ],
             "provenance": {
-                "fitted_omega": "imbq.solver.dispersion_check",
+                "fitted_omega": "imbq.solver.mode_amplitude_traces + imbq.solver.fit_mode_frequency",
                 "expected_omega": "imbq.grid.lambda_symbol",
             },
         },

@@ -49,7 +49,9 @@ __all__ = [
     "energy",
     "energy_series",
     "dispersion_check",
+    "fit_mode_frequency",
     "mode_amplitude_trace",
+    "mode_amplitude_traces",
     "single_mode_data",
     "gaussian_data",
 ]
@@ -517,29 +519,55 @@ def rk4_solve(
 
     v_hat_t = -lam^2 (u_hat + sign*(u^p)_hat), nonlinearity dealiased by
     zero padding.  Raises :class:`ConvergenceError` if the L^2 size grows
-    by more than a factor 1e6 (instability guard).
+    by more than a factor 1e6 (instability guard).  The stepping is
+    :func:`_rk4_stack` on a batch of one state.
     """
+    grid = d.grid
+    power = None
+    if forcing:
+        power = lambda u: cfg.sign * _power_amplitudes(u[0], grid, cfg.p, 1, cfg.dealias)
+    times, u_mat, v_mat = _rk4_stack(
+        d.u0.amplitudes[None],
+        d.u1.amplitudes[None],
+        lambda_symbol(grid.xi) ** 2,
+        cfg.horizon,
+        dt,
+        store_stride,
+        power,
+    )
+    return _trajectory_from_matrices(grid, times, u_mat[:, 0], v_mat[:, 0])
+
+
+def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
+    """The RK4 stepping loop on a stack of states, one row per system.
+
+    ``u0``, ``v0`` are (B, M) states and ``lam2`` broadcasts against them,
+    so every row steps v_t = -lam2 (u + power(u)) with its own lam^2 in
+    the same loop (``power`` None is the free flow).  round(horizon/dt)
+    equal steps; the states of every ``store_stride``-th step and of the
+    last are kept.  Returns (times, u, v) with u, v of shape (samples, B, M).
+    Raises :class:`ConvergenceError` once any row's L^2 size exceeds 1e6
+    times its initial size.
+    """
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
     if not dt > 0:
         raise ValueError("dt must be positive")
     if store_stride < 1:
         raise ValueError("store_stride must be >= 1")
-    n_steps = max(1, round(cfg.horizon / dt))
-    h = cfg.horizon / n_steps
-    grid = d.grid
-    lam2 = lambda_symbol(grid.xi) ** 2
+    n_steps = max(1, round(horizon / dt))
+    h = horizon / n_steps
 
     def rhs(ustate: np.ndarray, vstate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        force = ustate
-        if forcing:
-            force = ustate + cfg.sign * _power_amplitudes(ustate, grid, cfg.p, 1, cfg.dealias)
+        force = ustate if power is None else ustate + power(ustate)
         return vstate, -lam2 * force
 
-    u_now = d.u0.amplitudes.copy()
-    v_now = d.u1.amplitudes.copy()
-    scale0 = max(np.linalg.norm(u_now), 1e-300)
+    u_now = np.array(u0, dtype=np.complex128)
+    v_now = np.array(v0, dtype=np.complex128)
+    limit = 1e6 * np.maximum(np.linalg.norm(u_now, axis=-1), 1e-300)
     times = [0.0]
-    u_states = [u_now.copy()]
-    v_states = [v_now.copy()]
+    u_states = [u_now]
+    v_states = [v_now]
     for step in range(1, n_steps + 1):
         try:
             k1u, k1v = rhs(u_now, v_now)
@@ -550,13 +578,13 @@ def rk4_solve(
             raise ConvergenceError(f"instability detected at step {step}: {err}") from err
         u_now = u_now + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
         v_now = v_now + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if np.linalg.norm(u_now) > 1e6 * scale0:
+        if (np.linalg.norm(u_now, axis=-1) > limit).any():
             raise ConvergenceError(f"instability detected at step {step}: norm grew > 1e6x")
         if step % store_stride == 0 or step == n_steps:
             times.append(step * h)
-            u_states.append(u_now.copy())
-            v_states.append(v_now.copy())
-    return _trajectory_from_matrices(grid, np.array(times), np.vstack(u_states), np.vstack(v_states))
+            u_states.append(u_now)
+            v_states.append(v_now)
+    return np.array(times), np.stack(u_states), np.stack(v_states)
 
 
 # ----------------------------------------------------------------------
@@ -635,35 +663,47 @@ def gaussian_data(
     )
 
 
-def mode_amplitude_trace(k: float, horizon: float = 20.0, dt: float = 2e-3):
-    """Uniform samples of the normalized mode amplitude of the free flow.
+def mode_amplitude_traces(ks, horizon: float = 20.0, dt: float = 2e-3):
+    """Uniform samples of the normalized mode amplitude of the free flow, for every k.
 
-    Evolves u0 = cos(kx), u1 = 0 with the RK4 integrator (forcing off) and
-    returns (times, Re u_hat(k, t)/u_hat(k, 0)), sampled roughly every half
-    time unit.
+    Evolves u0 = cos(kx), u1 = 0 on each ``make_mode_grid(k)`` with the RK4
+    integrator (forcing off), all modes stacked in one loop of
+    :func:`_rk4_stack` (row i carries the lam^2 of its own grid), and
+    returns (times, a) with a[i] = Re u_hat(k_i, t)/u_hat(k_i, 0), sampled
+    roughly every half time unit.
     """
-    grid = make_mode_grid(k)
-    d = single_mode_data(grid, k)
-    cfg = SolverConfig(p=2, sign=1, horizon=horizon)
+    grids = [make_mode_grid(k) for k in ks]
+    data = [single_mode_data(g, k) for g, k in zip(grids, ks)]
+    idx = np.array([g.index_of(k) for g, k in zip(grids, ks)])
     stride = max(1, round(0.5 / dt))
-    traj = rk4_solve(d, cfg, dt, forcing=False, store_stride=stride)
-    idx = grid.index_of(k)
-    ref = d.u0.amplitudes[idx].real
-    a = np.array([f.amplitudes[idx].real for f in traj.u]) / ref
-    times = traj.times
+    times, u, _ = _rk4_stack(
+        np.stack([d.u0.amplitudes for d in data]),
+        np.stack([d.u1.amplitudes for d in data]),
+        np.stack([lambda_symbol(g.xi) ** 2 for g in grids]),
+        horizon,
+        dt,
+        stride,
+    )
+    rows = np.arange(len(grids))
+    a = (u[:, rows, idx].real / u[0, rows, idx].real).T.copy()
     steps = np.diff(times)
     if steps.shape[0] > 1 and not np.isclose(steps[-1], steps[0], rtol=1e-9):
-        times, a = times[:-1], a[:-1]  # final sample off the uniform stride
+        times, a = times[:-1], a[:, :-1]  # final sample off the uniform stride
     return times, a
 
 
-def dispersion_check(k: float, horizon: float = 20.0, dt: float = 2e-3) -> float:
-    """Fit the oscillation frequency of a linearly evolved cosine mode.
+def mode_amplitude_trace(k: float, horizon: float = 20.0, dt: float = 2e-3):
+    """(times, Re u_hat(k, t)/u_hat(k, 0)) of :func:`mode_amplitude_traces` for one k."""
+    times, a = mode_amplitude_traces([k], horizon, dt)
+    return times, a[0]
+
+
+def fit_mode_frequency(times: np.ndarray, a: np.ndarray) -> float:
+    """Fit the oscillation frequency of uniform samples of a cosine mode.
 
     Recovers omega from the three-term recursion a_{i-1} + a_{i+1} =
     2 cos(omega Delta) a_i satisfied by uniform samples of cos(omega t).
     """
-    times, a = mode_amplitude_trace(k, horizon, dt)
     if a.shape[0] < 5:
         raise RuntimeError("dispersion fit needs at least 5 samples")
     denom = 2.0 * np.sum(a[1:-1] ** 2)
@@ -674,6 +714,16 @@ def dispersion_check(k: float, horizon: float = 20.0, dt: float = 2e-3) -> float
         raise RuntimeError(f"dispersion fit failed: cos(omega*dt) = {c}")
     delta = times[1] - times[0]
     return math.acos(c) / delta
+
+
+def dispersion_check(k: float, horizon: float = 20.0, dt: float = 2e-3) -> float:
+    """Fitted oscillation frequency of a linearly evolved cosine mode.
+
+    :func:`fit_mode_frequency` on :func:`mode_amplitude_trace`; to fit
+    several k from one stacked RK4 run, fit each row of
+    :func:`mode_amplitude_traces`.
+    """
+    return fit_mode_frequency(*mode_amplitude_trace(k, horizon, dt))
 
 
 def make_mode_grid(k: float) -> FrequencyGrid:

@@ -1,10 +1,14 @@
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imbq.cli import ConfigError, emit_plot, main, parse_config
+from imbq.cli import COMMANDS, DATA_SCHEMAS, SCHEMAS, TOP_LEVEL_KEYS, ConfigError, RunConfig, emit_plot, main, parse_config
 from imbq.inflation import InflationReport
 from imbq.reports import DispersionReport, DispersionRow
 
@@ -51,6 +55,91 @@ def test_number_list_rejects_non_numbers_with_exit_2(tmp_path, capsys):
             parse_config(["inflate", "--config", cfg_path])
         assert main(["inflate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", [5, [{"a": 1}]], ids=["number", "list"])
+def test_non_object_command_block_exits_2(tmp_path, capsys, block):
+    cfg_path = write_config(tmp_path, {"inflate": block})
+    assert main(["inflate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert "'inflate' block must be a JSON object" in capsys.readouterr().err
+
+
+def test_non_finite_float_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"solve": {"p": 2, "T": 1e400}}')  # json reads 1e400 as inf
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "expected finite float" in capsys.readouterr().err
+
+
+def test_dispersion_step_budget_exits_2_at_once(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"dispersion": {"dt": 1e-300}})
+    start = time.perf_counter()
+    assert main(["dispersion", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "2e+301 RK4 steps" in capsys.readouterr().err
+
+
+_SCHEMA_KEYS = sorted(TOP_LEVEL_KEYS | {k for s in (*SCHEMAS.values(), *DATA_SCHEMAS.values()) for k in s} | {"kind"})
+_KEYS = st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([*DATA_SCHEMAS, *COMMANDS]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=10,
+)
+# numbers first (most fields are numeric), with the edges JSON can carry: inf, nan, ints past float range
+_FIELD = st.sampled_from([math.inf, -math.inf, math.nan, 10**400]) | st.floats() | st.integers() | _JSON
+_MINIMAL = {"solve": {"p": 2, "T": 1.0}, "inflate": {"p": 2, "s": 0.0, "t": 0.5, "N": [8]}}
+
+
+def _one_key(base, schema, value):
+    """A valid block with one of the schema's keys set to a drawn value."""
+    return st.sampled_from(sorted(schema)).flatmap(lambda k: value(k).map(lambda v: {**base, k: v}))
+
+
+_DATA = st.sampled_from(sorted(DATA_SCHEMAS)).flatmap(
+    lambda kind: _one_key({"kind": kind}, DATA_SCHEMAS[kind], lambda k: _FIELD)
+)
+
+
+def _block(command):
+    # besides arbitrary JSON, valid blocks with one arbitrary value, so that it reaches its validator
+    value = lambda k: _JSON | _DATA if k == "data" else _FIELD
+    return _JSON | _one_key(_MINIMAL.get(command, {}), SCHEMAS[command], value)
+
+
+_COMMAND_BLOCKS = st.sampled_from(COMMANDS).flatmap(lambda c: st.tuples(st.just(c), _block(c)))
+_TOP = st.fixed_dictionaries({}, optional={k: _JSON for k in sorted(TOP_LEVEL_KEYS - set(SCHEMAS))}) | st.dictionaries(
+    _KEYS, _JSON, max_size=3
+)
+
+
+def _floats_in(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, list):
+        for v in value:
+            yield from _floats_in(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _floats_in(v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=_COMMAND_BLOCKS, top=_TOP)
+def test_parse_config_raises_only_config_error(tmp_path_factory, case, top):
+    # arbitrary JSON as the command block and as top-level keys: a RunConfig
+    # holding only finite floats, or a ConfigError, never anything else
+    command, block = case
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    for payload in ({command: block}, {**top, command: block}, top):
+        path.write_text(json.dumps(payload))
+        try:
+            cfg = parse_config([command, "--config", str(path)])
+        except ConfigError:
+            continue
+        assert isinstance(cfg, RunConfig)
+        assert all(math.isfinite(v) for v in _floats_in(cfg.params))
 
 
 def test_parse_reports_json_location(tmp_path):

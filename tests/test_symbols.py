@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from imbq.symbols import (
     kernel_ratio_sweep,
     symbol_difference_bound,
 )
+from imbq.symbols import _besov_value
 
 
 def test_symbol_validation():
@@ -124,6 +127,43 @@ def test_besov_m2_linear_growth_shape():
         assert est.converged
         ratios.append(est.value / t)
     assert max(ratios) / min(ratios) < 4.0
+
+
+def _per_h_besov_value(sym, h_min, h_max, n_h, n_panel, extent):
+    """Reference: one graded-panel pass per h, with np.unique merging the panel midpoints."""
+
+    def panel(a, b, n, min_cell=1e-7):
+        rel = min_cell * ((1.0 / min_cell) ** (1.0 / n)) ** np.arange(n + 1)
+        rel[0], rel[-1] = 0.0, 1.0
+        half = 0.5 * (b - a)
+        return np.unique(np.concatenate([a + half * rel, b - half * rel[::-1]]))
+
+    hs = np.geomspace(h_min, h_max, n_h)
+    vals = []
+    for h in hs:
+        breaks = sorted({-extent, -h, 0.0, extent})
+        total = 0.0
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            x = panel(a, b, n_panel)
+            total += np.trapezoid(np.abs(eval_symbol(sym, x + h) - eval_symbol(sym, x)) ** 2, x)
+        vals.append(math.sqrt(total) / h**1.5)
+    return 2.0 * np.trapezoid(np.array(vals) * hs, np.log(hs))
+
+
+@pytest.mark.parametrize("resolution", [20, 40])
+@pytest.mark.parametrize(
+    "sym", [Symbol("m1"), Symbol("m2_plus", 0.5), Symbol("m2_plus", 4.0), Symbol("m3", 0.5), Symbol("m3", 4.0)],
+    ids=str,
+)
+def test_blocked_besov_value_matches_per_h_reference(sym, resolution):
+    # block 7 divides neither 20 nor 40, so the last block is short
+    for block in (7, 16):
+        got = _besov_value(sym, 1e-3, 1e3, resolution, resolution, 1e4, block=block)
+        want = _per_h_besov_value(sym, 1e-3, 1e3, resolution, resolution, 1e4)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+    # h_max = extent: the last h has an empty first panel
+    got = _besov_value(sym, 1e-2, 50.0, resolution, resolution, 50.0, block=7)
+    assert got == pytest.approx(_per_h_besov_value(sym, 1e-2, 50.0, resolution, resolution, 50.0), rel=1e-14, abs=0)
 
 
 def test_besov_rejects_bad_range():
