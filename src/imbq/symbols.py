@@ -177,6 +177,11 @@ def _inner_l2_difference(rule: Callable[[np.ndarray], np.ndarray], hs: np.ndarra
     return np.sqrt(total)
 
 
+# h values per array pass of _inner_l2_difference: each (16, 2 n_panel + 2)
+# pass stays small in memory
+_H_BLOCK = 16
+
+
 def _derivative_scale(sym: Symbol) -> float:
     # |m'(xi)| <= scale / <xi>^3 for each certified family (conservative)
     if sym.name in ("m1", "P", "lambda"):
@@ -187,14 +192,11 @@ def _derivative_scale(sym: Symbol) -> float:
     return 3.0 * max(t, t**3)
 
 
-def _besov_value(
-    sym: Symbol, h_min: float, h_max: float, n_h: int, n_panel: int, extent: float, block: int = 16
-) -> float:
+def _besov_value(sym: Symbol, h_min: float, h_max: float, n_h: int, n_panel: int, extent: float) -> float:
     rule = lambda xi: eval_symbol(sym, xi)
     hs = np.geomspace(h_min, h_max, n_h)
-    # blocks of h keep each (block, 2 n_panel + 2) pass small in memory
     inner = np.concatenate(
-        [_inner_l2_difference(rule, hs[i : i + block], extent, n_panel) for i in range(0, n_h, block)]
+        [_inner_l2_difference(rule, hs[i : i + _H_BLOCK], extent, n_panel) for i in range(0, n_h, _H_BLOCK)]
     )
     vals = inner / hs**1.5
     # the symbols are even in xi, so the h-integrand is even: double one side;

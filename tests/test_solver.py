@@ -19,17 +19,23 @@ from imbq.solver import (
     energy_series,
     free_propagator,
     free_velocity,
-    fit_mode_frequency,
     gaussian_data,
     mode_amplitude_trace,
-    mode_amplitude_traces,
     picard_window,
     rk4_solve,
     single_mode_data,
     solve,
 )
 from imbq.grid import _power_amplitudes, random_real_field
-from imbq.solver import _flow_table, _node_sizes, _power_matrix, _prefix_weights, _rk4_stack
+from imbq.solver import (
+    _fit_mode_frequency,
+    _flow_table,
+    _mode_amplitude_traces,
+    _node_sizes,
+    _power_matrix,
+    _prefix_weights,
+    _rk4_stack,
+)
 from imbq.symbols import Symbol, eval_symbol
 
 
@@ -383,20 +389,20 @@ def test_rk4_stack_guard_trips_on_one_unstable_row():
     u0 = np.stack([single_mode_data(g, 1.0).u0.amplitudes] * 2)
     v0 = np.zeros_like(u0)
     lam2 = np.ones_like(u0.real)
-    _rk4_stack(u0, v0, lam2, 50.0, 0.5, 1)  # h*lam = 0.5: both rows stable
+    assert len(list(_rk4_stack(u0, v0, lam2, 50.0, 0.5, 1))) == 101  # h*lam = 0.5: both rows stable
     lam2[1] *= 100.0  # h*lam = 5 is past the RK4 stability limit ~2.83
     with pytest.raises(ConvergenceError, match="norm grew"):
-        _rk4_stack(u0, v0, lam2, 50.0, 0.5, 1)
+        list(_rk4_stack(u0, v0, lam2, 50.0, 0.5, 1))
 
 
 def test_stacked_mode_traces_equal_single_mode_traces():
     ks = [1.0, 10.0, 100.0]
-    times, traces = mode_amplitude_traces(ks, horizon=3.0)
+    times, traces = _mode_amplitude_traces(ks, horizon=3.0)
     assert traces.shape == (3, times.shape[0])
     for k, row in zip(ks, traces):
         t1, a1 = mode_amplitude_trace(k, horizon=3.0)
         assert np.array_equal(t1, times) and np.array_equal(a1, row)
-        assert fit_mode_frequency(times, row) == dispersion_check(k, horizon=3.0)
+        assert _fit_mode_frequency(times, row) == dispersion_check(k, horizon=3.0)
 
 
 def test_energy_zero_state():

@@ -156,13 +156,12 @@ def _per_h_besov_value(sym, h_min, h_max, n_h, n_panel, extent):
     ids=str,
 )
 def test_blocked_besov_value_matches_per_h_reference(sym, resolution):
-    # block 7 divides neither 20 nor 40, so the last block is short
-    for block in (7, 16):
-        got = _besov_value(sym, 1e-3, 1e3, resolution, resolution, 1e4, block=block)
-        want = _per_h_besov_value(sym, 1e-3, 1e3, resolution, resolution, 1e4)
-        assert got == pytest.approx(want, rel=1e-14, abs=0)
+    # the 16-h blocks divide neither 20 nor 40, so the last block is short
+    got = _besov_value(sym, 1e-3, 1e3, resolution, resolution, 1e4)
+    want = _per_h_besov_value(sym, 1e-3, 1e3, resolution, resolution, 1e4)
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
     # h_max = extent: the last h has an empty first panel
-    got = _besov_value(sym, 1e-2, 50.0, resolution, resolution, 50.0, block=7)
+    got = _besov_value(sym, 1e-2, 50.0, resolution, resolution, 50.0)
     assert got == pytest.approx(_per_h_besov_value(sym, 1e-2, 50.0, resolution, resolution, 50.0), rel=1e-14, abs=0)
 
 
