@@ -37,8 +37,10 @@ for i, rep in enumerate(picard.window_reports):
 
 rk = rk4_solve(data, cfg, dt=1e-3, store_stride=50)
 
-diff = picard.u[-1] - rk.u[-1]
-print("relative L2 difference at t=0.25: %.2e" % (sobolev_norm(diff, 0) / sobolev_norm(rk.u[-1], 0)))
+u_picard, _ = picard.state(-1)
+u_rk, _ = rk.state(-1)
+diff = u_picard - u_rk
+print("relative L2 difference at t=0.25: %.2e" % (sobolev_norm(diff, 0) / sobolev_norm(u_rk, 0)))
 
 energies = energy_series(rk, cfg.p, cfg.sign)
 drift = np.max(np.abs(energies - energies[0])) / abs(energies[0])

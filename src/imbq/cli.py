@@ -172,6 +172,10 @@ TOP_LEVEL_KEYS = {"command", "out", "jobs", "seed", "plot"} | set(SCHEMAS)
 
 # work budget of the dispersion command: RK4 steps per mode, round(T/dt)
 MAX_DISPERSION_STEPS = 10**6
+# work budget of lemma-check: one seminorm costs ~resolution^2 (0.09 s at 160, 22.5 s at 2560)
+MAX_BESOV_RESOLUTION = 2560
+# work budget of solve: length of one dealiased position row, ceil(nodes*(p+1)/2)
+MAX_SOLVE_PADDED_NODES = 2**20
 
 
 def _validate_block(command: str, block) -> dict:
@@ -192,6 +196,11 @@ def _validate_block(command: str, block) -> dict:
             out[key] = default
     if command == "solve":
         out["data"] = _validate_data(out["data"])
+        padded = -(-out["nodes"] * (out["p"] + 1) // 2)  # in integers: p may exceed any float
+        if padded > MAX_SOLVE_PADDED_NODES:
+            raise ConfigError(f"solve asks for {padded} dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}")
+    if command == "lemma-check" and out["resolution"] > MAX_BESOV_RESOLUTION:
+        raise ConfigError(f"lemma-check resolution {out['resolution']} is above the limit {MAX_BESOV_RESOLUTION}")
     if command == "dispersion":
         steps = out["T"] / out["dt"]  # may be inf; the RK4 loop takes round(T/dt) steps
         if steps > MAX_DISPERSION_STEPS + 0.5:
@@ -333,24 +342,39 @@ def _run_solve(cfg: RunConfig) -> int:
         window_override=p["window"],
         max_window_halvings=p["max_window_halvings"],
     )
-    traj = solver.solve(data, scfg)
-    zero_idx = grid.node_count // 2
-    energies = None
-    if abs(data.u1.amplitudes[zero_idx]) < 1e-12:
-        energies = solver.energy_series(traj, p["p"], p["sign"])
     times = p["sample_times"] or np.linspace(0.0, p["T"], 5).tolist()
-    reports.write_trajectory_csv(os.path.join(cfg.out, "trajectory.csv"), traj, times)
+    with_energy = abs(data.u1.amplitudes[grid.node_count // 2]) < 1e-12
+    kept: dict = {}
+
+    def begin(n_windows):
+        kept.update(energies=[], rows=[])
+
+        def take(k, t, u, ut):
+            if with_energy:
+                kept["energies"].append(solver._energy_matrix(u, ut, grid, p["p"], p["sign"]))
+            # the window's last row and its nearest to each request: the nearest overall is among these
+            rows = sorted({len(t) - 1, *(int(np.argmin(np.abs(t - t_req))) for t_req in times)})
+            kept["rows"].append((t[rows], u[rows], ut[rows]))
+
+        return take
+
+    # the windows stream through take, which keeps only energies and a few rows of each
+    run = solver._march(data, scfg, True, begin)
+    sampled = solver.Trajectory(*(np.concatenate(parts) for parts in zip(*kept["rows"])), grid)
+    energies = np.concatenate(kept["energies"]) if with_energy else None
+    reports.write_trajectory_csv(os.path.join(cfg.out, "trajectory.csv"), sampled, times)
     reports.write_json(
         os.path.join(cfg.out, "solve.json"),
-        reports.trajectory_sidecar(traj, {**p, "command": "solve"}, energies),
+        reports.trajectory_sidecar(run, {**p, "command": "solve"}, energies),
     )
-    for i, rep in enumerate(traj.window_reports):
+    for i, rep in enumerate(run.window_reports):
         ratio = "n/a" if rep.contraction_ratio is None else f"{rep.contraction_ratio:.3e}"
         print(
-            f"solve window {i}: [{traj.window_edges[i]:g}, {traj.window_edges[i + 1]:g}] "
+            f"solve window {i}: [{run.window_edges[i]:g}, {run.window_edges[i + 1]:g}] "
             f"iterations={rep.iterations} contraction={ratio}"
         )
-    print(f"solve: final |u|_L2 = {sobolev_norm(traj.u[-1], 0.0):.6e} over {len(traj.window_reports)} window(s)")
+    final = sobolev_norm(sampled.final()[0], 0.0)
+    print(f"solve: final |u|_L2 = {final:.6e} over {len(run.window_reports)} window(s)")
     return 0
 
 

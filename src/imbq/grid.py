@@ -222,20 +222,6 @@ def _unchecked_field(grid: FrequencyGrid, amp: np.ndarray, real_valued: bool) ->
     return f
 
 
-def _real_fields(grid: FrequencyGrid, rows: np.ndarray) -> list[SpectralField]:
-    """Real-valued fields, one per row of an (n, M) amplitude matrix, validated in one pass.
-
-    The fields are read-only views of ``rows``, which they take over: the
-    caller must not write to the matrix afterwards.
-    """
-    rows = np.asarray(rows, dtype=np.complex128)
-    if rows.ndim != 2 or rows.shape[1] != grid.node_count:
-        raise ValueError(f"amplitude matrix {rows.shape} does not fit grid size {grid.node_count}")
-    _check_amplitudes(rows, True)
-    rows.setflags(write=False)
-    return [_unchecked_field(grid, row, True) for row in rows]
-
-
 @dataclass(frozen=True)
 class PositionField:
     """Samples u(x_j) on the dual grid, period 2pi/dxi."""
@@ -314,12 +300,6 @@ def _pad_amplitudes(amp: np.ndarray, padded: int) -> np.ndarray:
     return out
 
 
-def _truncate_amplitudes(amp: np.ndarray, node_count: int) -> np.ndarray:
-    m = amp.shape[0]
-    lo = m // 2 - node_count // 2
-    return amp[lo : lo + node_count]
-
-
 def _position_samples_padded(f: SpectralField, padded: int) -> np.ndarray:
     # padding in frequency = trigonometric interpolation onto a finer dual grid
     dx_fine = 2.0 * np.pi / (padded * f.grid.dxi)
@@ -329,8 +309,8 @@ def _position_samples_padded(f: SpectralField, padded: int) -> np.ndarray:
 def _frequency_from_padded(samples: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     padded = samples.shape[0]
     dx_fine = 2.0 * np.pi / (padded * grid.dxi)
-    amp = dx_fine * np.fft.fftshift(np.fft.fft(samples))
-    return _truncate_amplitudes(amp, grid.node_count)
+    lo = padded // 2 - grid.node_count // 2
+    return dx_fine * np.fft.fftshift(np.fft.fft(samples))[lo : lo + grid.node_count]
 
 
 # ----------------------------------------------------------------------
@@ -387,19 +367,45 @@ def sup_norm(f: SpectralField, oversample: int = 8) -> float:
 # nonlinearity
 
 
-def _power_amplitudes(
-    amp: np.ndarray, grid: FrequencyGrid, p: int, sign: int, dealias_factor: float
-) -> np.ndarray:
-    """Amplitudes of sign * u^p for a Hermitian ``amp``, via padded transforms."""
-    padded = _padded_node_count(grid.node_count, dealias_factor)
+def _position_matrix(u_mat: np.ndarray, grid: FrequencyGrid, factor: float):
+    """Samples of every Hermitian row of ``u_mat`` on the grid padded by ``factor``: one irfft.
+
+    The half spectrum carries the Hermitian part of each padded row, so the
+    unpaired node k = 0 (mode -M/2) enters as conj(a_0)/2 at mode +M/2.
+    Returns the (n, padded) real samples and the fine spacing dx.
+    """
+    m = u_mat.shape[1]
+    h = m // 2
+    padded = _padded_node_count(m, factor)
     dx_fine = 2.0 * np.pi / (padded * grid.dxi)
-    samples = np.fft.ifft(np.fft.ifftshift(_pad_amplitudes(amp, padded))).real / dx_fine
+    half = np.zeros((u_mat.shape[0], padded // 2 + 1), dtype=np.complex128)
+    half[:, :h] = u_mat[:, h:]
+    half[:, h] = 0.5 * np.conj(u_mat[:, 0])
+    samples = np.fft.irfft(half, padded, axis=1)
+    del half
+    samples /= dx_fine
+    return samples, dx_fine
+
+
+def _power_matrix(u_mat: np.ndarray, grid: FrequencyGrid, p: int, dealias_factor: float) -> np.ndarray:
+    """Amplitudes of u^p for every Hermitian row of ``u_mat``: one irfft/rfft pair.
+
+    The samples come from :func:`_position_matrix`; node k = 0 is read back
+    as the conjugate of the +M/2 bin.
+    """
+    h = u_mat.shape[1] // 2
+    samples, dx_fine = _position_matrix(u_mat, grid, dealias_factor)
     with np.errstate(over="ignore", invalid="ignore"):
-        powered = sign * samples**p
-    if not np.all(np.isfinite(powered)):
+        samples **= p
+    if not np.all(np.isfinite(samples)):
         raise OverflowError("position samples overflowed while forming the pointwise power")
-    out = dx_fine * np.fft.fftshift(np.fft.fft(powered))
-    return _truncate_amplitudes(out, grid.node_count)
+    spec = np.fft.rfft(samples, axis=1)[:, : h + 1]
+    spec *= dx_fine
+    out = np.empty_like(u_mat)
+    out[:, h:] = spec[:, :h]
+    out[:, 1:h] = np.conj(spec[:, h - 1 : 0 : -1])
+    out[:, 0] = np.conj(spec[:, h])
+    return out
 
 
 def pointwise_power(f: SpectralField, p: int, sign: int, dealias_factor: float | None = None) -> SpectralField:
@@ -421,7 +427,7 @@ def pointwise_power(f: SpectralField, p: int, sign: int, dealias_factor: float |
         dealias_factor = (p + 1) / 2
     if dealias_factor < (p + 1) / 2:
         raise ValueError(f"dealias_factor must be >= (p+1)/2 = {(p + 1) / 2}")
-    out = _power_amplitudes(f.amplitudes, f.grid, p, sign, dealias_factor)
+    out = sign * _power_matrix(f.amplitudes[None], f.grid, p, dealias_factor)[0]
     return SpectralField(f.grid, out, real_valued=True)
 
 

@@ -138,12 +138,14 @@ def write_trajectory_csv(path: str, traj: Trajectory, sample_times: list[float])
     for t_req in sample_times:
         i = int(np.argmin(np.abs(traj.times - t_req)))
         t = float(traj.times[i])
-        samples = to_position(traj.u[i]).samples.real
+        samples = to_position(traj.state(i)[0]).samples.real
         rows.extend((t, float(x), float(v)) for x, v in zip(traj.grid.x, samples))
     write_csv(path, ["t", "x", "u"], rows)
 
 
 def trajectory_sidecar(traj: Trajectory, config: dict, energies=None) -> dict:
+    """Solver diagnostics of a run; ``traj`` needs only ``times``, ``window_edges``
+    and ``window_reports``, so a streamed march passes its own record."""
     return {
         "config": config,
         "window_edges": list(traj.window_edges),

@@ -24,11 +24,11 @@ import numpy as np
 from .grid import (
     FrequencyGrid,
     SpectralField,
-    _padded_node_count,
-    _position_samples_padded,
-    _power_amplitudes,
-    _real_fields,
+    _check_amplitudes,
+    _position_matrix,
+    _power_matrix,
     _sin_over_lambda,
+    _unchecked_field,
     lambda_symbol,
     sobolev_norm,
     sup_norm,
@@ -156,11 +156,18 @@ class ContractionReport:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states u(t_i), u_t(t_i) plus per-window solver diagnostics."""
+    """Sampled states u(t_i), u_t(t_i) plus per-window solver diagnostics.
+
+    ``u`` and ``u_t`` are (n, M) amplitude matrices, row i the state at
+    ``times[i]``.  Every row is checked finite and Hermitian on
+    construction; the matrices are taken over read-only, not copied, so the
+    caller must not write to them afterwards.
+    """
 
     times: np.ndarray
-    u: tuple[SpectralField, ...]
-    u_t: tuple[SpectralField, ...]
+    u: np.ndarray
+    u_t: np.ndarray
+    grid: FrequencyGrid
     window_edges: tuple[float, ...] = ()
     window_reports: tuple[ContractionReport, ...] = ()
 
@@ -168,19 +175,22 @@ class Trajectory:
         t = np.asarray(self.times, dtype=float)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "u_t", tuple(self.u_t))
-        if len(self.u) != t.shape[0] or len(self.u_t) != t.shape[0]:
-            raise ValueError("field count does not match sample times")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
+        for name in ("u", "u_t"):
+            rows = np.asarray(getattr(self, name), dtype=np.complex128)
+            if rows.shape != (t.shape[0], self.grid.node_count):
+                raise ValueError(f"{name} matrix {rows.shape} does not fit the times and the grid")
+            _check_amplitudes(rows, True)
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
 
-    @property
-    def grid(self) -> FrequencyGrid:
-        return self.u[0].grid
+    def state(self, i: int) -> tuple[SpectralField, SpectralField]:
+        """The real-valued fields u(t_i), u_t(t_i): read-only views of row i."""
+        return _unchecked_field(self.grid, self.u[i], True), _unchecked_field(self.grid, self.u_t[i], True)
 
     def final(self) -> tuple[SpectralField, SpectralField]:
-        return self.u[-1], self.u_t[-1]
+        return self.state(-1)
 
     def index_at(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -265,36 +275,6 @@ def _prefix_weights(n_nodes: int, h: float) -> np.ndarray:
 # Duhamel functional and Picard iteration
 
 
-def _power_matrix(u_mat: np.ndarray, grid: FrequencyGrid, cfg: SolverConfig) -> np.ndarray:
-    """Amplitudes of u^p for every Hermitian row of ``u_mat``: one irfft/rfft pair.
-
-    The half spectrum carries the Hermitian part of each padded row, so the
-    unpaired node k = 0 (mode -M/2) enters as conj(a_0)/2 at mode +M/2 and
-    is read back as the conjugate of that bin.
-    """
-    m = u_mat.shape[1]
-    h = m // 2
-    padded = _padded_node_count(m, cfg.dealias)
-    dx_fine = 2.0 * np.pi / (padded * grid.dxi)
-    half = np.zeros((u_mat.shape[0], padded // 2 + 1), dtype=np.complex128)
-    half[:, :h] = u_mat[:, h:]
-    half[:, h] = 0.5 * np.conj(u_mat[:, 0])
-    samples = np.fft.irfft(half, padded, axis=1)
-    del half
-    samples /= dx_fine
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples **= cfg.p
-    if not np.all(np.isfinite(samples)):
-        raise OverflowError("position samples overflowed while forming the pointwise power")
-    spec = np.fft.rfft(samples, axis=1)[:, : h + 1]
-    spec *= dx_fine
-    out = np.empty_like(u_mat)
-    out[:, h:] = spec[:, :h]
-    out[:, 1:h] = np.conj(spec[:, h - 1 : 0 : -1])
-    out[:, 0] = np.conj(spec[:, h])
-    return out
-
-
 def _duhamel_apply(
     u_mat: np.ndarray,
     d: CauchyData,
@@ -308,7 +288,7 @@ def _duhamel_apply(
     free = cos_t * d.u0.amplitudes[None, :] + sin_over * d.u1.amplitudes[None, :]
     if not forcing:
         return free
-    g = _power_matrix(u_mat, d.grid, cfg)
+    g = _power_matrix(u_mat, d.grid, cfg.p, cfg.dealias)
     # sin((t_i - t_j) lam) = sin(t_i lam) cos(t_j lam) - cos(t_i lam) sin(t_j lam)
     integral = sin_t * (weights @ (cos_t * g)) - cos_t * (weights @ (sin_t * g))
     return free - cfg.sign * lam[None, :] * integral
@@ -327,7 +307,7 @@ def _duhamel_velocity(
     out = -lam[None, :] * sin_t * d.u0.amplitudes[None, :] + cos_t * d.u1.amplitudes[None, :]
     if not forcing:
         return out
-    g = _power_matrix(u_mat, d.grid, cfg)
+    g = _power_matrix(u_mat, d.grid, cfg.p, cfg.dealias)
     integral = cos_t * (weights @ (cos_t * g)) + sin_t * (weights @ (sin_t * g))
     return out - cfg.sign * lam[None, :] ** 2 * integral
 
@@ -344,13 +324,6 @@ def _node_sizes(amp: np.ndarray, grid: FrequencyGrid, s: float) -> np.ndarray:
     # a blown-up difference reads inf, and Picard goes on until the power overflows
     with np.errstate(over="ignore"):
         return np.sqrt(np.sum(weights * mag**2, axis=-1) * c) + c * np.sum(mag, axis=-1)
-
-
-def _trajectory_from_matrices(
-    grid: FrequencyGrid, times: np.ndarray, u_mat: np.ndarray, ut_mat: np.ndarray, **kwargs
-) -> Trajectory:
-    u, ut = _real_fields(grid, u_mat), _real_fields(grid, ut_mat)
-    return Trajectory(times=times, u=u, u_t=ut, **kwargs)
 
 
 def duhamel_functional(
@@ -371,10 +344,9 @@ def duhamel_functional(
         raise ValueError("trajectory nodes must be uniform and start at 0")
     weights = _prefix_weights(n, h)
     table = _flow_table(d.grid, times)
-    u_mat = np.vstack([f.amplitudes for f in u.u])
-    z = _duhamel_apply(u_mat, d, table, weights, cfg, forcing)
-    zt = _duhamel_velocity(u_mat, d, table, weights, cfg, forcing)
-    return _trajectory_from_matrices(d.grid, times, z, zt)
+    z = _duhamel_apply(u.u, d, table, weights, cfg, forcing)
+    zt = _duhamel_velocity(u.u, d, table, weights, cfg, forcing)
+    return Trajectory(times, z, zt, d.grid)
 
 
 def picard_window(
@@ -423,83 +395,104 @@ def picard_window(
             history=diffs,
         )
     report = ContractionReport(
-        window_length=window,
-        iterations=len(diffs),
-        differences=tuple(diffs),
-        ratios=ratios,
+        window_length=window, iterations=len(diffs), differences=tuple(diffs), ratios=ratios
     )
-    traj = _trajectory_from_matrices(
-        d.grid, times, current, ut, window_edges=(0.0, window), window_reports=(report,)
-    )
+    traj = Trajectory(times, current, ut, d.grid, window_edges=(0.0, window), window_reports=(report,))
     return traj, report
 
 
 def _window_length(d: CauchyData, cfg: SolverConfig) -> float:
     if cfg.window_override is not None:
         return min(cfg.window_override, cfg.horizon)
-    r = cfg.radius_constant * (
-        sobolev_norm(d.u0, cfg.s)
-        + sup_norm(d.u0)
-        + sobolev_norm(d.u1, cfg.s)
-        + sup_norm(d.u1)
-    )
+    u0, u1 = d.u0, d.u1
+    r = cfg.radius_constant * (sobolev_norm(u0, cfg.s) + sup_norm(u0) + sobolev_norm(u1, cfg.s) + sup_norm(u1))
     if r == 0.0:
         return cfg.horizon
-    return min(cfg.window_safety * r ** (-(cfg.p - 1) / 2.0), cfg.horizon)
+    # in logs: for r < 1 and a large p, r^{-(p-1)/2} overflows a float
+    log_w = math.log(cfg.window_safety) - 0.5 * (cfg.p - 1) * math.log(r)
+    return cfg.horizon if log_w >= math.log(cfg.horizon) else math.exp(log_w)
 
 
-def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
-    """March the Picard solver over [0, horizon] in windows.
+class _March(NamedTuple):
+    """Node times, window edges and window reports of a completed march."""
 
-    Continuation data at each window end is the converged state and the
-    velocity from the differentiated Duhamel formula (spectrally exact, no
-    finite-difference stencil).  Windows halve on non-convergence, up to
-    ``max_window_halvings`` times.
+    times: np.ndarray
+    window_edges: tuple[float, ...]
+    window_reports: tuple[ContractionReport, ...]
+
+
+def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin) -> _March:
+    """March Picard windows over [0, horizon], halving them on non-convergence.
+
+    Each attempt with n windows calls ``begin(n)`` for a fresh per-window
+    function ``take(k, times, u, u_t)`` and hands it the rows that window k
+    adds: all of window 0, then every row but the first (the previous
+    window's last state).  A failed attempt's ``take`` is dropped with
+    whatever it kept.  Continuation data at each window end is the
+    converged state and the velocity from the differentiated Duhamel
+    formula (spectrally exact, no finite-difference stencil).
     """
     base = _window_length(d, cfg)
     n_windows = max(1, math.ceil(cfg.horizon / base - 1e-12))
     for halving in range(cfg.max_window_halvings + 1):
         w = cfg.horizon / n_windows
+        take = begin(n_windows)
+        times, edges, reports = [], [0.0], []
+        data = d
         try:
-            return _march(d, cfg, w, n_windows, forcing)
+            for k in range(n_windows):
+                start = k * w
+                try:
+                    traj, report = picard_window(data, w, cfg, forcing)
+                except ConvergenceError as err:
+                    message = f"window {k} ([{start:g}, {start + w:g}]) failed: {err}"
+                    raise ConvergenceError(message, history=err.history, window_index=k) from err
+                new = slice(0 if k == 0 else 1, None)
+                times.append(traj.times[new] + start)
+                take(k, times[-1], traj.u[new], traj.u_t[new])
+                edges.append(start + w)
+                reports.append(report)
+                data = CauchyData(*traj.final())
         except ConvergenceError:
             if halving == cfg.max_window_halvings:
                 raise
             n_windows *= 2
+            continue
+        return _March(np.concatenate(times), tuple(edges), tuple(reports))
 
 
-def _march(d: CauchyData, cfg: SolverConfig, w: float, n_windows: int, forcing: bool) -> Trajectory:
-    times = [np.array([0.0])]
-    u = []
-    ut = []
-    edges = [0.0]
-    reports = []
-    data = d
-    for k in range(n_windows):
-        start = k * w
-        try:
-            traj, report = picard_window(data, w, cfg, forcing)
-        except ConvergenceError as err:
-            raise ConvergenceError(
-                f"window {k} ([{start:g}, {start + w:g}]) failed: {err}",
-                history=err.history,
-                window_index=k,
-            ) from err
-        sl = slice(None) if k == 0 else slice(1, None)
-        times.append(traj.times[sl] + start)
-        u.extend(traj.u[0 if k == 0 else 1 :])
-        ut.extend(traj.u_t[0 if k == 0 else 1 :])
-        edges.append(start + w)
-        reports.append(report)
-        data = CauchyData(*traj.final())
-    all_times = np.concatenate(times[1:])
-    return Trajectory(
-        times=all_times,
-        u=u,
-        u_t=ut,
-        window_edges=tuple(edges),
-        window_reports=tuple(reports),
-    )
+def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
+    """March the Picard solver over [0, horizon] in windows.
+
+    Windows halve on non-convergence, up to ``max_window_halvings`` times
+    (see :func:`_march`).  Each window's rows are written into (n, M)
+    matrices allocated once per attempt; a single window keeps its own.
+    """
+    step, m = cfg.quadrature_nodes - 1, d.grid.node_count
+    mats: list[np.ndarray] = []
+
+    def begin(n_windows: int):
+        mats.clear()
+
+        def take(k, times, u, ut):
+            if n_windows == 1:  # keep the one window's own read-only matrices: no copy
+                mats.extend((u, ut))
+                return
+            if k == 0:
+                mats.extend(np.empty((n_windows * step + 1, m), np.complex128) for _ in range(2))
+            rows = slice(k * step + (k > 0), (k + 1) * step + 1)
+            mats[0][rows] = u
+            mats[1][rows] = ut
+
+        return take
+
+    run = _march(d, cfg, forcing, begin)
+    traj = object.__new__(Trajectory)  # every row passed its window's check: no second pass
+    for name, value in dict(run._asdict(), u=mats[0], u_t=mats[1], grid=d.grid).items():
+        object.__setattr__(traj, name, value)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return traj
 
 
 # ----------------------------------------------------------------------
@@ -523,22 +516,11 @@ def rk4_solve(
     grid = d.grid
     power = None
     if forcing:
-        power = lambda u: cfg.sign * _power_amplitudes(u[0], grid, cfg.p, 1, cfg.dealias)
-    samples = list(
-        _rk4_stack(
-            d.u0.amplitudes[None],
-            d.u1.amplitudes[None],
-            lambda_symbol(grid.xi) ** 2,
-            cfg.horizon,
-            dt,
-            store_stride,
-            power,
-        )
-    )
-    times = np.array([t for t, _, _ in samples])
-    u_mat = np.stack([u[0] for _, u, _ in samples])
-    v_mat = np.stack([v[0] for _, _, v in samples])
-    return _trajectory_from_matrices(grid, times, u_mat, v_mat)
+        power = lambda u: cfg.sign * _power_matrix(u, grid, cfg.p, cfg.dealias)
+    lam2 = lambda_symbol(grid.xi) ** 2
+    u0, v0 = d.u0.amplitudes[None], d.u1.amplitudes[None]
+    times, u, v = zip(*_rk4_stack(u0, v0, lam2, cfg.horizon, dt, store_stride, power))
+    return Trajectory(np.array(times), np.concatenate(u), np.concatenate(v), grid)
 
 
 def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
@@ -590,6 +572,25 @@ def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
 # conserved energy
 
 
+def _energy_matrix(u, ut, grid: FrequencyGrid, p: int, sign: int, dealias_factor: float | None = None):
+    """:func:`energy` of every row pair of the (n, M) matrices ``u``, ``ut``.
+
+    The potential takes its samples from one :func:`_position_matrix` batch.
+    Raises ValueError if any row's velocity has a nonzero mean.
+    """
+    zero_idx = grid.node_count // 2
+    ut2 = ut.real**2 + ut.imag**2
+    if np.any(ut2[:, zero_idx] > 1e-16 * np.max(ut2, axis=1)):  # |u_hat_t(0)| > 1e-8 max|u_hat_t|
+        raise ValueError("energy requires mean-zero velocity (u_hat_t(0) = 0)")
+    lam2 = np.delete(lambda_symbol(grid.xi), zero_idx) ** 2
+    u2 = np.delete(u.real**2 + u.imag**2, zero_idx, axis=1)
+    quad = 0.5 * np.sum(np.delete(ut2, zero_idx, axis=1) / lam2 + u2, axis=1) * grid.dxi
+    samples, dx_fine = _position_matrix(u, grid, max(dealias_factor or 0.0, (p + 1) / 2))
+    # u^p * u rather than u^(p+1): numpy squares in place but calls pow() for a cube
+    potential = 2.0 * np.pi * sign / (p + 1) * np.sum(samples**p * samples, axis=1) * dx_fine
+    return quad + potential
+
+
 def energy(
     u: SpectralField, u_t: SpectralField, p: int, sign: int, dealias_factor: float | None = None
 ) -> float:
@@ -602,30 +603,17 @@ def energy(
     that dE/dt vanishes identically along the semidiscrete flow -- see the
     directional-derivative identity exercised in the tests.  Requires mean
     zero velocity (u_hat_t(0) = 0), without which the xi = 0 mode grows
-    linearly and is excluded from the quadratic sum.
+    linearly and is excluded from the quadratic sum.  One row of
+    :func:`_energy_matrix`.
     """
     if u.grid != u_t.grid:
         raise ValueError("grid mismatch")
-    grid = u.grid
-    zero_idx = grid.node_count // 2
-    scale = float(np.max(np.abs(u_t.amplitudes))) or 1.0
-    if abs(u_t.amplitudes[zero_idx]) > 1e-8 * scale:
-        raise ValueError("energy requires mean-zero velocity (u_hat_t(0) = 0)")
-    lam = lambda_symbol(grid.xi)
-    mask = np.arange(grid.node_count) != zero_idx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kinetic = np.abs(u_t.amplitudes[mask]) ** 2 / lam[mask] ** 2
-    quad = 0.5 * np.sum(kinetic + np.abs(u.amplitudes[mask]) ** 2) * grid.dxi
-    factor = max(dealias_factor or 0.0, (p + 1) / 2)
-    padded = _padded_node_count(grid.node_count, factor)
-    samples = _position_samples_padded(u, padded).real
-    dx_fine = 2.0 * np.pi / (padded * grid.dxi)
-    potential = 2.0 * np.pi * sign / (p + 1) * np.sum(samples ** (p + 1)) * dx_fine
-    return float(quad + potential)
+    return float(_energy_matrix(u.amplitudes[None], u_t.amplitudes[None], u.grid, p, sign, dealias_factor)[0])
 
 
 def energy_series(traj: Trajectory, p: int, sign: int) -> np.ndarray:
-    return np.array([energy(u, ut, p, sign) for u, ut in zip(traj.u, traj.u_t)])
+    """:func:`energy` at every sample of ``traj``, in one batch."""
+    return _energy_matrix(traj.u, traj.u_t, traj.grid, p, sign)
 
 
 # ----------------------------------------------------------------------

@@ -3,14 +3,30 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbq.cli import COMMANDS, DATA_SCHEMAS, SCHEMAS, TOP_LEVEL_KEYS, ConfigError, RunConfig, emit_plot, main, parse_config
+from imbq.cli import (
+    COMMANDS,
+    DATA_SCHEMAS,
+    MAX_BESOV_RESOLUTION,
+    MAX_SOLVE_PADDED_NODES,
+    SCHEMAS,
+    TOP_LEVEL_KEYS,
+    ConfigError,
+    RunConfig,
+    emit_plot,
+    main,
+    parse_config,
+)
+from imbq.grid import make_grid
 from imbq.inflation import InflationReport
-from imbq.reports import DispersionReport, DispersionRow
+from imbq.reports import DispersionReport, DispersionRow, write_trajectory_csv
+from imbq.solver import ConvergenceError, SolverConfig, energy_series, gaussian_data, solve
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -77,6 +93,35 @@ def test_dispersion_step_budget_exits_2_at_once(tmp_path, capsys):
     assert main(["dispersion", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
     assert "2e+301 RK4 steps" in capsys.readouterr().err
+
+
+def test_besov_resolution_budget_exits_2_at_once(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"lemma-check": {"resolution": 10**8}})
+    start = time.perf_counter()
+    assert main(["lemma-check", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "100000000" in err and str(MAX_BESOV_RESOLUTION) in err
+    assert parse_config(["lemma-check"]).params["resolution"] == 160  # the default stays accepted
+
+
+def test_solve_huge_power_window_is_the_horizon(tmp_path):
+    # r < 1 for the default gaussian, so r^{-(p-1)/2} overflows a float here;
+    # the window is then the whole horizon
+    cfg_path = write_config(tmp_path, {"solve": {"p": 1001, "T": 0.1, "nodes": 64}})
+    start = time.perf_counter()
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert time.perf_counter() - start < 5.0
+    sidecar = json.loads((tmp_path / "out" / "solve.json").read_text())
+    assert sidecar["window_edges"] == [0.0, 0.1]
+
+
+def test_solve_padded_row_budget_exits_2_at_once(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"solve": {"p": 10**20, "T": 0.1, "nodes": 64}})
+    start = time.perf_counter()
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"limit {MAX_SOLVE_PADDED_NODES}" in capsys.readouterr().err
 
 
 _SCHEMA_KEYS = sorted(TOP_LEVEL_KEYS | {k for s in (*SCHEMAS.values(), *DATA_SCHEMAS.values()) for k in s} | {"kind"})
@@ -222,6 +267,59 @@ def test_solve_outputs_and_summary(tmp_path, capsys):
     sidecar = json.loads((out / "solve.json").read_text())
     assert sidecar["energy"] is not None
     assert len(sidecar["window_edges"]) == len(sidecar["iterations"]) + 1
+
+
+_HALVING_SOLVE = {
+    # window 0 converges in 4 iterations, window 1 needs 5: the first attempt fails
+    # at k = 1 and the halved one (eight windows of 0.25) succeeds
+    "p": 2,
+    "T": 2.0,
+    "extent": 8.0,
+    "nodes": 64,
+    "data": {"kind": "gaussian", "amplitude": 0.05, "velocity_amplitude": 1.0},
+    "window": 0.5,
+    "max_iterations": 4,
+    "max_window_halvings": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"p": 2, "T": 0.5, "nodes": 128, "data": {"kind": "gaussian", "velocity_amplitude": 0.1},
+         "sample_times": [0.5, 0.0, 0.26, 0.26]},
+        _HALVING_SOLVE,
+    ],
+    ids=["plain", "halving"],
+)
+def test_streamed_solve_matches_library_solve(tmp_path, block):
+    cfg_path = write_config(tmp_path, {"solve": block})
+    out = tmp_path / "cli"
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
+    p = parse_config(["solve", "--config", cfg_path]).params
+    data = gaussian_data(
+        make_grid(p["extent"], p["nodes"]), p["data"]["amplitude"], p["data"]["width"],
+        p["data"]["velocity_amplitude"],
+    )
+    scfg = SolverConfig(
+        p=p["p"], sign=p["sign"], horizon=p["T"], max_iterations=p["max_iterations"],
+        window_override=p["window"], max_window_halvings=p["max_window_halvings"],
+    )
+    if block is _HALVING_SOLVE:
+        with pytest.raises(ConvergenceError) as exc:
+            solve(data, replace(scfg, max_window_halvings=0))
+        assert exc.value.window_index == 1
+    traj = solve(data, scfg)
+    times = p["sample_times"] or np.linspace(0.0, p["T"], 5).tolist()
+    write_trajectory_csv(str(tmp_path / "lib.csv"), traj, times)
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    sidecar = json.loads((out / "solve.json").read_text())
+    assert sidecar["sample_times"] == traj.times.tolist()
+    assert sidecar["window_edges"] == list(traj.window_edges)
+    assert sidecar["iterations"] == [r.iterations for r in traj.window_reports]
+    expected = energy_series(traj, p["p"], p["sign"])
+    assert len(sidecar["energy"]) == len(expected)
+    assert np.max(np.abs(np.array(sidecar["energy"]) - expected) / np.abs(expected)) <= 1e-14
 
 
 def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys):

@@ -17,7 +17,6 @@ from imbq.grid import (
     to_frequency,
     to_position,
 )
-from imbq.grid import _real_fields
 
 
 def direct_transform(grid, samples):
@@ -113,25 +112,6 @@ def test_hermitian_validation():
         SpectralField(g, amp, real_valued=True)
     amp[g.index_of(-1.0)] = np.conj(amp[g.index_of(1.0)])
     SpectralField(g, amp, real_valued=True)  # now fine
-
-
-def test_real_fields_validates_every_row():
-    g = make_grid(4.0, 32)
-    rng = np.random.default_rng(5)
-    rows = np.vstack([random_real_field(g, rng).amplitudes for _ in range(4)])
-    fields = _real_fields(g, rows.copy())
-    assert all(f.real_valued and np.array_equal(f.amplitudes, r) for f, r in zip(fields, rows))
-    assert not fields[0].amplitudes.flags.writeable
-    bad = rows.copy()
-    bad[2, g.index_of(1.0)] += 1e-6  # one row loses its mirror partner
-    with pytest.raises(ValueError, match="Hermitian"):
-        _real_fields(g, bad)
-    bad = rows.copy()
-    bad[3, 5] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        _real_fields(g, bad)
-    with pytest.raises(ValueError):
-        _real_fields(g, rows[:, :16])
 
 
 def test_sobolev_norm_zero_field():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbq.grid import (
     SpectralField,
@@ -26,13 +28,13 @@ from imbq.solver import (
     single_mode_data,
     solve,
 )
-from imbq.grid import _power_amplitudes, random_real_field
+from imbq.grid import _padded_node_count, _position_samples_padded, _power_matrix, random_real_field
 from imbq.solver import (
+    _energy_matrix,
     _fit_mode_frequency,
     _flow_table,
     _mode_amplitude_traces,
     _node_sizes,
-    _power_matrix,
     _prefix_weights,
     _rk4_stack,
 )
@@ -100,6 +102,18 @@ def hermitian_rows(m, n, rng):
     return a
 
 
+def _reference_power(amp, g, p, factor):
+    """u^p of one Hermitian row through complex transforms of the zero-padded row."""
+    m = amp.shape[0]
+    padded = _padded_node_count(m, factor)
+    dx_fine = 2 * np.pi / (padded * g.dxi)
+    lo = padded // 2 - m // 2
+    full = np.zeros(padded, dtype=complex)
+    full[lo : lo + m] = amp
+    samples = np.fft.ifft(np.fft.ifftshift(full)).real / dx_fine
+    return (dx_fine * np.fft.fftshift(np.fft.fft(samples**p)))[lo : lo + m]
+
+
 @pytest.mark.parametrize("m", [10, 512])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_power_matrix_matches_per_row_power(p, m):
@@ -107,8 +121,8 @@ def test_power_matrix_matches_per_row_power(p, m):
     cfg = SolverConfig(p=p, sign=1, horizon=1.0)
     rows = hermitian_rows(m, 7, np.random.default_rng(100 * p + m))
     assert np.all(rows[:, 0] != 0)  # the unpaired node takes part
-    got = _power_matrix(rows, g, cfg)
-    ref = np.vstack([_power_amplitudes(r, g, p, 1, cfg.dealias) for r in rows])
+    got = _power_matrix(rows, g, p, cfg.dealias)
+    ref = np.vstack([_reference_power(r, g, p, cfg.dealias) for r in rows])
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -118,7 +132,7 @@ def test_power_matrix_overflow_raises():
     rows = hermitian_rows(32, 3, np.random.default_rng(1))
     rows[1] *= 1e200
     with pytest.raises(OverflowError):
-        _power_matrix(rows, g, cfg)
+        _power_matrix(rows, g, cfg.p, cfg.dealias)
 
 
 def test_stopping_norm_bounds_sobolev_plus_sup():
@@ -184,21 +198,43 @@ def test_free_propagator_time_reversal():
     assert np.max(np.abs(back.amplitudes - d.u0.amplitudes)) < 1e-10
 
 
+def test_trajectory_validates_every_row():
+    g = make_grid(4.0, 32)
+    rng = np.random.default_rng(5)
+    rows = np.vstack([random_real_field(g, rng).amplitudes for _ in range(4)])
+    times = np.arange(4.0)
+    traj = Trajectory(times, rows.copy(), rows.copy(), g)
+    for i, r in enumerate(rows):
+        u, ut = traj.state(i)
+        assert u.real_valued and ut.real_valued
+        assert np.array_equal(u.amplitudes, r) and np.array_equal(ut.amplitudes, r)
+    assert not traj.u.flags.writeable and not traj.state(0)[0].amplitudes.flags.writeable
+    bad = rows.copy()
+    bad[2, g.index_of(1.0)] += 1e-6  # one row loses its mirror partner
+    with pytest.raises(ValueError, match="Hermitian"):
+        Trajectory(times, rows, bad, g)
+    bad = rows.copy()
+    bad[3, 5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(times, bad, rows, g)
+    with pytest.raises(ValueError):
+        Trajectory(times, rows[:, :16], rows, g)
+    with pytest.raises(ValueError):
+        Trajectory(times[:3], rows, rows, g)
+
+
 def test_duhamel_zero_trajectory_reduces_to_free():
     g = make_grid(8.0, 128)
     d = small_data(g)
     cfg = SolverConfig(p=2, sign=1, horizon=0.2)
     times = np.linspace(0.0, 0.2, cfg.quadrature_nodes)
-    zero_traj = Trajectory(
-        times=times,
-        u=[SpectralField.zero(g)] * len(times),
-        u_t=[SpectralField.zero(g)] * len(times),
-    )
+    zeros = np.zeros((len(times), g.node_count))
+    zero_traj = Trajectory(times, zeros, zeros, g)
     z = duhamel_functional(d, zero_traj, cfg)
     for i, t in enumerate(times):
         free = free_propagator(d, t)
-        assert np.max(np.abs(z.u[i].amplitudes - free.amplitudes)) < 1e-13
-    assert np.array_equal(z.u[0].amplitudes, d.u0.amplitudes)
+        assert np.max(np.abs(z.u[i] - free.amplitudes)) < 1e-13
+    assert np.array_equal(z.u[0], d.u0.amplitudes)
 
 
 def test_duhamel_against_refined_quadrature():
@@ -211,17 +247,18 @@ def test_duhamel_against_refined_quadrature():
     def apply_with(nodes):
         times = np.linspace(0.0, t_end, nodes)
         traj = Trajectory(
-            times=times,
-            u=[free_propagator(d, t) for t in times],
-            u_t=[free_velocity(d, t) for t in times],
+            times,
+            np.stack([free_propagator(d, t).amplitudes for t in times]),
+            np.stack([free_velocity(d, t).amplitudes for t in times]),
+            g,
         )
         local = SolverConfig(p=2, sign=1, horizon=t_end, quadrature_nodes=nodes)
         return duhamel_functional(d, traj, local)
 
     coarse = apply_with(33)
     fine = apply_with(321)
-    uc = coarse.u[-1]
-    uf = fine.u[-1]
+    uc, _ = coarse.final()
+    uf, _ = fine.final()
     assert sobolev_norm(uc - uf, 0.0) <= 1e-8 * sobolev_norm(uf, 0.0)
 
 
@@ -232,7 +269,7 @@ def test_picard_without_forcing_converges_in_one_iteration():
     assert report.iterations == 1
     assert report.ratios == ()
     final = free_propagator(d, 0.3)
-    assert np.max(np.abs(traj.u[-1].amplitudes - final.amplitudes)) < 1e-13
+    assert np.max(np.abs(traj.u[-1] - final.amplitudes)) < 1e-13
 
 
 def test_picard_contraction_is_at_least_geometric():
@@ -273,7 +310,7 @@ def test_solve_zero_data_stays_zero():
     g = make_grid(8.0, 64)
     d = CauchyData(SpectralField.zero(g), SpectralField.zero(g))
     traj = solve(d, SolverConfig(p=3, sign=-1, horizon=1.0))
-    assert all(np.all(f.amplitudes == 0) for f in traj.u)
+    assert np.all(traj.u == 0)
 
 
 def test_solve_linear_single_mode_two_windows_exact():
@@ -285,9 +322,9 @@ def test_solve_linear_single_mode_two_windows_exact():
     assert len(traj.window_reports) == 2
     idx = g.index_of(k)
     expect = np.cos(t_final * lambda_symbol(k)) * d.u0.amplitudes[idx]
-    got = traj.u[-1].amplitudes[idx]
+    got = traj.u[-1, idx]
     assert abs(got - expect) <= 1e-10 * abs(expect)
-    others = np.delete(np.abs(traj.u[-1].amplitudes), [idx, g.index_of(-k)])
+    others = np.delete(np.abs(traj.u[-1]), [idx, g.index_of(-k)])
     assert np.max(others) < 1e-12 * abs(expect)
 
 
@@ -296,8 +333,8 @@ def test_solve_agrees_with_rk4():
     cfg = SolverConfig(p=2, sign=1, horizon=0.25)
     picard = solve(d, cfg)
     rk = rk4_solve(d, cfg, dt=1e-3, store_stride=10**9)
-    diff = picard.u[-1] - rk.u[-1]
-    assert sobolev_norm(diff, 0.0) <= 1e-6 * sobolev_norm(rk.u[-1], 0.0)
+    diff = picard.final()[0] - rk.final()[0]
+    assert sobolev_norm(diff, 0.0) <= 1e-6 * sobolev_norm(rk.final()[0], 0.0)
 
 
 def test_solve_fixed_point_is_stable_under_extra_application():
@@ -305,9 +342,8 @@ def test_solve_fixed_point_is_stable_under_extra_application():
     cfg = SolverConfig(p=2, sign=1, horizon=0.2)
     traj, _ = picard_window(d, 0.2, cfg)
     again = duhamel_functional(d, traj, cfg)
-    change = max(
-        sobolev_norm(a - b, cfg.s) + sup_norm(a - b) for a, b in zip(again.u, traj.u)
-    )
+    diffs = [again.state(i)[0] - traj.state(i)[0] for i in range(traj.times.shape[0])]
+    change = max(sobolev_norm(e, cfg.s) + sup_norm(e) for e in diffs)
     assert change < 10 * cfg.picard_tol
 
 
@@ -319,7 +355,7 @@ def test_solve_small_amplitude_stays_near_free_flow():
     traj = solve(d, cfg)
     worst = 0.0
     for i, t in enumerate(traj.times):
-        diff = traj.u[i] - free_propagator(d, t)
+        diff = traj.state(i)[0] - free_propagator(d, t)
         worst = max(worst, sobolev_norm(diff, 0.0) + sup_norm(diff))
     assert worst <= 2 * eps
 
@@ -330,7 +366,7 @@ def test_solve_grid_convergence_for_band_limited_data():
         g = make_grid(16.0, m)
         d = gaussian_data(g, amplitude=0.3, width=1.5, velocity_amplitude=0.1)
         traj = solve(d, SolverConfig(p=2, sign=1, horizon=0.25))
-        finals.append(sobolev_norm(traj.u[-1], 0.0))
+        finals.append(sobolev_norm(traj.final()[0], 0.0))
     assert abs(finals[1] - finals[0]) < 1e-6
 
 
@@ -359,7 +395,7 @@ def test_rk4_zero_data():
     g = make_grid(8.0, 64)
     d = CauchyData(SpectralField.zero(g), SpectralField.zero(g))
     traj = rk4_solve(d, SolverConfig(p=2, sign=1, horizon=0.5), dt=0.05)
-    assert all(np.all(f.amplitudes == 0) for f in traj.u)
+    assert np.all(traj.u == 0)
 
 
 def test_rk4_self_convergence_order():
@@ -372,7 +408,7 @@ def test_rk4_self_convergence_order():
         cfg = SolverConfig(p=2, sign=1, horizon=1.0)
         traj = rk4_solve(d, cfg, dt, forcing=False, store_stride=10**9)
         exact = np.cos(lambda_symbol(k)) * d.u0.amplitudes[idx]
-        errs.append(abs(traj.u[-1].amplitudes[idx] - exact))
+        errs.append(abs(traj.u[-1, idx] - exact))
     assert 10 < errs[0] / errs[1] < 24  # fourth order: ~16x per halving
 
 
@@ -420,6 +456,57 @@ def test_energy_requires_mean_zero_velocity():
         energy(SpectralField.zero(g), u1, 2, 1)
 
 
+def _reference_energy_terms(u, u_t, p, sign):
+    """Quadratic and potential terms of the energy, one field at a time with a complex ifft."""
+    grid = u.grid
+    zero_idx = grid.node_count // 2
+    lam = lambda_symbol(grid.xi)
+    mask = np.arange(grid.node_count) != zero_idx
+    kinetic = np.abs(u_t.amplitudes[mask]) ** 2 / lam[mask] ** 2
+    quad = 0.5 * np.sum(kinetic + np.abs(u.amplitudes[mask]) ** 2) * grid.dxi
+    padded = _padded_node_count(grid.node_count, (p + 1) / 2)
+    samples = _position_samples_padded(u, padded).real
+    dx_fine = 2.0 * np.pi / (padded * grid.dxi)
+    potential = 2.0 * np.pi * sign / (p + 1) * np.sum(samples ** (p + 1)) * dx_fine
+    return quad, potential
+
+
+def _random_rows(g, rng, n, mean_zero):
+    rows = []
+    for _ in range(n):
+        amp = random_real_field(g, rng, decay=rng.uniform(0.0, 2.0), band_fraction=1.0).amplitudes.copy()
+        amp[0] = complex(*rng.standard_normal(2))  # the unpaired node k = 0, nonzero
+        if mean_zero:
+            amp[g.node_count // 2] = 0.0
+        rows.append(amp)
+    return np.array(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([2, 3, 4]),
+    sign=st.sampled_from([1, -1]),
+    n=st.integers(1, 5),
+    m=st.sampled_from([16, 64, 128]),
+)
+def test_batched_energy_matches_per_row_reference(seed, p, sign, n, m):
+    rng = np.random.default_rng(seed)
+    g = make_grid(rng.uniform(1.0, 16.0), m)
+    u, ut = _random_rows(g, rng, n, False), _random_rows(g, rng, n, True)
+    got = _energy_matrix(u, ut, g, p, sign)
+    for i in range(n):
+        quad, potential = _reference_energy_terms(
+            SpectralField(g, u[i], real_valued=True), SpectralField(g, ut[i], real_valued=True), p, sign
+        )
+        # relative to the size of the two terms: their sum may cancel
+        assert abs(got[i] - (quad + potential)) <= 1e-13 * (abs(quad) + abs(potential))
+    bad = ut.copy()
+    bad[-1, m // 2] = 1e-3 * np.max(np.abs(bad[-1]))  # one row with a nonzero mean velocity
+    with pytest.raises(ValueError, match="mean-zero"):
+        _energy_matrix(u, bad, g, p, sign)
+
+
 def test_energy_constant_on_single_mode_nonlinear_flow():
     g = make_grid(4.0, 64)
     d = single_mode_data(g, 1.0, amplitude=0.1)
@@ -445,8 +532,6 @@ def test_energy_drift_vanishes_under_dt_refinement():
 def test_energy_directional_derivative_vanishes():
     # machine-precision check that dE/dt = 0 along the semidiscrete flow,
     # evaluated analytically (no time stepping) on random states
-    from imbq.grid import _padded_node_count, _position_samples_padded, _power_amplitudes
-    from imbq.grid import random_real_field
 
     rng = np.random.default_rng(61)
     g = make_grid(8.0, 128)
@@ -459,7 +544,7 @@ def test_energy_directional_derivative_vanishes():
         ut_amp = random_real_field(g, rng).amplitudes.copy()
         ut_amp[zero_idx] = 0.0
         ut = SpectralField(g, ut_amp, real_valued=True)
-        ghat = _power_amplitudes(u.amplitudes, g, p, 1, (p + 1) / 2)
+        ghat = _power_matrix(u.amplitudes[None], g, p, (p + 1) / 2)[0]
         utt = -(lam**2) * (u.amplitudes + sign * ghat)
         d_quad = float(
             np.sum((np.conj(ut_amp[mask]) * (utt[mask] / lam[mask] ** 2 + u.amplitudes[mask])).real)
