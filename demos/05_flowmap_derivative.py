@@ -32,7 +32,7 @@ devs = {}
 for e in (eps, eps / 2):
     scaled = d.data.scaled(e)
     traj = solve(scaled, SolverConfig(p=3, sign=1, horizon=0.3))
-    u_final, _ = traj.state(traj.index_at(0.3))
+    u_final, _ = traj.final()
     devs[e] = u_final - free_propagator(scaled, 0.3)
 quadratic_part = devs[eps / 2].scaled(8.0) - devs[eps]
 print("\np=3: |8 w(eps/2) - w(eps)| / |w(eps)| = %.2e" %

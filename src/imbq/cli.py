@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -174,8 +175,14 @@ TOP_LEVEL_KEYS = {"command", "out", "jobs", "seed", "plot"} | set(SCHEMAS)
 MAX_DISPERSION_STEPS = 10**6
 # work budget of lemma-check: one seminorm costs ~resolution^2 (0.09 s at 160, 22.5 s at 2560)
 MAX_BESOV_RESOLUTION = 2560
-# work budget of solve: length of one dealiased position row, ceil(nodes*(p+1)/2)
+# work budget of the Picard solver (solve, derivative-check): one dealiased row, ceil(nodes*(p+1)/2)
 MAX_SOLVE_PADDED_NODES = 2**20
+
+
+def _check_padded_row(command: str, nodes: int, p: int):
+    padded = -(-nodes * (p + 1) // 2)  # in integers: p may exceed any float
+    if padded > MAX_SOLVE_PADDED_NODES:
+        raise ConfigError(f"{command} asks for {padded} dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}")
 
 
 def _validate_block(command: str, block) -> dict:
@@ -196,9 +203,9 @@ def _validate_block(command: str, block) -> dict:
             out[key] = default
     if command == "solve":
         out["data"] = _validate_data(out["data"])
-        padded = -(-out["nodes"] * (out["p"] + 1) // 2)  # in integers: p may exceed any float
-        if padded > MAX_SOLVE_PADDED_NODES:
-            raise ConfigError(f"solve asks for {padded} dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}")
+        _check_padded_row(command, out["nodes"], out["p"])
+    if command == "derivative-check":  # the grid of inflation.grid_for_boxes, in exact arithmetic
+        _check_padded_row(command, round(2 * (out["p"] * (out["N"] + 2) + 2) / Fraction(out["dxi"])), out["p"])
     if command == "lemma-check" and out["resolution"] > MAX_BESOV_RESOLUTION:
         raise ConfigError(f"lemma-check resolution {out['resolution']} is above the limit {MAX_BESOV_RESOLUTION}")
     if command == "dispersion":
@@ -359,22 +366,22 @@ def _run_solve(cfg: RunConfig) -> int:
         return take
 
     # the windows stream through take, which keeps only energies and a few rows of each
-    run = solver._march(data, scfg, True, begin)
+    node_times, edges, window_reports = solver._march(data, scfg, True, begin)
     sampled = solver.Trajectory(*(np.concatenate(parts) for parts in zip(*kept["rows"])), grid)
     energies = np.concatenate(kept["energies"]) if with_energy else None
     reports.write_trajectory_csv(os.path.join(cfg.out, "trajectory.csv"), sampled, times)
     reports.write_json(
         os.path.join(cfg.out, "solve.json"),
-        reports.trajectory_sidecar(run, {**p, "command": "solve"}, energies),
+        reports.trajectory_sidecar(node_times, edges, window_reports, {**p, "command": "solve"}, energies),
     )
-    for i, rep in enumerate(run.window_reports):
+    for i, rep in enumerate(window_reports):
         ratio = "n/a" if rep.contraction_ratio is None else f"{rep.contraction_ratio:.3e}"
         print(
-            f"solve window {i}: [{run.window_edges[i]:g}, {run.window_edges[i + 1]:g}] "
+            f"solve window {i}: [{edges[i]:g}, {edges[i + 1]:g}] "
             f"iterations={rep.iterations} contraction={ratio}"
         )
     final = sobolev_norm(sampled.final()[0], 0.0)
-    print(f"solve: final |u|_L2 = {final:.6e} over {len(run.window_reports)} window(s)")
+    print(f"solve: final |u|_L2 = {final:.6e} over {len(window_reports)} window(s)")
     return 0
 
 

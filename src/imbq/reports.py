@@ -143,17 +143,16 @@ def write_trajectory_csv(path: str, traj: Trajectory, sample_times: list[float])
     write_csv(path, ["t", "x", "u"], rows)
 
 
-def trajectory_sidecar(traj: Trajectory, config: dict, energies=None) -> dict:
-    """Solver diagnostics of a run; ``traj`` needs only ``times``, ``window_edges``
-    and ``window_reports``, so a streamed march passes its own record."""
+def trajectory_sidecar(times, window_edges, window_reports, config: dict, energies=None) -> dict:
+    """Solver diagnostics of a run: its node times, window edges and window reports."""
     return {
         "config": config,
-        "window_edges": list(traj.window_edges),
-        "iterations": [r.iterations for r in traj.window_reports],
-        "contraction_ratios": [list(r.ratios) for r in traj.window_reports],
-        "difference_norms": [list(r.differences) for r in traj.window_reports],
+        "window_edges": list(window_edges),
+        "iterations": [r.iterations for r in window_reports],
+        "contraction_ratios": [list(r.ratios) for r in window_reports],
+        "difference_norms": [list(r.differences) for r in window_reports],
         "energy": None if energies is None else [float(e) for e in energies],
-        "sample_times": [float(t) for t in traj.times],
+        "sample_times": [float(t) for t in times],
         "provenance": {
             "states": "imbq.solver.solve",
             "contraction_ratios": "imbq.solver.picard_window",

@@ -116,10 +116,20 @@ def test_solve_huge_power_window_is_the_horizon(tmp_path):
     assert sidecar["window_edges"] == [0.0, 0.1]
 
 
-def test_solve_padded_row_budget_exits_2_at_once(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, {"solve": {"p": 10**20, "T": 0.1, "nodes": 64}})
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("solve", {"p": 10**20, "T": 0.1, "nodes": 64}),
+        # the box grid grows like p*(N+2)/dxi and its dealiased row (p+1)/2 times that
+        ("derivative-check", {"p": 10**20}),
+        ("derivative-check", {"p": 10**6}),
+        ("derivative-check", {"N": 10**9}),
+    ],
+)
+def test_padded_row_budget_exits_2_at_once(tmp_path, capsys, command, block):
+    cfg_path = write_config(tmp_path, {command: block})
     start = time.perf_counter()
-    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
     assert f"limit {MAX_SOLVE_PADDED_NODES}" in capsys.readouterr().err
 

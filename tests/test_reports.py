@@ -75,7 +75,7 @@ def test_trajectory_csv_and_sidecar(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + 2 * g.node_count
-    sidecar = trajectory_sidecar(traj, {"p": 2})
+    sidecar = trajectory_sidecar(traj.times, traj.window_edges, traj.window_reports, {"p": 2})
     assert sidecar["window_edges"][0] == 0.0
     assert len(sidecar["iterations"]) == len(traj.window_reports)
     json.dumps(sidecar)  # serializable
