@@ -9,7 +9,8 @@ dispersion        Fitted mode frequencies against the linear relation.
 derivative-check  Solver-vs-derivative cross validation at small amplitude.
 
 Flags: --config <path> (JSON, flags override file), --out <dir>, --jobs <n>,
---plot.  Exit codes: 0 success, 2 config error, 3 numerical non-convergence.
+--plot.  Exit codes: 0 success, 2 config error (a ConfigError), 3 numerical
+failure (non-convergence, or any other ValueError or RuntimeError of a run).
 
 The runner performs no mathematics itself: every number in its outputs is
 produced by one library operation, named in the JSON provenance fields.
@@ -18,6 +19,7 @@ produced by one library operation, named in the JSON provenance fields.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -177,6 +179,8 @@ MAX_DISPERSION_STEPS = 10**6
 MAX_BESOV_RESOLUTION = 2560
 # work budget of the Picard solver (solve, derivative-check): one dealiased row, ceil(nodes*(p+1)/2)
 MAX_SOLVE_PADDED_NODES = 2**20
+# work budget of solve: Picard windows at the start of the march, ceil(T/window), set or data-derived
+MAX_SOLVE_WINDOWS = 10**4
 
 
 def _check_padded_row(command: str, nodes: int, p: int):
@@ -204,6 +208,11 @@ def _validate_block(command: str, block) -> dict:
     if command == "solve":
         out["data"] = _validate_data(out["data"])
         _check_padded_row(command, out["nodes"], out["p"])
+        windows = 1.0 if out["window"] is None else out["T"] / out["window"]  # may be inf
+        if windows - 1e-12 > MAX_SOLVE_WINDOWS:
+            raise ConfigError(f"solve T/window asks for {windows:.6g} windows; the limit is {MAX_SOLVE_WINDOWS}")
+    if command == "inflate" and len(set(out["N"])) < len(out["N"]):
+        raise ConfigError(f"inflate N values must be distinct, got {out['N']}")
     if command == "derivative-check":  # the grid of inflation.grid_for_boxes, in exact arithmetic
         _check_padded_row(command, round(2 * (out["p"] * (out["N"] + 2) + 2) / Fraction(out["dxi"])), out["p"])
     if command == "lemma-check" and out["resolution"] > MAX_BESOV_RESOLUTION:
@@ -325,30 +334,40 @@ def emit_plot(report, path: str):
 # command bodies
 
 
+@contextlib.contextmanager
+def _from_params():
+    """Objects built from the parameters: a ValueError there is a config error (exit 2)."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 def _run_solve(cfg: RunConfig) -> int:
     p = cfg.params
-    grid = make_grid(p["extent"], p["nodes"])
     data_spec = p["data"]
-    if data_spec["kind"] == "gaussian":
-        data = solver.gaussian_data(
-            grid, data_spec["amplitude"], data_spec["width"], data_spec["velocity_amplitude"]
+    with _from_params():
+        grid = make_grid(p["extent"], p["nodes"])
+        if data_spec["kind"] == "gaussian":
+            data = solver.gaussian_data(
+                grid, data_spec["amplitude"], data_spec["width"], data_spec["velocity_amplitude"]
+            )
+        elif data_spec["kind"] == "cosine":
+            data = solver.single_mode_data(grid, data_spec["k"], data_spec["amplitude"])
+        else:
+            data = inflation.make_ip_data(data_spec["N"], grid).data.scaled(data_spec["scale"])
+        scfg = SolverConfig(
+            p=p["p"],
+            sign=p["sign"],
+            horizon=p["T"],
+            s=p["s"],
+            picard_tol=p["picard_tol"],
+            max_iterations=p["max_iterations"],
+            quadrature_nodes=p["quadrature_nodes"],
+            window_safety=p["window_safety"],
+            window_override=p["window"],
+            max_window_halvings=p["max_window_halvings"],
         )
-    elif data_spec["kind"] == "cosine":
-        data = solver.single_mode_data(grid, data_spec["k"], data_spec["amplitude"])
-    else:
-        data = inflation.make_ip_data(data_spec["N"], grid).data.scaled(data_spec["scale"])
-    scfg = SolverConfig(
-        p=p["p"],
-        sign=p["sign"],
-        horizon=p["T"],
-        s=p["s"],
-        picard_tol=p["picard_tol"],
-        max_iterations=p["max_iterations"],
-        quadrature_nodes=p["quadrature_nodes"],
-        window_safety=p["window_safety"],
-        window_override=p["window"],
-        max_window_halvings=p["max_window_halvings"],
-    )
     times = p["sample_times"] or np.linspace(0.0, p["T"], 5).tolist()
     with_energy = abs(data.u1.amplitudes[grid.node_count // 2]) < 1e-12
     kept: dict = {}
@@ -366,7 +385,7 @@ def _run_solve(cfg: RunConfig) -> int:
         return take
 
     # the windows stream through take, which keeps only energies and a few rows of each
-    node_times, edges, window_reports = solver._march(data, scfg, True, begin)
+    node_times, edges, window_reports = solver._march(data, scfg, True, begin, MAX_SOLVE_WINDOWS)
     sampled = solver.Trajectory(*(np.concatenate(parts) for parts in zip(*kept["rows"])), grid)
     energies = np.concatenate(kept["energies"]) if with_energy else None
     reports.write_trajectory_csv(os.path.join(cfg.out, "trajectory.csv"), sampled, times)
@@ -395,6 +414,8 @@ def _inflate_row(job) -> inflation.InflationRow:
 
 def _run_inflate(cfg: RunConfig) -> int:
     p = cfg.params
+    with _from_params():
+        q = QuadratureConfig(tau_nodes=p["tau_nodes"], dxi=p["dxi"])
     n_list = sorted(int(n) for n in p["N"])
     jobs = [
         (n, p["p"], p["sign"], p["s"], p["t"], p["tau_nodes"], p["dxi"], max(n_list)) for n in n_list
@@ -414,7 +435,7 @@ def _run_inflate(cfg: RunConfig) -> int:
         p["sign"],
         p["s"],
         p["t"],
-        QuadratureConfig(tau_nodes=p["tau_nodes"], dxi=p["dxi"]),
+        q,
         rows=rows,
     )
     reports.write_inflation_csv(os.path.join(cfg.out, "inflate.csv"), report)
@@ -435,6 +456,8 @@ def _run_inflate(cfg: RunConfig) -> int:
 
 def _run_lemma_check(cfg: RunConfig) -> int:
     p = cfg.params
+    with _from_params():
+        grid = make_grid(p["corpus_extent"], p["corpus_nodes"])
     estimates = [symbols.besov_seminorm(Symbol("m1"), resolution=p["resolution"], strict=True)]
     for t in p["t_values"]:
         estimates.append(symbols.besov_seminorm(Symbol("m2_plus", t), resolution=p["resolution"], strict=True))
@@ -454,7 +477,6 @@ def _run_lemma_check(cfg: RunConfig) -> int:
     print(f"lemma-check kernel ratio range: [{min(ratios):.4f}, {max(ratios):.4f}]")
 
     rng = np.random.default_rng(cfg.seed)
-    grid = make_grid(p["corpus_extent"], p["corpus_nodes"])
     t_ref = max(p["t_values"])
     violations = 0
     for _ in range(p["corpus_size"]):
@@ -547,7 +569,8 @@ def _run_dispersion(cfg: RunConfig) -> int:
 
 def _run_derivative_check(cfg: RunConfig) -> int:
     p = cfg.params
-    q = QuadratureConfig(tau_nodes=p["tau_nodes"], dxi=p["dxi"])
+    with _from_params():
+        q = QuadratureConfig(tau_nodes=p["tau_nodes"], dxi=p["dxi"])
     chk = inflation.flowmap_derivative_check(p["N"], p["p"], 1, p["t"], p["eps"], q)
     print(
         f"derivative-check p={p['p']} N={p['N']} t={p['t']:g} eps={p['eps']:g}: "
@@ -581,12 +604,12 @@ def run(cfg: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
     try:
         return _RUNNERS[cfg.command](cfg)
-    except (ConvergenceError, QuadratureError, BesovConvergenceError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except ValueError as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except (ConvergenceError, QuadratureError, BesovConvergenceError, RuntimeError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 1

@@ -139,7 +139,9 @@ def _hermitian_defect(amplitudes: np.ndarray) -> np.ndarray:
     a = amplitudes[..., 1:]
     scale = np.max(np.abs(amplitudes), axis=-1)
     scale = np.where(scale == 0.0, 1.0, scale)
-    return np.max(np.abs(a - np.conj(a[..., ::-1])), axis=-1) / scale
+    diff = np.conj(a[..., ::-1])
+    diff -= a  # in place: one row-sized temporary fewer on large grids
+    return np.max(np.abs(diff), axis=-1) / scale
 
 
 def _check_amplitudes(amp: np.ndarray, real_valued: bool) -> None:
@@ -367,44 +369,61 @@ def sup_norm(f: SpectralField, oversample: int = 8) -> float:
 # nonlinearity
 
 
-def _position_matrix(u_mat: np.ndarray, grid: FrequencyGrid, factor: float):
-    """Samples of every Hermitian row of ``u_mat`` on the grid padded by ``factor``: one irfft.
+def _half_spectrum(amp: np.ndarray) -> np.ndarray:
+    """The half layout of Hermitian rows (last axis): columns xi = 0, dxi, ..., (M/2-1)dxi, then node k = 0.
 
-    The half spectrum carries the Hermitian part of each padded row, so the
+    The mirror xi < 0 of each column xi > 0 is its conjugate, so these
+    M/2 + 1 columns carry the whole row; the unpaired leftmost node k = 0
+    (xi = -M/2 dxi) comes last.
+    """
+    h = amp.shape[-1] // 2
+    return np.concatenate((amp[..., h:], amp[..., :1]), axis=-1)
+
+
+def _full_spectrum(half: np.ndarray) -> np.ndarray:
+    """The (..., M) Hermitian rows of half-layout rows, the inverse of :func:`_half_spectrum`."""
+    h = half.shape[-1] - 1
+    out = np.empty(half.shape[:-1] + (2 * h,), dtype=np.complex128)
+    out[..., h:] = half[..., :h]
+    np.conjugate(half[..., h - 1 : 0 : -1], out=out[..., 1:h])
+    out[..., 0] = half[..., h]
+    return out
+
+
+def _position_matrix(half: np.ndarray, grid: FrequencyGrid, factor: float):
+    """Samples of every half-layout row on the grid padded by ``factor``: one irfft.
+
+    The padded half spectrum carries the Hermitian part of each row, so the
     unpaired node k = 0 (mode -M/2) enters as conj(a_0)/2 at mode +M/2.
     Returns the (n, padded) real samples and the fine spacing dx.
     """
-    m = u_mat.shape[1]
-    h = m // 2
-    padded = _padded_node_count(m, factor)
+    h = half.shape[1] - 1
+    padded = _padded_node_count(2 * h, factor)
     dx_fine = 2.0 * np.pi / (padded * grid.dxi)
-    half = np.zeros((u_mat.shape[0], padded // 2 + 1), dtype=np.complex128)
-    half[:, :h] = u_mat[:, h:]
-    half[:, h] = 0.5 * np.conj(u_mat[:, 0])
-    samples = np.fft.irfft(half, padded, axis=1)
-    del half
+    bins = np.zeros((half.shape[0], padded // 2 + 1), dtype=np.complex128)
+    bins[:, :h] = half[:, :h]
+    bins[:, h] = 0.5 * np.conj(half[:, h])
+    samples = np.fft.irfft(bins, padded, axis=1)
+    del bins
     samples /= dx_fine
     return samples, dx_fine
 
 
-def _power_matrix(u_mat: np.ndarray, grid: FrequencyGrid, p: int, dealias_factor: float) -> np.ndarray:
-    """Amplitudes of u^p for every Hermitian row of ``u_mat``: one irfft/rfft pair.
+def _power_matrix(half: np.ndarray, grid: FrequencyGrid, p: int, dealias_factor: float) -> np.ndarray:
+    """Half-layout amplitudes of u^p for every half-layout row: one irfft/rfft pair.
 
-    The samples come from :func:`_position_matrix`; node k = 0 is read back
-    as the conjugate of the +M/2 bin.
+    The samples come from :func:`_position_matrix`; the unpaired node k = 0
+    is read back as the conjugate of the +M/2 bin.  Full (n, M) rows go
+    through :func:`_half_spectrum` and :func:`_full_spectrum` around it.
     """
-    h = u_mat.shape[1] // 2
-    samples, dx_fine = _position_matrix(u_mat, grid, dealias_factor)
+    h = half.shape[1] - 1
+    samples, dx_fine = _position_matrix(half, grid, dealias_factor)
     with np.errstate(over="ignore", invalid="ignore"):
         samples **= p
     if not np.all(np.isfinite(samples)):
         raise OverflowError("position samples overflowed while forming the pointwise power")
-    spec = np.fft.rfft(samples, axis=1)[:, : h + 1]
-    spec *= dx_fine
-    out = np.empty_like(u_mat)
-    out[:, h:] = spec[:, :h]
-    out[:, 1:h] = np.conj(spec[:, h - 1 : 0 : -1])
-    out[:, 0] = np.conj(spec[:, h])
+    out = dx_fine * np.fft.rfft(samples, axis=1)[:, : h + 1]
+    np.conjugate(out[:, h], out=out[:, h])
     return out
 
 
@@ -427,7 +446,7 @@ def pointwise_power(f: SpectralField, p: int, sign: int, dealias_factor: float |
         dealias_factor = (p + 1) / 2
     if dealias_factor < (p + 1) / 2:
         raise ValueError(f"dealias_factor must be >= (p+1)/2 = {(p + 1) / 2}")
-    out = sign * _power_matrix(f.amplitudes[None], f.grid, p, dealias_factor)[0]
+    out = sign * _full_spectrum(_power_matrix(_half_spectrum(f.amplitudes[None]), f.grid, p, dealias_factor))[0]
     return SpectralField(f.grid, out, real_valued=True)
 
 

@@ -144,7 +144,11 @@ def write_trajectory_csv(path: str, traj: Trajectory, sample_times: list[float])
 
 
 def trajectory_sidecar(times, window_edges, window_reports, config: dict, energies=None) -> dict:
-    """Solver diagnostics of a run: its node times, window edges and window reports."""
+    """Solver diagnostics of an ``imbq solve`` run: its node times, window edges and window reports.
+
+    The provenance names what that run executes: the window march, the
+    Picard iteration in each window and the batched energy.
+    """
     return {
         "config": config,
         "window_edges": list(window_edges),
@@ -154,9 +158,9 @@ def trajectory_sidecar(times, window_edges, window_reports, config: dict, energi
         "energy": None if energies is None else [float(e) for e in energies],
         "sample_times": [float(t) for t in times],
         "provenance": {
-            "states": "imbq.solver.solve",
-            "contraction_ratios": "imbq.solver.picard_window",
-            "energy": "imbq.solver.energy",
+            "states": "imbq.solver._march",
+            "contraction_ratios": "imbq.solver._picard",
+            "energy": "imbq.solver._energy_matrix",
         },
     }
 

@@ -25,6 +25,8 @@ from .grid import (
     FrequencyGrid,
     SpectralField,
     _check_amplitudes,
+    _full_spectrum,
+    _half_spectrum,
     _position_matrix,
     _power_matrix,
     _sin_over_lambda,
@@ -204,7 +206,7 @@ class Trajectory:
 
 
 class _FlowTable(NamedTuple):
-    """lam and cos, sin, sin/lam of t*lam at each grid node; one row per time."""
+    """lam and cos, sin, sin/lam of t*lam at each node; one row per time."""
 
     lam: np.ndarray
     cos: np.ndarray
@@ -212,9 +214,9 @@ class _FlowTable(NamedTuple):
     sin_over: np.ndarray
 
 
-def _flow_table(grid: FrequencyGrid, times) -> _FlowTable:
-    """Table of the linear flow at ``times`` (a scalar gives 1-D rows)."""
-    lam = lambda_symbol(grid.xi)
+def _flow_table(xi: np.ndarray, times) -> _FlowTable:
+    """Table of the linear flow at the nodes ``xi`` and ``times`` (a scalar gives 1-D rows)."""
+    lam = lambda_symbol(xi)
     t = np.asarray(times, dtype=float)[..., None]
     s = t * lam
     return _FlowTable(lam, np.cos(s), np.sin(s), _sin_over_lambda(lam, t))
@@ -225,14 +227,14 @@ def free_propagator(d: CauchyData, t: float) -> SpectralField:
 
     At xi = 0 this reduces to u0_hat(0) + t*u1_hat(0).
     """
-    table = _flow_table(d.grid, t)
+    table = _flow_table(d.grid.xi, t)
     amp = table.cos * d.u0.amplitudes + table.sin_over * d.u1.amplitudes
     return SpectralField(d.grid, amp, real_valued=True)
 
 
 def free_velocity(d: CauchyData, t: float) -> SpectralField:
     """Time derivative of the free flow: -lam sin(t lam) u0_hat + cos(t lam) u1_hat."""
-    table = _flow_table(d.grid, t)
+    table = _flow_table(d.grid.xi, t)
     amp = -table.lam * table.sin * d.u0.amplitudes + table.cos * d.u1.amplitudes
     return SpectralField(d.grid, amp, real_valued=True)
 
@@ -271,39 +273,79 @@ def _prefix_weights(n_nodes: int, h: float) -> np.ndarray:
     return w * h
 
 
+class _Rule(NamedTuple):
+    """Node times, prefix weights and half-layout flow table of one window length."""
+
+    times: np.ndarray
+    weights: np.ndarray
+    table: _FlowTable
+
+
+def _rule(grid: FrequencyGrid, times: np.ndarray) -> _Rule:
+    """The rule on uniform ``times`` starting at 0, over the half layout of ``grid``."""
+    return _Rule(times, _prefix_weights(times.shape[0], times[1]), _flow_table(_half_spectrum(grid.xi), times))
+
+
 # ----------------------------------------------------------------------
 # Duhamel functional and Picard iteration
+#
+# The Picard iterates are real fields, so everything below works on the
+# half layout of grid._half_spectrum: M/2 + 1 columns instead of M.
 
 
-def _duhamel(u_mat, d: CauchyData, table: _FlowTable, weights, cfg: SolverConfig, forcing: bool, velocity=False):
-    """Evaluate the Duhamel functional on node-sampled amplitudes, or with
-    ``velocity`` its time derivative (used for window continuation)."""
+def _free(a0, a1, table: _FlowTable, velocity=False) -> np.ndarray:
+    """The free evolution of half-layout data (a0, a1) on the table's times, or its velocity."""
     lam, cos_t, sin_t, sin_over = table
-    a0, a1 = d.u0.amplitudes[None, :], d.u1.amplitudes[None, :]
-    out = -lam[None, :] * sin_t * a0 + cos_t * a1 if velocity else cos_t * a0 + sin_over * a1
-    if not forcing:
-        return out
-    g = _power_matrix(u_mat, d.grid, cfg.p, cfg.dealias)
-    if velocity:
-        integral = cos_t * (weights @ (cos_t * g)) + sin_t * (weights @ (sin_t * g))
-        return out - cfg.sign * lam[None, :] ** 2 * integral
-    # sin((t_i - t_j) lam) = sin(t_i lam) cos(t_j lam) - cos(t_i lam) sin(t_j lam)
-    integral = sin_t * (weights @ (cos_t * g)) - cos_t * (weights @ (sin_t * g))
-    return out - cfg.sign * lam[None, :] * integral
+    return -lam * sin_t * a0 + cos_t * a1 if velocity else cos_t * a0 + sin_over * a1
 
 
-def _node_sizes(amp: np.ndarray, grid: FrequencyGrid, s: float) -> np.ndarray:
-    """H^s norm plus (dxi/2pi) sum |u_hat| of each row of ``amp``.
-
-    The second term is the Wiener-algebra bound |u(x)| <= (dxi/2pi) sum_k
-    |u_hat(xi_k)|, so each value is at least the row's H^s-plus-sup size.
+def _duhamel(u, free, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, velocity=False) -> np.ndarray:
+    """``free`` plus the forcing term of the Duhamel map (with ``velocity``, of its
+    time derivative) at half-layout node states ``u``.  With g = u^p, the
+    tau-integrals of cos(t_j lam) g and sin(t_j lam) g are one real GEMM over
+    the float64 view of the two stacked products (the weights are real).
     """
-    mag = np.abs(amp)
+    g = _power_matrix(u, grid, cfg.p, cfg.dealias)
+    lam, cos_t, sin_t, _ = rule.table
+    n, k = g.shape
+    # the GEMM's operand and result share one allocation and the result is combined in place,
+    # so an iteration allocates few large arrays
+    stack, sums = np.empty((2, n, 2, k), dtype=np.complex128)
+    np.multiply(cos_t, g, out=stack[:, 0])
+    np.multiply(sin_t, g, out=stack[:, 1])
+    del g
+    np.matmul(rule.weights, stack.reshape(n, 2 * k).view(np.float64), out=sums.reshape(n, 2 * k).view(np.float64))
+    c, s = sums[:, 0], sums[:, 1]
+    if velocity:
+        c *= cos_t
+        s *= sin_t
+        c += s
+        c *= cfg.sign * lam**2
+    else:
+        # sin((t_i - t_j) lam) = sin(t_i lam) cos(t_j lam) - cos(t_i lam) sin(t_j lam)
+        c *= sin_t
+        s *= cos_t
+        c -= s
+        c *= cfg.sign * lam
+    return free - c
+
+
+def _node_sizes(half: np.ndarray, grid: FrequencyGrid, s: float) -> np.ndarray:
+    """H^s norm plus (dxi/2pi) sum |u_hat| over all M nodes, of each half-layout row.
+
+    A column xi > 0 stands for its mirror too and counts twice; xi = 0 and
+    node k = 0 count once.  The second term is the Wiener-algebra bound
+    |u(x)| <= (dxi/2pi) sum_k |u_hat(xi_k)|, so each value is at least the
+    row's H^s-plus-sup size.
+    """
+    mag = np.abs(half)
     c = grid.dxi / (2.0 * np.pi)
-    weights = (1.0 + grid.xi**2) ** s
+    count = np.full(half.shape[-1], 2.0)
+    count[[0, -1]] = 1.0
+    weights = count * (1.0 + _half_spectrum(grid.xi) ** 2) ** s
     # a blown-up difference reads inf, and Picard goes on until the power overflows
     with np.errstate(over="ignore"):
-        return np.sqrt(np.sum(weights * mag**2, axis=-1) * c) + c * np.sum(mag, axis=-1)
+        return np.sqrt(mag**2 @ weights * c) + c * (mag @ count)
 
 
 def duhamel_functional(
@@ -322,10 +364,48 @@ def duhamel_functional(
     h = times[1] - times[0]
     if times[0] != 0.0 or not np.allclose(np.diff(times), h, rtol=1e-12, atol=0):
         raise ValueError("trajectory nodes must be uniform and start at 0")
-    weights = _prefix_weights(n, h)
-    table = _flow_table(d.grid, times)
-    z = _duhamel(u.u, d, table, weights, cfg, forcing)
-    return Trajectory(times, z, _duhamel(u.u, d, table, weights, cfg, forcing, velocity=True), d.grid)
+    rule = _rule(d.grid, times)
+    a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
+    z, z_t = _free(a0, a1, rule.table), _free(a0, a1, rule.table, velocity=True)
+    if forcing:
+        u_half = _half_spectrum(u.u)
+        z, z_t = _duhamel(u_half, z, rule, d.grid, cfg), _duhamel(u_half, z_t, rule, d.grid, cfg, velocity=True)
+    return Trajectory(times, _full_spectrum(z), _full_spectrum(z_t), d.grid)
+
+
+def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing: bool):
+    """:func:`picard_window` on half-layout data (a0, a1) and a given rule:
+    returns the half-layout node states u, u_t and the window's report.
+    """
+    window = float(rule.times[-1])
+    free = _free(a0, a1, rule.table)
+    current = free
+    diffs: list[float] = []
+    try:
+        for _ in range(cfg.max_iterations):
+            new = _duhamel(current, free, rule, grid, cfg) if forcing else free
+            diff = float(np.max(_node_sizes(new - current, grid, cfg.s)))
+            diffs.append(diff)
+            current = new
+            if diff < cfg.picard_tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"Picard iteration did not reach {cfg.picard_tol:g} within "
+                f"{cfg.max_iterations} iterations on a window of length {window:g}",
+                history=diffs,
+            )
+        free = _free(a0, a1, rule.table, velocity=True)
+        ut = _duhamel(current, free, rule, grid, cfg, velocity=True) if forcing else free
+    except OverflowError as err:
+        raise ConvergenceError(
+            f"Picard iteration on a window of length {window:g} failed after "
+            f"{len(diffs)} iterations: {err}",
+            history=diffs,
+        ) from err
+    ratios = tuple(b / a for a, b in zip(diffs[:-1], diffs[1:]) if a > 0)
+    report = ContractionReport(window_length=window, iterations=len(diffs), differences=tuple(diffs), ratios=ratios)
+    return current, ut, report
 
 
 def picard_window(
@@ -342,38 +422,12 @@ def picard_window(
     """
     if not window > 0:
         raise ValueError("window length must be positive")
-    n = cfg.quadrature_nodes
-    times = np.linspace(0.0, window, n)
-    weights = _prefix_weights(n, times[1])
-    table = _flow_table(d.grid, times)
-    current = _duhamel(None, d, table, weights, cfg, forcing=False)  # free evolution
-    diffs: list[float] = []
-    try:
-        for _ in range(cfg.max_iterations):
-            new = _duhamel(current, d, table, weights, cfg, forcing)
-            diff = float(np.max(_node_sizes(new - current, d.grid, cfg.s)))
-            diffs.append(diff)
-            current = new
-            if diff < cfg.picard_tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"Picard iteration did not reach {cfg.picard_tol:g} within "
-                f"{cfg.max_iterations} iterations on a window of length {window:g}",
-                history=diffs,
-            )
-        ut = _duhamel(current, d, table, weights, cfg, forcing, velocity=True)
-    except OverflowError as err:
-        raise ConvergenceError(
-            f"Picard iteration on a window of length {window:g} failed after "
-            f"{len(diffs)} iterations: {err}",
-            history=diffs,
-        ) from err
-    ratios = tuple(b / a for a, b in zip(diffs[:-1], diffs[1:]) if a > 0)
-    report = ContractionReport(
-        window_length=window, iterations=len(diffs), differences=tuple(diffs), ratios=ratios
+    rule = _rule(d.grid, np.linspace(0.0, window, cfg.quadrature_nodes))
+    a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
+    u, ut, report = _picard(a0, a1, rule, d.grid, cfg, forcing)
+    traj = Trajectory(
+        rule.times, _full_spectrum(u), _full_spectrum(ut), d.grid, window_edges=(0.0, window), window_reports=(report,)
     )
-    traj = Trajectory(times, current, ut, d.grid, window_edges=(0.0, window), window_reports=(report,))
     return traj, report
 
 
@@ -389,7 +443,7 @@ def _window_length(d: CauchyData, cfg: SolverConfig) -> float:
     return cfg.horizon if log_w >= math.log(cfg.horizon) else math.exp(log_w)
 
 
-def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin):
+def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin, max_windows: float = math.inf):
     """March Picard windows over [0, horizon], halving them on non-convergence;
     returns the node times, the window edges and the window reports.
 
@@ -397,31 +451,45 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin):
     function ``take(k, times, u, u_t)`` and hands it the rows that window k
     adds: all of window 0, then every row but the first (the previous
     window's last state).  A failed attempt's ``take`` is dropped with
-    whatever it kept.  Continuation data at each window end is the
+    whatever it kept.  The windows of an attempt share one :class:`_Rule`
+    and iterate on the half layout; ``take`` gets full rows, checked as a
+    Trajectory's are.  Continuation data at each window end is the
     converged state and the velocity from the differentiated Duhamel
-    formula (spectrally exact, no finite-difference stencil).
+    formula (spectrally exact, no finite-difference stencil).  More than
+    ``max_windows`` windows, or a window that underflows to 0, raise
+    :class:`ConvergenceError` before any window runs.
     """
     base = _window_length(d, cfg)
-    n_windows = max(1, math.ceil(cfg.horizon / base - 1e-12))
+    count = cfg.horizon / base if base > 0 else math.inf
+    if math.isinf(count) or count - 1e-12 > max_windows:
+        raise ConvergenceError(
+            f"the data set a window of {base:.6g}, {count:.6g} windows over [0, {cfg.horizon:g}]; limit {max_windows:g}"
+        )
+    n_windows = max(1, math.ceil(count - 1e-12))
     for halving in range(cfg.max_window_halvings + 1):
         w = cfg.horizon / n_windows
+        rule = _rule(d.grid, np.linspace(0.0, w, cfg.quadrature_nodes))
         take = begin(n_windows)
         times, edges, reports = [], [0.0], []
-        data = d
+        a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
         try:
             for k in range(n_windows):
                 start = k * w
                 try:
-                    traj, report = picard_window(data, w, cfg, forcing)
+                    u, ut, report = _picard(a0, a1, rule, d.grid, cfg, forcing)
                 except ConvergenceError as err:
                     message = f"window {k} ([{start:g}, {start + w:g}]) failed: {err}"
                     raise ConvergenceError(message, history=err.history, window_index=k) from err
                 new = slice(0 if k == 0 else 1, None)
-                times.append(traj.times[new] + start)
-                take(k, times[-1], traj.u[new], traj.u_t[new])
+                times.append(rule.times[new] + start)
+                a0, a1 = u[-1].copy(), ut[-1].copy()
+                rows = _full_spectrum(u[new]), _full_spectrum(ut[new])
+                del u, ut  # not held while the rows are checked: a lower peak on large grids
+                for r in rows:
+                    _check_amplitudes(r, True)
+                take(k, times[-1], *rows)
                 edges.append(start + w)
                 reports.append(report)
-                data = CauchyData(*traj.final())
         except ConvergenceError:
             if halving == cfg.max_window_halvings:
                 raise
@@ -480,7 +548,7 @@ def rk4_solve(
     grid = d.grid
     power = None
     if forcing:
-        power = lambda u: cfg.sign * _power_matrix(u, grid, cfg.p, cfg.dealias)
+        power = lambda u: cfg.sign * _full_spectrum(_power_matrix(_half_spectrum(u), grid, cfg.p, cfg.dealias))
     lam2 = lambda_symbol(grid.xi) ** 2
     u0, v0 = d.u0.amplitudes[None], d.u1.amplitudes[None]
     times, u, v = zip(*_rk4_stack(u0, v0, lam2, cfg.horizon, dt, store_stride, power))
@@ -549,7 +617,7 @@ def _energy_matrix(u, ut, grid: FrequencyGrid, p: int, sign: int, dealias_factor
     lam2 = np.delete(lambda_symbol(grid.xi), zero_idx) ** 2
     u2 = np.delete(u.real**2 + u.imag**2, zero_idx, axis=1)
     quad = 0.5 * np.sum(np.delete(ut2, zero_idx, axis=1) / lam2 + u2, axis=1) * grid.dxi
-    samples, dx_fine = _position_matrix(u, grid, max(dealias_factor or 0.0, (p + 1) / 2))
+    samples, dx_fine = _position_matrix(_half_spectrum(u), grid, max(dealias_factor or 0.0, (p + 1) / 2))
     # u^p * u rather than u^(p+1): numpy squares in place but calls pow() for a cube
     potential = 2.0 * np.pi * sign / (p + 1) * np.sum(samples**p * samples, axis=1) * dx_fine
     return quad + potential

@@ -15,6 +15,7 @@ from imbq.cli import (
     DATA_SCHEMAS,
     MAX_BESOV_RESOLUTION,
     MAX_SOLVE_PADDED_NODES,
+    MAX_SOLVE_WINDOWS,
     SCHEMAS,
     TOP_LEVEL_KEYS,
     ConfigError,
@@ -132,6 +133,68 @@ def test_padded_row_budget_exits_2_at_once(tmp_path, capsys, command, block):
     assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
     assert f"limit {MAX_SOLVE_PADDED_NODES}" in capsys.readouterr().err
+
+
+def test_solve_window_budget_exits_2_at_once(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"solve": {"p": 2, "T": 1.0, "nodes": 64, "window": 1e-9}})
+    start = time.perf_counter()
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "1e+09 windows" in err and f"limit is {MAX_SOLVE_WINDOWS}" in err
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        # r > 1, so r^{-(p-1)/2} underflows: a window of 0
+        {"p": 1001, "T": 0.1, "nodes": 64, "data": {"kind": "gaussian", "amplitude": 50.0}},
+        # a window of ~1.2e-4, about 17,000 windows over T = 2
+        {"p": 2, "T": 2.0, "nodes": 64, "data": {"kind": "gaussian", "amplitude": 1e6}},
+    ],
+    ids=["underflow", "many-windows"],
+)
+def test_solve_data_window_budget_exits_3_at_once(tmp_path, capsys, block):
+    cfg_path = write_config(tmp_path, {"solve": block})
+    start = time.perf_counter()
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: the data set a window of ")
+    assert f"limit {MAX_SOLVE_WINDOWS}" in err and "Traceback" not in err
+
+
+def test_plain_value_error_of_a_run_exits_3(tmp_path, capsys, monkeypatch):
+    import imbq.cli
+
+    def failing(cfg):
+        raise ValueError("a numerical failure")
+
+    monkeypatch.setitem(imbq.cli._RUNNERS, "solve", failing)
+    cfg_path = write_config(tmp_path, {"solve": {"p": 2, "T": 1.0}})
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: a numerical failure\n"
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("solve", {"p": 2, "T": 1.0, "nodes": 65}),  # make_grid: odd node count
+        ("solve", {"p": 2, "T": 1.0, "quadrature_nodes": 32}),  # SolverConfig: even node count
+        ("solve", {"p": 2, "T": 1.0, "data": {"kind": "cosine", "k": 0.3}}),  # k off the grid
+        ("inflate", {"p": 2, "s": 0.0, "t": 0.5, "N": [8], "tau_nodes": 32}),  # QuadratureConfig
+        ("inflate", {"p": 2, "s": 0.0, "t": 0.5, "N": [8, 8.0]}),  # repeated N
+        ("derivative-check", {"dxi": 0.3}),  # QuadratureConfig: dxi does not divide 1
+        ("lemma-check", {"corpus_nodes": 65}),  # make_grid, before any seminorm
+    ],
+)
+def test_parameter_errors_found_by_the_library_exit_2(tmp_path, capsys, command, block):
+    cfg_path = write_config(tmp_path, {command: block})
+    start = time.perf_counter()
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 _SCHEMA_KEYS = sorted(TOP_LEVEL_KEYS | {k for s in (*SCHEMAS.values(), *DATA_SCHEMAS.values()) for k in s} | {"kind"})

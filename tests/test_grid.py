@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbq.grid import (
     BandWindow,
@@ -233,6 +235,30 @@ def test_pointwise_power_matches_direct_convolution():
                 conv3[k] += conv2[i] * a[j] * g.dxi
     expected = conv3 / (2 * np.pi) ** 2
     assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    half_m=st.integers(4, 12),
+    p=st.integers(2, 4),
+    sign=st.sampled_from([1, -1]),
+    decay=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pointwise_power_equals_full_discrete_convolution(half_m, p, sign, decay, seed):
+    # the whole band is occupied and the p-fold convolution is not truncated
+    # between factors: zero padding by (p+1)/2 leaves no alias on the grid band
+    g = make_grid(2.0, 2 * half_m)
+    f = random_real_field(g, np.random.default_rng(seed), decay=decay, band_fraction=1.0)
+    m = g.node_count
+    conv = f.amplitudes
+    for _ in range(p - 1):
+        conv = np.convolve(conv, f.amplitudes) * (g.dxi / (2 * np.pi))
+    # index i of the p-fold convolution is the offset i - p*m/2 from xi = 0
+    lo = (p - 1) * m // 2
+    expected = sign * conv[lo : lo + m]
+    got = pointwise_power(f, p, sign).amplitudes
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_pointwise_power_rejects_small_dealias_factor():

@@ -78,6 +78,12 @@ def test_trajectory_csv_and_sidecar(tmp_path):
     sidecar = trajectory_sidecar(traj.times, traj.window_edges, traj.window_reports, {"p": 2})
     assert sidecar["window_edges"][0] == 0.0
     assert len(sidecar["iterations"]) == len(traj.window_reports)
+    # what `imbq solve` runs: the streamed march and the batched energy, not solve or energy
+    assert sidecar["provenance"] == {
+        "states": "imbq.solver._march",
+        "contraction_ratios": "imbq.solver._picard",
+        "energy": "imbq.solver._energy_matrix",
+    }
     json.dumps(sidecar)  # serializable
 
 

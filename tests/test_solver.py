@@ -28,7 +28,14 @@ from imbq.solver import (
     single_mode_data,
     solve,
 )
-from imbq.grid import _padded_node_count, _position_samples_padded, _power_matrix, random_real_field
+from imbq.grid import (
+    _full_spectrum,
+    _half_spectrum,
+    _padded_node_count,
+    _position_samples_padded,
+    _power_matrix,
+    random_real_field,
+)
 from imbq.solver import (
     _energy_matrix,
     _fit_mode_frequency,
@@ -39,6 +46,7 @@ from imbq.solver import (
     _rk4_stack,
 )
 from imbq.symbols import Symbol, eval_symbol
+from imbq import solver as solver_module
 
 
 def small_data(grid=None, amplitude=0.2):
@@ -86,7 +94,7 @@ def test_flow_table_rows_equal_the_symbols():
     # per-time symbols bit for bit, the series branch (|t lam| < 1e-4) included
     g = make_grid(16.0, 512)
     times = np.concatenate([np.linspace(0.0, 0.4, 9), [1e-3, 5.0]])
-    table = _flow_table(g, times)
+    table = _flow_table(g.xi, times)
     for i, t in enumerate(times):
         assert np.array_equal(table.sin_over[i], eval_symbol(Symbol("R_t", float(t)), g.xi))
         assert np.array_equal(table.cos[i], eval_symbol(Symbol("Q_t", float(t)), g.xi))
@@ -121,7 +129,8 @@ def test_power_matrix_matches_per_row_power(p, m):
     cfg = SolverConfig(p=p, sign=1, horizon=1.0)
     rows = hermitian_rows(m, 7, np.random.default_rng(100 * p + m))
     assert np.all(rows[:, 0] != 0)  # the unpaired node takes part
-    got = _power_matrix(rows, g, p, cfg.dealias)
+    # the half-layout power, expanded to full rows, against the complex-transform reference
+    got = _full_spectrum(_power_matrix(_half_spectrum(rows), g, p, cfg.dealias))
     ref = np.vstack([_reference_power(r, g, p, cfg.dealias) for r in rows])
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -132,7 +141,7 @@ def test_power_matrix_overflow_raises():
     rows = hermitian_rows(32, 3, np.random.default_rng(1))
     rows[1] *= 1e200
     with pytest.raises(OverflowError):
-        _power_matrix(rows, g, cfg.p, cfg.dealias)
+        _power_matrix(_half_spectrum(rows), g, cfg.p, cfg.dealias)
 
 
 def test_stopping_norm_bounds_sobolev_plus_sup():
@@ -144,11 +153,53 @@ def test_stopping_norm_bounds_sobolev_plus_sup():
         fields = [random_real_field(g, rng, decay=dec) for dec in (0.0, 1.0, 3.0)]
         amps = np.vstack([f.amplitudes for f in fields])
         for s in (0.0, 0.5, 1.0):
-            sizes = _node_sizes(amps, g, s)
+            sizes = _node_sizes(_half_spectrum(amps), g, s)
             for f, size in zip(fields, sizes):
                 l1 = g.dxi / (2 * np.pi) * np.sum(np.abs(f.amplitudes))
                 assert l1 >= sup_norm(f)
                 assert size == pytest.approx(sobolev_norm(f, s) + l1, rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [10, 512])
+def test_half_stopping_norm_equals_the_full_sum(m):
+    # each xi > 0 column counts twice, xi = 0 and the unpaired node k = 0 once
+    g = make_grid(4.0, m)
+    half = _half_spectrum(hermitian_rows(m, 5, np.random.default_rng(m)))
+    rows = _full_spectrum(half)
+    assert np.all(rows[:, 0] != 0)
+    c = g.dxi / (2 * np.pi)
+    for s in (0.0, 0.5, 1.0):
+        weights = (1.0 + g.xi**2) ** s
+        full = np.sqrt(np.sum(weights * np.abs(rows) ** 2, axis=1) * c) + c * np.sum(np.abs(rows), axis=1)
+        assert np.max(np.abs(_node_sizes(half, g, s) - full) / full) <= 1e-14
+
+
+def _count_flow_tables(monkeypatch):
+    calls = []
+
+    def counted(xi, times):
+        calls.append(np.size(times))
+        return _flow_table(xi, times)
+
+    monkeypatch.setattr(solver_module, "_flow_table", counted)
+    return calls
+
+
+def test_one_flow_table_per_march_attempt(monkeypatch):
+    calls = _count_flow_tables(monkeypatch)
+    traj = solve(small_data(), SolverConfig(p=2, sign=1, horizon=2.0))
+    assert len(traj.window_reports) == 9
+    assert calls == [33]  # one table of the 33 window nodes for all nine windows
+
+
+def test_halved_attempt_builds_a_new_flow_table(monkeypatch):
+    # the first attempt fails in window 1, the halved one marches eight windows
+    d = gaussian_data(make_grid(8.0, 64), amplitude=0.05, width=1.0, velocity_amplitude=1.0)
+    cfg = SolverConfig(p=2, sign=1, horizon=2.0, max_iterations=4, window_override=0.5, max_window_halvings=1)
+    calls = _count_flow_tables(monkeypatch)
+    traj = solve(d, cfg)
+    assert len(traj.window_reports) == 8
+    assert calls == [33, 33]
 
 
 def test_picard_iteration_counts_on_quick_start_data():
@@ -544,7 +595,7 @@ def test_energy_directional_derivative_vanishes():
         ut_amp = random_real_field(g, rng).amplitudes.copy()
         ut_amp[zero_idx] = 0.0
         ut = SpectralField(g, ut_amp, real_valued=True)
-        ghat = _power_matrix(u.amplitudes[None], g, p, (p + 1) / 2)[0]
+        ghat = _full_spectrum(_power_matrix(_half_spectrum(u.amplitudes[None]), g, p, (p + 1) / 2))[0]
         utt = -(lam**2) * (u.amplitudes + sign * ghat)
         d_quad = float(
             np.sum((np.conj(ut_amp[mask]) * (utt[mask] / lam[mask] ** 2 + u.amplitudes[mask])).real)
