@@ -179,8 +179,8 @@ MAX_DISPERSION_STEPS = 10**6
 MAX_BESOV_RESOLUTION = 2560
 # work budget of the Picard solver (solve, derivative-check): one dealiased row, ceil(nodes*(p+1)/2)
 MAX_SOLVE_PADDED_NODES = 2**20
-# work budget of solve: Picard windows at the start of the march, ceil(T/window), set or data-derived
-MAX_SOLVE_WINDOWS = 10**4
+# work budget of solve: Picard windows, ceil(T/window); solver._march checks it for every run
+MAX_SOLVE_WINDOWS = solver.MAX_SOLVE_WINDOWS
 
 
 def _check_padded_row(command: str, nodes: int, p: int):
@@ -385,7 +385,7 @@ def _run_solve(cfg: RunConfig) -> int:
         return take
 
     # the windows stream through take, which keeps only energies and a few rows of each
-    node_times, edges, window_reports = solver._march(data, scfg, True, begin, MAX_SOLVE_WINDOWS)
+    node_times, edges, window_reports = solver._march(data, scfg, True, begin)
     sampled = solver.Trajectory(*(np.concatenate(parts) for parts in zip(*kept["rows"])), grid)
     energies = np.concatenate(kept["energies"]) if with_energy else None
     reports.write_trajectory_csv(os.path.join(cfg.out, "trajectory.csv"), sampled, times)

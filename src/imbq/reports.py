@@ -159,7 +159,7 @@ def trajectory_sidecar(times, window_edges, window_reports, config: dict, energi
         "sample_times": [float(t) for t in times],
         "provenance": {
             "states": "imbq.solver._march",
-            "contraction_ratios": "imbq.solver._picard",
+            "contraction_ratios": "imbq.solver.picard_window",
             "energy": "imbq.solver._energy_matrix",
         },
     }

@@ -409,7 +409,7 @@ def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing
 
 
 def picard_window(
-    d: CauchyData, window: float, cfg: SolverConfig, forcing: bool = True
+    d: CauchyData, window: float, cfg: SolverConfig, forcing: bool = True, *, _shared: _Rule | None = None
 ) -> tuple[Trajectory, ContractionReport]:
     """Iterate the Duhamel map to its fixed point on [0, window].
 
@@ -419,16 +419,25 @@ def picard_window(
     sup norm from above.  Raises :class:`ConvergenceError` with the
     difference history when ``max_iterations`` is exhausted (window too
     long or data too large) or when the pointwise power overflows.
+    ``_shared`` is internal: the rule of ``window`` that :func:`_march`
+    builds once for all windows of an attempt.
     """
     if not window > 0:
         raise ValueError("window length must be positive")
-    rule = _rule(d.grid, np.linspace(0.0, window, cfg.quadrature_nodes))
+    rule = _shared if _shared is not None else _rule(d.grid, np.linspace(0.0, window, cfg.quadrature_nodes))
     a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
     u, ut, report = _picard(a0, a1, rule, d.grid, cfg, forcing)
-    traj = Trajectory(
-        rule.times, _full_spectrum(u), _full_spectrum(ut), d.grid, window_edges=(0.0, window), window_reports=(report,)
-    )
+    # rebinding frees each half matrix once its full rows exist: a lower peak on large grids
+    u = _full_spectrum(u)
+    ut = _full_spectrum(ut)
+    traj = Trajectory(rule.times, u, ut, d.grid, window_edges=(0.0, window), window_reports=(report,))
     return traj, report
+
+
+# work budget of the march: windows at its start, ceil(horizon/window), set or data-derived.
+# At the limit `imbq solve` with the defaults (512 nodes, p = 2, 33 quadrature nodes) takes
+# 67 s on a 2-vCPU Xeon; the count ignores nodes and halvings, so it does not bound run time.
+MAX_SOLVE_WINDOWS = 10**4
 
 
 def _window_length(d: CauchyData, cfg: SolverConfig) -> float:
@@ -443,7 +452,7 @@ def _window_length(d: CauchyData, cfg: SolverConfig) -> float:
     return cfg.horizon if log_w >= math.log(cfg.horizon) else math.exp(log_w)
 
 
-def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin, max_windows: float = math.inf):
+def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin):
     """March Picard windows over [0, horizon], halving them on non-convergence;
     returns the node times, the window edges and the window reports.
 
@@ -451,19 +460,18 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin, max_windows: 
     function ``take(k, times, u, u_t)`` and hands it the rows that window k
     adds: all of window 0, then every row but the first (the previous
     window's last state).  A failed attempt's ``take`` is dropped with
-    whatever it kept.  The windows of an attempt share one :class:`_Rule`
-    and iterate on the half layout; ``take`` gets full rows, checked as a
-    Trajectory's are.  Continuation data at each window end is the
-    converged state and the velocity from the differentiated Duhamel
-    formula (spectrally exact, no finite-difference stencil).  More than
-    ``max_windows`` windows, or a window that underflows to 0, raise
+    whatever it kept.  The windows of an attempt share one :class:`_Rule`.
+    Continuation data at each window end is the converged state and the
+    velocity from the differentiated Duhamel formula (spectrally exact, no
+    finite-difference stencil).  More than :data:`MAX_SOLVE_WINDOWS`
+    windows, or a window that underflows to 0, raise
     :class:`ConvergenceError` before any window runs.
     """
     base = _window_length(d, cfg)
     count = cfg.horizon / base if base > 0 else math.inf
-    if math.isinf(count) or count - 1e-12 > max_windows:
+    if count - 1e-12 > MAX_SOLVE_WINDOWS:
         raise ConvergenceError(
-            f"the data set a window of {base:.6g}, {count:.6g} windows over [0, {cfg.horizon:g}]; limit {max_windows:g}"
+            f"a window of {base:.6g} makes {count:.6g} windows over [0, {cfg.horizon:g}]; limit {MAX_SOLVE_WINDOWS}"
         )
     n_windows = max(1, math.ceil(count - 1e-12))
     for halving in range(cfg.max_window_halvings + 1):
@@ -471,25 +479,21 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin, max_windows: 
         rule = _rule(d.grid, np.linspace(0.0, w, cfg.quadrature_nodes))
         take = begin(n_windows)
         times, edges, reports = [], [0.0], []
-        a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
+        data = d
         try:
             for k in range(n_windows):
                 start = k * w
                 try:
-                    u, ut, report = _picard(a0, a1, rule, d.grid, cfg, forcing)
+                    traj, report = picard_window(data, w, cfg, forcing, _shared=rule)
                 except ConvergenceError as err:
                     message = f"window {k} ([{start:g}, {start + w:g}]) failed: {err}"
                     raise ConvergenceError(message, history=err.history, window_index=k) from err
                 new = slice(0 if k == 0 else 1, None)
-                times.append(rule.times[new] + start)
-                a0, a1 = u[-1].copy(), ut[-1].copy()
-                rows = _full_spectrum(u[new]), _full_spectrum(ut[new])
-                del u, ut  # not held while the rows are checked: a lower peak on large grids
-                for r in rows:
-                    _check_amplitudes(r, True)
-                take(k, times[-1], *rows)
+                times.append(traj.times[new] + start)
+                take(k, times[-1], traj.u[new], traj.u_t[new])
                 edges.append(start + w)
                 reports.append(report)
+                data = CauchyData(*traj.final())
         except ConvergenceError:
             if halving == cfg.max_window_halvings:
                 raise

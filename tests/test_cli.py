@@ -160,7 +160,7 @@ def test_solve_data_window_budget_exits_3_at_once(tmp_path, capsys, block):
     assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("error: the data set a window of ")
+    assert err.startswith("error: a window of ")
     assert f"limit {MAX_SOLVE_WINDOWS}" in err and "Traceback" not in err
 
 

@@ -8,6 +8,7 @@ from imbq.grid import (
     EmptyWindowWarning,
     FrequencyGrid,
     SpectralField,
+    _padded_node_count,
     lambda_symbol,
     make_grid,
     pointwise_power,
@@ -246,19 +247,31 @@ def test_pointwise_power_matches_direct_convolution():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pointwise_power_equals_full_discrete_convolution(half_m, p, sign, decay, seed):
-    # the whole band is occupied and the p-fold convolution is not truncated
-    # between factors: zero padding by (p+1)/2 leaves no alias on the grid band
+    # the whole band is occupied, the unpaired node k = 0 too: a real field puts a_0/2 at
+    # xi = -M/2 dxi and conj(a_0)/2 at +M/2 dxi, so the spectrum has M + 1 modes
     g = make_grid(2.0, 2 * half_m)
-    f = random_real_field(g, np.random.default_rng(seed), decay=decay, band_fraction=1.0)
+    rng = np.random.default_rng(seed)
+    a = random_real_field(g, rng, decay=decay, band_fraction=1.0).amplitudes.copy()
+    a[0] = rng.standard_normal() + 1j * rng.standard_normal()
+    f = SpectralField(g, a, real_valued=True)
     m = g.node_count
-    conv = f.amplitudes
+    split = np.concatenate(([a[0] / 2], a[1:], [np.conj(a[0]) / 2]))
+    conv = split
     for _ in range(p - 1):
-        conv = np.convolve(conv, f.amplitudes) * (g.dxi / (2 * np.pi))
-    # index i of the p-fold convolution is the offset i - p*m/2 from xi = 0
-    lo = (p - 1) * m // 2
-    expected = sign * conv[lo : lo + m]
+        conv = np.convolve(conv, split) * (g.dxi / (2 * np.pi))
+    # index i of the p-fold convolution, not truncated between factors, is the offset i - p*m/2
+    offsets = np.arange(conv.size) - p * m // 2
     got = pointwise_power(f, p, sign).amplitudes
+    # the padded grid folds the offsets modulo its node count
+    padded = _padded_node_count(m, (p + 1) / 2)
+    folded = np.zeros(padded, dtype=complex)
+    np.add.at(folded, offsets % padded, conv)
+    expected = sign * folded[(np.arange(m) - m // 2) % padded]
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # zero padding by (p+1)/2 leaves nodes k >= 1 alias-free; node k = 0 takes the fold of
+    # the extreme offset +-p*m/2 when the padded count is exactly (p+1)*m/2
+    lo = (p - 1) * m // 2
+    assert np.max(np.abs(got[1:] - sign * conv[lo + 1 : lo + m])) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_pointwise_power_rejects_small_dealias_factor():

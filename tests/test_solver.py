@@ -202,6 +202,14 @@ def test_halved_attempt_builds_a_new_flow_table(monkeypatch):
     assert calls == [33, 33]
 
 
+def test_march_refuses_more_windows_than_the_budget(monkeypatch):
+    calls = _count_flow_tables(monkeypatch)
+    cfg = SolverConfig(p=2, sign=1, horizon=1.0, window_override=1e-9)
+    with pytest.raises(ConvergenceError, match=f"limit {solver_module.MAX_SOLVE_WINDOWS}"):
+        solve(gaussian_data(make_grid(8.0, 64), 0.1, 1.0, 0.0), cfg)
+    assert calls == []  # refused before any window runs
+
+
 def test_picard_iteration_counts_on_quick_start_data():
     # the l1 stopping norm keeps the counts of the sup-norm test it replaced
     d = small_data()
