@@ -11,22 +11,18 @@ the flow map's roughness below L^2.
 from .grid import (
     BandWindow,
     FrequencyGrid,
-    PositionField,
     SpectralField,
     lambda_symbol,
     make_grid,
     pointwise_power,
-    pointwise_product,
     random_real_field,
     restricted_norm,
     sobolev_norm,
     sup_norm,
-    to_frequency,
     to_position,
 )
 from .inflation import (
     DerivativeCheck,
-    GenericTermParams,
     InflationReport,
     InflationRow,
     IPData,
@@ -49,13 +45,10 @@ from .solver import (
     SolverConfig,
     Trajectory,
     dispersion_check,
-    duhamel_functional,
     energy,
     energy_series,
     free_propagator,
-    free_velocity,
     gaussian_data,
-    mode_amplitude_trace,
     picard_window,
     rk4_solve,
     single_mode_data,
@@ -69,7 +62,6 @@ from .symbols import (
     check_kernel_inequality,
     eval_symbol,
     kernel_ratio_sweep,
-    symbol_difference_bound,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@ derivative-check  Solver-vs-derivative cross validation at small amplitude.
 
 Flags: --config <path> (JSON, flags override file), --out <dir>, --jobs <n>,
 --plot.  Exit codes: 0 success, 2 config error (a ConfigError), 3 numerical
-failure (non-convergence, or any other ValueError or RuntimeError of a run).
+failure (non-convergence, or any other ArithmeticError, ValueError or
+RuntimeError of a run).
 
 The runner performs no mathematics itself: every number in its outputs is
 produced by one library operation, named in the JSON provenance fields.
@@ -31,9 +32,9 @@ import numpy as np
 
 from . import inflation, reports, solver, svgplot, symbols
 from .grid import lambda_symbol, make_grid, random_real_field, sobolev_norm
-from .inflation import QuadratureConfig, QuadratureError
-from .solver import ConvergenceError, SolverConfig
-from .symbols import BesovConvergenceError, Symbol
+from .inflation import QuadratureConfig
+from .solver import SolverConfig
+from .symbols import Symbol
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "emit_plot", "main", "console_main"]
 
@@ -162,7 +163,7 @@ SCHEMAS = {
         "dt": (2e-3, _pos_float()),
     },
     "derivative-check": {
-        "p": (2, _typed(int, lambda v: v >= 2, " (the power p must be an integer >= 2)")),
+        "p": (2, _P_FIELD[1]),
         "N": (8, _int_ge(1)),
         "t": (0.3, _pos_float()),
         "eps": (1e-3, _pos_float()),
@@ -189,22 +190,26 @@ def _check_padded_row(command: str, nodes: int, p: int):
         raise ConfigError(f"{command} asks for {padded} dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}")
 
 
-def _validate_block(command: str, block) -> dict:
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{command}' block must be a JSON object, got {block!r}")
-    schema = SCHEMAS[command]
-    unknown = set(block) - set(schema)
+def _fill(schema: dict, block: dict, where: str, extra=frozenset()) -> dict:
+    """Every ``schema`` key's checked value from ``block``, or its default; ``where`` names the block in errors."""
+    unknown = set(block) - set(schema) - extra
     if unknown:
-        raise ConfigError(f"unknown key(s) in '{command}' block: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
     out = {}
     for key, (default, check) in schema.items():
         if key in block:
-            value = block[key]
-            out[key] = check(value) if check is not None else value
+            out[key] = block[key] if check is None else check(block[key])
         elif default is REQUIRED:
-            raise ConfigError(f"'{command}' block is missing required key '{key}'")
+            raise ConfigError(f"{where} is missing required key '{key}'")
         else:
             out[key] = default
+    return out
+
+
+def _validate_block(command: str, block) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{command}' block must be a JSON object, got {block!r}")
+    out = _fill(SCHEMAS[command], block, f"'{command}' block")
     if command == "solve":
         out["data"] = _validate_data(out["data"])
         _check_padded_row(command, out["nodes"], out["p"])
@@ -232,14 +237,7 @@ def _validate_data(block) -> dict:
     kind = block["kind"]
     if not isinstance(kind, str) or kind not in DATA_SCHEMAS:
         raise ConfigError(f"unknown data kind {kind!r}, expected one of {sorted(DATA_SCHEMAS)}")
-    schema = DATA_SCHEMAS[kind]
-    unknown = set(block) - set(schema) - {"kind"}
-    if unknown:
-        raise ConfigError(f"unknown key(s) in data block: {', '.join(sorted(unknown))}")
-    out = {"kind": kind}
-    for key, (default, check) in schema.items():
-        out[key] = check(block[key]) if key in block else default
-    return out
+    return {"kind": kind, **_fill(DATA_SCHEMAS[kind], block, "data block", {"kind"})}
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
@@ -300,9 +298,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
 def emit_plot(report, path: str):
     """Deterministic SVG for an inflation or dispersion report."""
+    if not isinstance(report, (inflation.InflationReport, reports.DispersionReport)):
+        raise TypeError(f"no plot defined for {type(report).__name__}")
+    if not report.rows:
+        raise ValueError("empty report: nothing to plot")
     if isinstance(report, inflation.InflationReport):
-        if not report.rows:
-            raise ValueError("empty report: nothing to plot")
         text = svgplot.loglog_points_svg(
             [r.N for r in report.rows],
             [r.ratio for r in report.rows],
@@ -312,9 +312,7 @@ def emit_plot(report, path: str):
             xlabel="N",
             ylabel="ratio",
         )
-    elif isinstance(report, reports.DispersionReport):
-        if not report.rows:
-            raise ValueError("empty report: nothing to plot")
+    else:
         omega = next(r.fitted_omega for r in report.rows if r.k == report.trace_k)
         dense_t = np.linspace(min(report.trace_times), max(report.trace_times), 400)
         overlay = list(zip(dense_t.tolist(), np.cos(omega * dense_t).tolist()))
@@ -325,8 +323,6 @@ def emit_plot(report, path: str):
             title=f"mode amplitude vs t (k={report.trace_k:g}, fitted omega={omega:.8f})",
             ylabel="Re u_hat(k,t)/u_hat(k,0)",
         )
-    else:
-        raise TypeError(f"no plot defined for {type(report).__name__}")
     reports.atomic_write_text(path, text)
 
 
@@ -607,7 +603,7 @@ def run(cfg: RunConfig) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (ConvergenceError, QuadratureError, BesovConvergenceError, RuntimeError, ValueError) as err:
+    except (ArithmeticError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except OSError as err:

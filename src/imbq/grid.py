@@ -21,6 +21,7 @@ call concurrently.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,17 +30,14 @@ import numpy as np
 __all__ = [
     "FrequencyGrid",
     "SpectralField",
-    "PositionField",
     "BandWindow",
     "make_grid",
     "lambda_symbol",
     "to_position",
-    "to_frequency",
     "sobolev_norm",
     "sup_norm",
     "restricted_norm",
     "pointwise_power",
-    "pointwise_product",
     "random_real_field",
     "EmptyWindowWarning",
 ]
@@ -79,10 +77,6 @@ class FrequencyGrid:
     def dx(self) -> float:
         return 2.0 * np.pi / (self.node_count * self.dxi)
 
-    @property
-    def period(self) -> float:
-        return 2.0 * np.pi / self.dxi
-
     @cached_property
     def x(self) -> np.ndarray:
         out = np.arange(self.node_count) * self.dx
@@ -103,8 +97,6 @@ def make_grid(extent: float, node_count: int) -> FrequencyGrid:
 
     ``node_count`` must be even (so xi = 0 is a node) and at least 8.
     """
-    if node_count % 2 != 0 or node_count < 8:
-        raise ValueError(f"node_count must be even and >= 8, got {node_count}")
     if not (extent > 0 and math.isfinite(extent)):
         raise ValueError(f"extent must be positive, got {extent}")
     return FrequencyGrid(dxi=2.0 * extent / node_count, node_count=node_count)
@@ -191,19 +183,16 @@ class SpectralField:
     def scaled(self, c: float) -> "SpectralField":
         return _combine(self.grid, c * self.amplitudes, self.real_valued)
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
+    def _binary(self, other: "SpectralField", op) -> "SpectralField":
         if self.grid != other.grid:
             raise ValueError("grid mismatch")
-        return _combine(
-            self.grid, self.amplitudes + other.amplitudes, self.real_valued and other.real_valued
-        )
+        return _combine(self.grid, op(self.amplitudes, other.amplitudes), self.real_valued and other.real_valued)
+
+    def __add__(self, other: "SpectralField") -> "SpectralField":
+        return self._binary(other, np.add)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        return _combine(
-            self.grid, self.amplitudes - other.amplitudes, self.real_valued and other.real_valued
-        )
+        return self._binary(other, np.subtract)
 
 
 def _combine(grid: FrequencyGrid, amplitudes: np.ndarray, real_valued: bool) -> SpectralField:
@@ -222,33 +211,6 @@ def _unchecked_field(grid: FrequencyGrid, amp: np.ndarray, real_valued: bool) ->
     object.__setattr__(f, "amplitudes", amp)
     object.__setattr__(f, "real_valued", real_valued)
     return f
-
-
-@dataclass(frozen=True)
-class PositionField:
-    """Samples u(x_j) on the dual grid, period 2pi/dxi."""
-
-    grid: FrequencyGrid
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
-        if s.shape != (self.grid.node_count,):
-            raise ValueError("sample count does not match grid size")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def period(self) -> float:
-        return self.grid.period
-
-    def real_samples(self, rtol: float = 1e-10) -> np.ndarray:
-        scale = float(np.max(np.abs(self.samples))) or 1.0
-        residue = float(np.max(np.abs(self.samples.imag))) / scale
-        if residue > rtol:
-            raise ValueError(f"imaginary residue {residue:.3e} exceeds {rtol:.1e}")
-        return self.samples.real.copy()
 
 
 @dataclass(frozen=True)
@@ -271,48 +233,14 @@ class BandWindow:
 # transforms
 
 
-def to_position(f: SpectralField) -> PositionField:
-    """Inverse transform: u(x_j) = (dxi/2pi) sum_k u_hat(xi_k) e^{i xi_k x_j}."""
-    samples = np.fft.ifft(np.fft.ifftshift(f.amplitudes)) / f.grid.dx
-    return PositionField(f.grid, samples)
-
-
-def to_frequency(g: PositionField, real_valued: bool | None = None) -> SpectralField:
-    """Forward transform: u_hat(xi_k) = dx sum_j u(x_j) e^{-i xi_k x_j}.
-
-    ``real_valued`` defaults to auto-detection from the Hermitian defect of
-    the result.
-    """
-    amp = g.grid.dx * np.fft.fftshift(np.fft.fft(g.samples))
-    if real_valued is None:
-        real_valued = bool(_hermitian_defect(amp) <= HERMITIAN_RTOL)
-    return SpectralField(g.grid, amp, real_valued)
+def to_position(f: SpectralField) -> np.ndarray:
+    """Inverse transform: the complex samples u(x_j) = (dxi/2pi) sum_k u_hat(xi_k) e^{i xi_k x_j}."""
+    return np.fft.ifft(np.fft.ifftshift(f.amplitudes)) / f.grid.dx
 
 
 def _padded_node_count(node_count: int, factor: float) -> int:
     padded = int(math.ceil(node_count * factor))
     return padded + padded % 2
-
-
-def _pad_amplitudes(amp: np.ndarray, padded: int) -> np.ndarray:
-    m = amp.shape[0]
-    out = np.zeros(padded, dtype=np.complex128)
-    lo = padded // 2 - m // 2
-    out[lo : lo + m] = amp
-    return out
-
-
-def _position_samples_padded(f: SpectralField, padded: int) -> np.ndarray:
-    # padding in frequency = trigonometric interpolation onto a finer dual grid
-    dx_fine = 2.0 * np.pi / (padded * f.grid.dxi)
-    return np.fft.ifft(np.fft.ifftshift(_pad_amplitudes(f.amplitudes, padded))) / dx_fine
-
-
-def _frequency_from_padded(samples: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    padded = samples.shape[0]
-    dx_fine = 2.0 * np.pi / (padded * grid.dxi)
-    lo = padded // 2 - grid.node_count // 2
-    return dx_fine * np.fft.fftshift(np.fft.fft(samples))[lo : lo + grid.node_count]
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +261,6 @@ def restricted_norm(f: SpectralField, window: BandWindow, s: float) -> float:
     """
     mask = window.mask(f.grid)
     if not mask.any():
-        import warnings
-
         warnings.warn(
             f"window [{window.lo}, {window.hi}] contains no grid node", EmptyWindowWarning
         )
@@ -346,18 +272,20 @@ def restricted_norm(f: SpectralField, window: BandWindow, s: float) -> float:
 
 
 def sup_norm(f: SpectralField, oversample: int = 8) -> float:
-    """L^inf norm of the band-limited interpolant.
+    """L^inf norm of the real band-limited interpolant of a real_valued field.
 
-    Max of |u| over an ``oversample``-times refined dual grid, sharpened by
-    a parabolic fit through the winning sample and its two neighbours.  The
-    refinement never decreases the plain sample maximum, which keeps the
-    exact product bound |vw|_{L^2} <= |v|_{L^2} sup|w| provable whenever
-    the product is formed on a coarser padded grid.
+    Max of |u| over an ``oversample``-times refined dual grid, sampled by
+    :func:`_position_matrix` (which splits node k = 0 across +-M/2), and
+    sharpened by a parabolic fit through the winning sample and its two
+    neighbours.  The refinement never decreases the plain sample maximum,
+    which keeps the exact product bound |vw|_{L^2} <= |v|_{L^2} sup|w|
+    provable whenever the product is formed on a coarser padded grid.
     """
-    padded = _padded_node_count(f.grid.node_count, float(oversample))
-    mag = np.abs(_position_samples_padded(f, padded))
+    if not f.real_valued:
+        raise ValueError("sup_norm requires a real_valued field")
+    mag = np.abs(_position_matrix(_half_spectrum(f.amplitudes[None]), f.grid, oversample)[0][0])
     j = int(np.argmax(mag))
-    y0, y1, y2 = mag[j - 1], mag[j], mag[(j + 1) % padded]
+    y0, y1, y2 = mag[j - 1], mag[j], mag[(j + 1) % mag.shape[0]]
     denom = y0 - 2.0 * y1 + y2
     peak = y1
     if denom < 0.0:  # strict local max: parabola vertex lies above the sample
@@ -448,19 +376,6 @@ def pointwise_power(f: SpectralField, p: int, sign: int, dealias_factor: float |
         raise ValueError(f"dealias_factor must be >= (p+1)/2 = {(p + 1) / 2}")
     out = sign * _full_spectrum(_power_matrix(_half_spectrum(f.amplitudes[None]), f.grid, p, dealias_factor))[0]
     return SpectralField(f.grid, out, real_valued=True)
-
-
-def pointwise_product(v: SpectralField, w: SpectralField, dealias_factor: float = 2.0) -> SpectralField:
-    """Dealiased spectral representation of the pointwise product v*w."""
-    if v.grid != w.grid:
-        raise ValueError("grid mismatch")
-    if dealias_factor < 1.0:
-        raise ValueError("dealias_factor must be >= 1")
-    padded = _padded_node_count(v.grid.node_count, dealias_factor)
-    a = _position_samples_padded(v, padded)
-    b = _position_samples_padded(w, padded)
-    amp = _frequency_from_padded(a * b, v.grid)
-    return SpectralField(v.grid, amp, real_valued=v.real_valued and w.real_valued)
 
 
 # ----------------------------------------------------------------------

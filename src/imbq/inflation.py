@@ -20,6 +20,7 @@ direct nested sum with the time integral in closed form
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +39,6 @@ from .solver import CauchyData, SolverConfig, free_propagator, solve
 __all__ = [
     "IPData",
     "QuadratureConfig",
-    "GenericTermParams",
     "InflationRow",
     "InflationReport",
     "DerivativeCheck",
@@ -90,10 +90,6 @@ class IPData:
     data: CauchyData
     plus_mask: np.ndarray = field(repr=False)
     minus_mask: np.ndarray = field(repr=False)
-
-    @property
-    def box(self) -> BandWindow:
-        return BandWindow(float(self.N), float(self.N + 1))
 
 
 def grid_for_boxes(n_max: int, p: int, dxi: float = 1.0 / 64.0) -> FrequencyGrid:
@@ -194,41 +190,6 @@ def generic_term_complex(alpha, beta, t):
     im = (t / 2.0) * (np.cos(minus) * _sinc(plus) - np.cos(plus) * _sinc(minus))
     out = re + 1j * im
     return out if out.ndim else complex(out[()])
-
-
-@dataclass(frozen=True)
-class GenericTermParams:
-    """One sign-pattern cell of the p-fold sum: frequencies a_j in the box.
-
-    ``alpha`` is the output-frequency symbol value lambda(sum eps_j a_j)
-    and ``beta`` the accumulated phase rate -sum eps_j lambda(a_j).
-    """
-
-    alpha: float
-    beta: float
-    t: float
-    signs: tuple[int, ...]
-    freqs: tuple[float, ...]
-
-    def __post_init__(self):
-        xi = sum(e * a for e, a in zip(self.signs, self.freqs))
-        if abs(self.alpha - lambda_symbol(xi)) > 1e-9:
-            raise ValueError("alpha must equal lambda(sum eps_j a_j)")
-
-    @classmethod
-    def from_cell(cls, signs, freqs, t: float) -> "GenericTermParams":
-        xi = sum(e * a for e, a in zip(signs, freqs))
-        beta = -sum(e * lambda_symbol(a) for e, a in zip(signs, freqs))
-        return cls(
-            alpha=float(lambda_symbol(xi)),
-            beta=float(beta),
-            t=t,
-            signs=tuple(int(e) for e in signs),
-            freqs=tuple(float(a) for a in freqs),
-        )
-
-    def value(self) -> complex:
-        return generic_term_complex(self.alpha, self.beta, self.t)
 
 
 # ----------------------------------------------------------------------
@@ -333,46 +294,29 @@ def compute_Ap(
 def brute_force_Ap(d: IPData, p: int, sign: int, t: float) -> SpectralField:
     """Direct nested summation over the box nodes, exact in the time variable.
 
-    Tractable for p in {2, 3} on coarse grids; guards the FFT route against
-    scaling and placement mistakes.
+    Each cell (xi_1, ..., xi_p) of box nodes adds the closed-form time
+    integral with alpha = lambda(sum xi_j) and beta = -sum sign(xi_j)
+    lambda(xi_j) at the node of sum xi_j.  Tractable for p in {2, 3} on
+    coarse grids; guards the FFT route against scaling and placement
+    mistakes.
     """
     if p not in (2, 3):
         raise ValueError("brute force supports p in {2, 3}")
     grid = d.grid
     m = grid.node_count
-    half = m // 2
     xi = grid.xi
     lam = lambda_symbol(xi)
-    support = np.flatnonzero(d.plus_mask | d.minus_mask)
+    signed_lam = np.where(d.plus_mask, lam, -lam)
     out = np.zeros(m, dtype=np.complex128)
     scale = (grid.dxi / (2.0 * np.pi)) ** (p - 1)
-    for i1 in support:
-        for i2 in support:
-            if p == 2:
-                k = i1 + i2 - half
-                if 0 <= k < m:
-                    cell = GenericTermParams.from_cell(
-                        (_box_sign(d, i1), _box_sign(d, i2)),
-                        (abs(xi[i1]), abs(xi[i2])),
-                        t,
-                    )
-                    out[k] += scale * cell.value()
-            else:
-                for i3 in support:
-                    k = i1 + i2 + i3 - m
-                    if 0 <= k < m:
-                        cell = GenericTermParams.from_cell(
-                            (_box_sign(d, i1), _box_sign(d, i2), _box_sign(d, i3)),
-                            (abs(xi[i1]), abs(xi[i2]), abs(xi[i3])),
-                            t,
-                        )
-                        out[k] += scale * cell.value()
+    for cell in itertools.product(np.flatnonzero(d.plus_mask | d.minus_mask), repeat=p):
+        k = sum(cell) - (p - 1) * (m // 2)
+        if 0 <= k < m:
+            alpha = lambda_symbol(sum(xi[i] for i in cell))
+            beta = -sum(signed_lam[i] for i in cell)
+            out[k] += scale * generic_term_complex(alpha, beta, t)
     out *= -sign * math.factorial(p) * lam
     return SpectralField(grid, out, real_valued=True)
-
-
-def _box_sign(d: IPData, idx: int) -> int:
-    return 1 if d.plus_mask[idx] else -1
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import to_position
 from .inflation import InflationReport
 from .solver import Trajectory
 from .symbols import BesovEstimate
@@ -65,12 +66,10 @@ def write_csv(path: str, header: list[str], rows: list[tuple]):
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
     return obj
 
 
@@ -132,13 +131,11 @@ def inflation_summary(report: InflationReport, slope_tol: float = 0.2) -> dict:
 
 def write_trajectory_csv(path: str, traj: Trajectory, sample_times: list[float]):
     """Position samples u(t, x_j) at the trajectory times nearest each request."""
-    from .grid import to_position
-
     rows = []
     for t_req in sample_times:
         i = int(np.argmin(np.abs(traj.times - t_req)))
         t = float(traj.times[i])
-        samples = to_position(traj.state(i)[0]).samples.real
+        samples = to_position(traj.state(i)[0]).real
         rows.extend((t, float(x), float(v)) for x, v in zip(traj.grid.x, samples))
     write_csv(path, ["t", "x", "u"], rows)
 

@@ -43,15 +43,12 @@ __all__ = [
     "ContractionReport",
     "ConvergenceError",
     "free_propagator",
-    "free_velocity",
-    "duhamel_functional",
     "picard_window",
     "solve",
     "rk4_solve",
     "energy",
     "energy_series",
     "dispersion_check",
-    "mode_amplitude_trace",
     "single_mode_data",
     "gaussian_data",
 ]
@@ -225,17 +222,11 @@ def _flow_table(xi: np.ndarray, times) -> _FlowTable:
 def free_propagator(d: CauchyData, t: float) -> SpectralField:
     """u_hat(t) = cos(t lam) u0_hat + (sin(t lam)/lam) u1_hat of the free flow.
 
-    At xi = 0 this reduces to u0_hat(0) + t*u1_hat(0).
+    At xi = 0 this reduces to u0_hat(0) + t*u1_hat(0).  Computed by
+    :func:`_free` on the half layout.
     """
-    table = _flow_table(d.grid.xi, t)
-    amp = table.cos * d.u0.amplitudes + table.sin_over * d.u1.amplitudes
-    return SpectralField(d.grid, amp, real_valued=True)
-
-
-def free_velocity(d: CauchyData, t: float) -> SpectralField:
-    """Time derivative of the free flow: -lam sin(t lam) u0_hat + cos(t lam) u1_hat."""
-    table = _flow_table(d.grid.xi, t)
-    amp = -table.lam * table.sin * d.u0.amplitudes + table.cos * d.u1.amplitudes
+    table = _flow_table(_half_spectrum(d.grid.xi), t)
+    amp = _full_spectrum(_free(_half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes), table))
     return SpectralField(d.grid, amp, real_valued=True)
 
 
@@ -346,31 +337,6 @@ def _node_sizes(half: np.ndarray, grid: FrequencyGrid, s: float) -> np.ndarray:
     # a blown-up difference reads inf, and Picard goes on until the power overflows
     with np.errstate(over="ignore"):
         return np.sqrt(mag**2 @ weights * c) + c * (mag @ count)
-
-
-def duhamel_functional(
-    d: CauchyData, u: Trajectory, cfg: SolverConfig, forcing: bool = True
-) -> Trajectory:
-    """One application of the Duhamel map to a node-sampled trajectory.
-
-    The trajectory must be sampled on uniform nodes 0 = t_0 < ... < t_m
-    (odd count); the tau-integral uses the closed fourth-order prefix rules
-    of :func:`_prefix_weights`, so the output lives on the same nodes.
-    """
-    times = u.times
-    n = times.shape[0]
-    if n % 2 == 0 or n < 5:
-        raise ValueError("trajectory must be sampled on an odd number (>= 5) of nodes")
-    h = times[1] - times[0]
-    if times[0] != 0.0 or not np.allclose(np.diff(times), h, rtol=1e-12, atol=0):
-        raise ValueError("trajectory nodes must be uniform and start at 0")
-    rule = _rule(d.grid, times)
-    a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
-    z, z_t = _free(a0, a1, rule.table), _free(a0, a1, rule.table, velocity=True)
-    if forcing:
-        u_half = _half_spectrum(u.u)
-        z, z_t = _duhamel(u_half, z, rule, d.grid, cfg), _duhamel(u_half, z_t, rule, d.grid, cfg, velocity=True)
-    return Trajectory(times, _full_spectrum(z), _full_spectrum(z_t), d.grid)
 
 
 def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing: bool):
@@ -720,12 +686,6 @@ def _mode_amplitude_traces(ks, horizon: float = 20.0, dt: float = 2e-3):
     return times, a
 
 
-def mode_amplitude_trace(k: float, horizon: float = 20.0, dt: float = 2e-3):
-    """(times, Re u_hat(k, t)/u_hat(k, 0)) of :func:`_mode_amplitude_traces` for one k."""
-    times, a = _mode_amplitude_traces([k], horizon, dt)
-    return times, a[0]
-
-
 def _fit_mode_frequency(times: np.ndarray, a: np.ndarray) -> float:
     """Fit the oscillation frequency of uniform samples of a cosine mode.
 
@@ -747,11 +707,12 @@ def _fit_mode_frequency(times: np.ndarray, a: np.ndarray) -> float:
 def dispersion_check(k: float, horizon: float = 20.0, dt: float = 2e-3) -> float:
     """Fitted oscillation frequency of a linearly evolved cosine mode.
 
-    :func:`_fit_mode_frequency` on :func:`mode_amplitude_trace`; ``imbq
-    dispersion`` fits every k from one stacked RK4 run, each row of
-    :func:`_mode_amplitude_traces`, with the same result.
+    :func:`_fit_mode_frequency` on the one-row :func:`_mode_amplitude_traces`;
+    ``imbq dispersion`` fits every k from one stacked RK4 run, each row of
+    it, with the same result.
     """
-    return _fit_mode_frequency(*mode_amplitude_trace(k, horizon, dt))
+    times, a = _mode_amplitude_traces([k], horizon, dt)
+    return _fit_mode_frequency(times, a[0])
 
 
 def make_mode_grid(k: float) -> FrequencyGrid:

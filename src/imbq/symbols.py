@@ -30,7 +30,6 @@ __all__ = [
     "besov_seminorm",
     "check_kernel_inequality",
     "kernel_ratio_sweep",
-    "symbol_difference_bound",
     "BesovConvergenceError",
 ]
 
@@ -65,9 +64,7 @@ class Symbol:
 
     def pointwise_bound(self) -> float:
         """Sharp pointwise bound on |symbol|, assertable at any frequency."""
-        if self.name in ("m1", "P", "lambda"):
-            return 1.0
-        if self.name in ("m2_plus", "m2_minus", "Q_t"):
+        if self.name in ("m1", "P", "lambda", "m2_plus", "m2_minus", "Q_t"):
             return 1.0
         return abs(self.t)  # m3, R_t
 
@@ -286,25 +283,3 @@ def check_kernel_inequality(a: float, b: float) -> KernelCheck:
 def kernel_ratio_sweep(offsets) -> list[KernelCheck]:
     """Kernel checks over pairs (a, b) = (d, 0); the integral depends only on a-b."""
     return [check_kernel_inequality(float(d), 0.0) for d in offsets]
-
-
-# ----------------------------------------------------------------------
-# stable |lambda(a) - lambda(b)|
-
-
-def symbol_difference_bound(a: float, b: float) -> float:
-    """|lambda(a) - lambda(b)| via the cancellation-free algebraic identity.
-
-    lambda(a) - lambda(b) = (a-b)(a+b) / (<a><b>(|a|<b> + |b|<a>)), exact
-    for all real a, b; evaluating the (a-b) factor directly avoids the
-    catastrophic cancellation of the naive difference for large a close to b.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    bra = np.hypot(1.0, a)
-    brb = np.hypot(1.0, b)
-    denom = bra * brb * (np.abs(a) * brb + np.abs(b) * bra)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.abs((a - b) * (a + b)) / denom
-    out = np.where(denom == 0.0, 0.0, out)
-    return out if out.ndim else float(out[()])

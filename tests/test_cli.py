@@ -178,6 +178,24 @@ def test_plain_value_error_of_a_run_exits_3(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "command, block, cause",
+    [
+        # t**3 in symbols._derivative_scale overflows for t above ~5.6e102
+        ("lemma-check", {"t_values": [1e120], "corpus_size": 1}, "Numerical result out of range"),
+        # eps**p underflows to 0 in inflation._solver_residual
+        ("derivative-check", {"eps": 1e-200, "N": 2}, "division by zero"),
+    ],
+    ids=["overflow", "zero-division"],
+)
+def test_arithmetic_error_of_a_run_exits_3(tmp_path, capsys, command, block, cause):
+    cfg_path = write_config(tmp_path, {command: block})
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "command, block",
     [
         ("solve", {"p": 2, "T": 1.0, "nodes": 65}),  # make_grid: odd node count

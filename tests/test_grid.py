@@ -12,14 +12,14 @@ from imbq.grid import (
     lambda_symbol,
     make_grid,
     pointwise_power,
-    pointwise_product,
     random_real_field,
     restricted_norm,
     sobolev_norm,
     sup_norm,
-    to_frequency,
     to_position,
 )
+from imbq.solver import CauchyData, free_propagator
+from imbq.symbols import _REAL_SYMBOLS, _TIME_FREE, Symbol, apply_symbol
 
 
 def direct_transform(grid, samples):
@@ -49,7 +49,6 @@ def test_make_grid_rejects_bad_arguments(extent, m):
 
 def test_grid_dual_period_and_spacing():
     g = make_grid(4.0, 64)
-    assert g.period == pytest.approx(2 * np.pi / g.dxi)
     assert g.dx == pytest.approx(2 * np.pi / (g.node_count * g.dxi))
     assert np.allclose(np.diff(g.x), g.dx)
 
@@ -71,10 +70,10 @@ def test_transform_round_trip_and_against_direct_sum():
     g = make_grid(8.0, 64)
     f = random_real_field(g, rng)
     pos = to_position(f)
-    back = to_frequency(pos)
+    back = g.dx * np.fft.fftshift(np.fft.fft(pos))  # the forward transform
     scale = np.max(np.abs(f.amplitudes))
-    assert np.max(np.abs(back.amplitudes - f.amplitudes)) < 1e-12 * scale
-    direct = direct_transform(g, pos.samples)
+    assert np.max(np.abs(back - f.amplitudes)) < 1e-12 * scale
+    direct = direct_transform(g, pos)
     assert np.max(np.abs(direct - f.amplitudes)) < 1e-10 * scale
 
 
@@ -85,7 +84,7 @@ def test_point_mass_inverts_to_plane_wave():
     amp[g.index_of(k)] = 1.0
     pos = to_position(SpectralField(g, amp))
     expected = (g.dxi / (2 * np.pi)) * np.exp(1j * k * g.x)
-    assert np.max(np.abs(pos.samples - expected)) < 1e-14
+    assert np.max(np.abs(pos - expected)) < 1e-14
 
 
 def test_parseval_identity_on_random_corpus():
@@ -94,7 +93,7 @@ def test_parseval_identity_on_random_corpus():
     for _ in range(100):
         f = random_real_field(g, rng, decay=rng.uniform(0.5, 2.0))
         pos = to_position(f)
-        lhs = np.sum(np.abs(pos.samples) ** 2) * g.dx
+        lhs = np.sum(np.abs(pos) ** 2) * g.dx
         rhs = np.sum(np.abs(f.amplitudes) ** 2) * g.dxi / (2 * np.pi)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -146,19 +145,33 @@ def test_sup_norm_zero_and_cosine():
 def test_sup_norm_matches_dense_resampling():
     rng = np.random.default_rng(3)
     g = make_grid(16.0, 128)
-    for _ in range(10):
-        f = random_real_field(g, rng, decay=1.5, band_fraction=0.5)
+    for i in range(11):
+        a = random_real_field(g, rng, decay=1.5, band_fraction=1.0 if i == 10 else 0.5).amplitudes.copy()
+        if i == 10:
+            a[0] = 0.5 - 0.7j  # the unpaired node k = 0
+        f = SpectralField(g, a, real_valued=True)
+        # the real interpolant splits a_0 across +-M/2, as sup_norm does
         dense = np.max(np.abs(to_position(SpectralField(
             FrequencyGrid(g.dxi, 128 * 64),
-            _embed(f.amplitudes, 128 * 64),
-        )).samples))
+            _embed(a, 128 * 64, split=True),
+        ))))
         assert sup_norm(f) == pytest.approx(dense, rel=1e-3)
 
 
-def _embed(amp, padded):
+def test_sup_norm_requires_a_real_field():
+    g = make_grid(4.0, 32)
+    with pytest.raises(ValueError, match="real_valued"):
+        sup_norm(SpectralField.zero(g, real_valued=False))
+
+
+def _embed(amp, padded, split=False):
+    """``amp`` zero-padded to ``padded`` nodes; with ``split``, node k = 0 goes half to -M/2, half conjugated to +M/2."""
     out = np.zeros(padded, dtype=complex)
     lo = padded // 2 - amp.shape[0] // 2
     out[lo : lo + amp.shape[0]] = amp
+    if split:
+        out[lo] = amp[0] / 2
+        out[lo + amp.shape[0]] = np.conj(amp[0]) / 2
     return out
 
 
@@ -297,8 +310,37 @@ def test_hermitian_symmetry_preserved_by_operations():
         f = random_real_field(g, rng, band_fraction=0.4)
         assert pointwise_power(f, 2, -1).hermitian_defect() < 1e-12
         assert pointwise_power(f, 3, 1).hermitian_defect() < 1e-12
-        w = random_real_field(g, rng, band_fraction=0.4)
-        assert pointwise_product(f, w).hermitian_defect() < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    half_m=st.integers(4, 64),
+    decay=st.floats(0.0, 2.0),
+    band=st.floats(0.1, 1.0),
+    c=st.floats(-1e3, 1e3, allow_nan=False),
+    t=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_field_arithmetic_keeps_hermitian_symmetry(half_m, decay, band, c, t, seed):
+    rng = np.random.default_rng(seed)
+    g = make_grid(rng.uniform(1.0, 16.0), 2 * half_m)
+    f, w = (random_real_field(g, rng, decay=decay, band_fraction=band) for _ in range(2))
+    derived = [f + w, f - w, f.scaled(c), pointwise_power(f, 2, 1), pointwise_power(f, 3, -1)]
+    derived += [apply_symbol(Symbol(name, None if name in _TIME_FREE else t), f) for name in _REAL_SYMBOLS]
+    derived.append(free_propagator(CauchyData(f, w), t))
+    for h in derived:
+        assert h.real_valued
+        assert h.hermitian_defect() <= 1e-12
+
+
+def _padded_product(v, w, factor):
+    """Amplitudes of v*w, formed on the grid padded by ``factor`` with complex transforms and truncated."""
+    m = v.grid.node_count
+    padded = _padded_node_count(m, factor)
+    dx_fine = 2.0 * np.pi / (padded * v.grid.dxi)
+    a, b = (np.fft.ifft(np.fft.ifftshift(_embed(f.amplitudes, padded))) / dx_fine for f in (v, w))
+    lo = padded // 2 - m // 2
+    return dx_fine * np.fft.fftshift(np.fft.fft(a * b))[lo : lo + m]
 
 
 def test_moser_product_bound_s0():
@@ -308,14 +350,5 @@ def test_moser_product_bound_s0():
     for _ in range(50):
         v = random_real_field(g, rng, decay=rng.uniform(0.5, 2.0))
         w = random_real_field(g, rng, decay=rng.uniform(0.5, 2.0))
-        vw = pointwise_product(v, w, dealias_factor=2.0)
+        vw = SpectralField(g, _padded_product(v, w, 2.0))
         assert sobolev_norm(vw, 0.0) <= sobolev_norm(v, 0.0) * sup_norm(w) + 1e-9
-
-
-def test_position_field_real_samples_residue():
-    rng = np.random.default_rng(29)
-    g = make_grid(8.0, 64)
-    f = random_real_field(g, rng)
-    pos = to_position(f)
-    r = pos.real_samples()
-    assert r.dtype == np.float64

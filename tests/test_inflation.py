@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from imbq.grid import BandWindow, FrequencyGrid, lambda_symbol, restricted_norm, sobolev_norm
 from imbq.inflation import (
-    GenericTermParams,
     QuadratureConfig,
     QuadratureError,
     _box_power_terms,
@@ -87,7 +86,7 @@ def test_ip_data_position_samples_real():
     from imbq.grid import to_position
 
     pos = to_position(d.data.u0)
-    assert np.max(np.abs(pos.samples.imag)) < 1e-10 * np.max(np.abs(pos.samples))
+    assert np.max(np.abs(pos.imag)) < 1e-10 * np.max(np.abs(pos))
 
 
 def test_free_evolution_hat_matches_propagator():
@@ -134,17 +133,6 @@ def test_generic_term_continuous_across_branch_switch():
         b_out = np.sqrt(alpha**2 + 1.001 * thr)  # closed-form side
         gap = abs(generic_term_real(alpha, b_out, t) - generic_term_real(alpha, b_in, t))
         assert gap < 1e-9
-
-
-def test_generic_term_params_cell():
-    cell = GenericTermParams.from_cell((1, -1), (8.25, 8.5), 0.5)
-    assert cell.alpha == pytest.approx(lambda_symbol(-0.25), rel=1e-12)
-    assert cell.beta == pytest.approx(lambda_symbol(8.5) - lambda_symbol(8.25), rel=1e-12)
-    assert cell.value() == pytest.approx(
-        quad_re(cell.alpha, cell.beta, 0.5) + 1j * quad_im(cell.alpha, cell.beta, 0.5), abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        GenericTermParams(alpha=0.3, beta=0.0, t=0.5, signs=(1, -1), freqs=(8.25, 8.5))
 
 
 def test_compute_ap_zero_at_t0_and_support():

@@ -16,13 +16,10 @@ from imbq.solver import (
     SolverConfig,
     Trajectory,
     dispersion_check,
-    duhamel_functional,
     energy,
     energy_series,
     free_propagator,
-    free_velocity,
     gaussian_data,
-    mode_amplitude_trace,
     picard_window,
     rk4_solve,
     single_mode_data,
@@ -32,18 +29,20 @@ from imbq.grid import (
     _full_spectrum,
     _half_spectrum,
     _padded_node_count,
-    _position_samples_padded,
     _power_matrix,
     random_real_field,
 )
 from imbq.solver import (
+    _duhamel,
     _energy_matrix,
     _fit_mode_frequency,
     _flow_table,
+    _free,
     _mode_amplitude_traces,
     _node_sizes,
     _prefix_weights,
     _rk4_stack,
+    _rule,
 )
 from imbq.symbols import Symbol, eval_symbol
 from imbq import solver as solver_module
@@ -52,6 +51,20 @@ from imbq import solver as solver_module
 def small_data(grid=None, amplitude=0.2):
     grid = grid or make_grid(16.0, 512)
     return gaussian_data(grid, amplitude=amplitude, width=1.0, velocity_amplitude=amplitude / 2)
+
+
+def free_velocity(d, t):
+    """Time derivative of the free flow at t: the velocity rows of solver._free."""
+    a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
+    amp = _full_spectrum(_free(a0, a1, _flow_table(_half_spectrum(d.grid.xi), t), velocity=True))
+    return SpectralField(d.grid, amp, real_valued=True)
+
+
+def duhamel_rows(d, times, u, cfg):
+    """One application of the Duhamel map (solver._rule plus solver._duhamel) to the (n, M) node rows ``u``."""
+    rule = _rule(d.grid, times)
+    free = _free(_half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes), rule.table)
+    return _full_spectrum(_duhamel(_half_spectrum(u), free, rule, d.grid, cfg))
 
 
 def test_solver_config_validation():
@@ -287,13 +300,11 @@ def test_duhamel_zero_trajectory_reduces_to_free():
     d = small_data(g)
     cfg = SolverConfig(p=2, sign=1, horizon=0.2)
     times = np.linspace(0.0, 0.2, cfg.quadrature_nodes)
-    zeros = np.zeros((len(times), g.node_count))
-    zero_traj = Trajectory(times, zeros, zeros, g)
-    z = duhamel_functional(d, zero_traj, cfg)
+    z = duhamel_rows(d, times, np.zeros((len(times), g.node_count)), cfg)
     for i, t in enumerate(times):
         free = free_propagator(d, t)
-        assert np.max(np.abs(z.u[i] - free.amplitudes)) < 1e-13
-    assert np.array_equal(z.u[0], d.u0.amplitudes)
+        assert np.max(np.abs(z[i] - free.amplitudes)) < 1e-13
+    assert np.array_equal(z[0], d.u0.amplitudes)
 
 
 def test_duhamel_against_refined_quadrature():
@@ -305,19 +316,12 @@ def test_duhamel_against_refined_quadrature():
 
     def apply_with(nodes):
         times = np.linspace(0.0, t_end, nodes)
-        traj = Trajectory(
-            times,
-            np.stack([free_propagator(d, t).amplitudes for t in times]),
-            np.stack([free_velocity(d, t).amplitudes for t in times]),
-            g,
-        )
+        free = np.stack([free_propagator(d, t).amplitudes for t in times])
         local = SolverConfig(p=2, sign=1, horizon=t_end, quadrature_nodes=nodes)
-        return duhamel_functional(d, traj, local)
+        return SpectralField(g, duhamel_rows(d, times, free, local)[-1], real_valued=True)
 
-    coarse = apply_with(33)
-    fine = apply_with(321)
-    uc, _ = coarse.final()
-    uf, _ = fine.final()
+    uc = apply_with(33)
+    uf = apply_with(321)
     assert sobolev_norm(uc - uf, 0.0) <= 1e-8 * sobolev_norm(uf, 0.0)
 
 
@@ -400,8 +404,8 @@ def test_solve_fixed_point_is_stable_under_extra_application():
     d = small_data()
     cfg = SolverConfig(p=2, sign=1, horizon=0.2)
     traj, _ = picard_window(d, 0.2, cfg)
-    again = duhamel_functional(d, traj, cfg)
-    diffs = [again.state(i)[0] - traj.state(i)[0] for i in range(traj.times.shape[0])]
+    again = duhamel_rows(d, traj.times, traj.u, cfg)
+    diffs = [SpectralField(d.grid, a, real_valued=True) - traj.state(i)[0] for i, a in enumerate(again)]
     change = max(sobolev_norm(e, cfg.s) + sup_norm(e) for e in diffs)
     assert change < 10 * cfg.picard_tol
 
@@ -495,8 +499,8 @@ def test_stacked_mode_traces_equal_single_mode_traces():
     times, traces = _mode_amplitude_traces(ks, horizon=3.0)
     assert traces.shape == (3, times.shape[0])
     for k, row in zip(ks, traces):
-        t1, a1 = mode_amplitude_trace(k, horizon=3.0)
-        assert np.array_equal(t1, times) and np.array_equal(a1, row)
+        t1, a1 = _mode_amplitude_traces([k], horizon=3.0)
+        assert np.array_equal(t1, times) and np.array_equal(a1[0], row)
         assert _fit_mode_frequency(times, row) == dispersion_check(k, horizon=3.0)
 
 
@@ -515,6 +519,14 @@ def test_energy_requires_mean_zero_velocity():
         energy(SpectralField.zero(g), u1, 2, 1)
 
 
+def _padded_samples(f, padded):
+    """Complex samples of ``f`` on the grid padded to ``padded`` nodes: the zero-padded row through one ifft."""
+    m = f.grid.node_count
+    row = np.zeros(padded, dtype=complex)
+    row[padded // 2 - m // 2 : padded // 2 + m // 2] = f.amplitudes
+    return np.fft.ifft(np.fft.ifftshift(row)) / (2.0 * np.pi / (padded * f.grid.dxi))
+
+
 def _reference_energy_terms(u, u_t, p, sign):
     """Quadratic and potential terms of the energy, one field at a time with a complex ifft."""
     grid = u.grid
@@ -524,7 +536,7 @@ def _reference_energy_terms(u, u_t, p, sign):
     kinetic = np.abs(u_t.amplitudes[mask]) ** 2 / lam[mask] ** 2
     quad = 0.5 * np.sum(kinetic + np.abs(u.amplitudes[mask]) ** 2) * grid.dxi
     padded = _padded_node_count(grid.node_count, (p + 1) / 2)
-    samples = _position_samples_padded(u, padded).real
+    samples = _padded_samples(u, padded).real
     dx_fine = 2.0 * np.pi / (padded * grid.dxi)
     potential = 2.0 * np.pi * sign / (p + 1) * np.sum(samples ** (p + 1)) * dx_fine
     return quad, potential
@@ -611,8 +623,8 @@ def test_energy_directional_derivative_vanishes():
         )
         padded = _padded_node_count(g.node_count, (p + 1) / 2)
         dx_fine = 2 * np.pi / (padded * g.dxi)
-        us = _position_samples_padded(u, padded).real
-        uts = _position_samples_padded(ut, padded).real
+        us = _padded_samples(u, padded).real
+        uts = _padded_samples(ut, padded).real
         d_pot = 2 * np.pi * sign * float(np.sum(us**p * uts)) * dx_fine
         scale = abs(d_quad) + abs(d_pot) + 1e-30
         assert abs(d_quad + d_pot) < 1e-12 * scale
@@ -633,3 +645,24 @@ def test_dispersion_long_wave_limit():
     om = dispersion_check(k)
     assert om / k == pytest.approx(1.0, abs=1e-2)
     assert om / k < 1.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([2, 3]),
+    sign=st.sampled_from([1, -1]),
+    size=st.floats(0.01, 0.3),
+    band=st.floats(0.1, 0.5),
+    horizon=st.floats(0.5, 3.0),
+)
+def test_energy_conserved_by_solve_on_random_small_data(seed, p, sign, size, band, horizon):
+    rng = np.random.default_rng(seed)
+    g = make_grid(8.0, 64)
+    u0, u1 = (random_real_field(g, rng, decay=rng.uniform(0.5, 2.0), band_fraction=band) for _ in range(2))
+    u1_amp = u1.amplitudes.copy()
+    u1_amp[g.node_count // 2] = 0.0  # mean-zero velocity
+    u1 = SpectralField(g, u1_amp, real_valued=True)
+    d = CauchyData(u0.scaled(size / sup_norm(u0)), u1.scaled(size / max(sup_norm(u1), 1e-300)))
+    e = energy_series(solve(d, SolverConfig(p=p, sign=sign, horizon=horizon)), p, sign)
+    assert np.max(np.abs(e - e[0])) <= 1e-8 * abs(e[0])
