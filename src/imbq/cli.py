@@ -190,6 +190,14 @@ def _check_padded_row(command: str, nodes: int, p: int):
         raise ConfigError(f"{command} asks for {padded} dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}")
 
 
+def _extraction_in_range(eps: float, p: int) -> bool:
+    """Whether the scale p!/e**p of inflation._solver_residual, at e = eps and eps/2, is finite with e**p normal."""
+    try:
+        return all(e**p >= sys.float_info.min and math.isfinite(math.factorial(p) / e**p) for e in (eps, eps / 2))
+    except OverflowError:  # e**p, or a p! beyond the float range
+        return False
+
+
 def _fill(schema: dict, block: dict, where: str, extra=frozenset()) -> dict:
     """Every ``schema`` key's checked value from ``block``, or its default; ``where`` names the block in errors."""
     unknown = set(block) - set(schema) - extra
@@ -220,8 +228,18 @@ def _validate_block(command: str, block) -> dict:
         raise ConfigError(f"inflate N values must be distinct, got {out['N']}")
     if command == "derivative-check":  # the grid of inflation.grid_for_boxes, in exact arithmetic
         _check_padded_row(command, round(2 * (out["p"] * (out["N"] + 2) + 2) / Fraction(out["dxi"])), out["p"])
-    if command == "lemma-check" and out["resolution"] > MAX_BESOV_RESOLUTION:
-        raise ConfigError(f"lemma-check resolution {out['resolution']} is above the limit {MAX_BESOV_RESOLUTION}")
+        if not _extraction_in_range(out["eps"], out["p"]):
+            raise ConfigError(
+                f"derivative-check eps {out['eps']!r}: eps**p or p!/eps**p (p = {out['p']}, at eps and eps/2) "
+                "leaves the normal float range"
+            )
+    if command == "lemma-check":
+        if out["resolution"] > MAX_BESOV_RESOLUTION:
+            raise ConfigError(f"lemma-check resolution {out['resolution']} is above the limit {MAX_BESOV_RESOLUTION}")
+        try:
+            max(out["t_values"]) ** 3  # the m3 tail bound of symbols._derivative_scale
+        except OverflowError:
+            raise ConfigError(f"lemma-check t_values {out['t_values']}: t**3 overflows a float above ~5.6e102") from None
     if command == "dispersion":
         steps = out["T"] / out["dt"]  # may be inf; the RK4 loop takes round(T/dt) steps
         if steps > MAX_DISPERSION_STEPS + 0.5:
@@ -381,22 +399,30 @@ def _run_solve(cfg: RunConfig) -> int:
         return take
 
     # the windows stream through take, which keeps only energies and a few rows of each
-    node_times, edges, window_reports = solver._march(data, scfg, True, begin)
+    marched = solver._march(data, scfg, True, begin)
     sampled = solver.Trajectory(*(np.concatenate(parts) for parts in zip(*kept["rows"])), grid)
     energies = np.concatenate(kept["energies"]) if with_energy else None
     reports.write_trajectory_csv(os.path.join(cfg.out, "trajectory.csv"), sampled, times)
     reports.write_json(
         os.path.join(cfg.out, "solve.json"),
-        reports.trajectory_sidecar(node_times, edges, window_reports, {**p, "command": "solve"}, energies),
+        reports.trajectory_sidecar(
+            marched.times, marched.edges, marched.reports, {**p, "command": "solve"}, energies, marched.probe,
+            marched.failures,
+        ),
     )
-    for i, rep in enumerate(window_reports):
+    for i, rep in enumerate(marched.reports):
         ratio = "n/a" if rep.contraction_ratio is None else f"{rep.contraction_ratio:.3e}"
         print(
-            f"solve window {i}: [{edges[i]:g}, {edges[i + 1]:g}] "
+            f"solve window {i}: [{marched.edges[i]:g}, {marched.edges[i + 1]:g}] "
             f"iterations={rep.iterations} contraction={ratio}"
         )
+    probe = "no probe" if marched.probe is None else "probe window {:.6g} estimate {:.3e}".format(*marched.probe)
+    print(
+        f"solve window rule: window {marched.reports[0].window_length:.6g} ({probe}), largest estimate "
+        f"{max(r.quadrature_estimate for r in marched.reports):.3e}, halvings {len(marched.failures)}"
+    )
     final = sobolev_norm(sampled.final()[0], 0.0)
-    print(f"solve: final |u|_L2 = {final:.6e} over {len(window_reports)} window(s)")
+    print(f"solve: final |u|_L2 = {final:.6e} over {len(marched.reports)} window(s)")
     return 0
 
 

@@ -115,14 +115,16 @@ def _sin_over_lambda(lam: np.ndarray, t) -> np.ndarray:
     """sin(t lam)/lam, the symbol R_t of the linear flow; ``t`` broadcasts against ``lam``.
 
     The removable singularity at lam = 0 is handled by the series
-    t*(1 - (t lam)^2/6 + (t lam)^4/120) wherever |t lam| < 1e-4.
+    t*(1 - (t lam)^2/6 + (t lam)^4/120) wherever |t lam| < 1e-4, evaluated
+    only there (elsewhere its powers may overflow).
     """
     s = t * lam
-    small = np.abs(s) < 1e-4
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.sin(s) / lam
-    series = t * (1.0 - s**2 / 6.0 + s**4 / 120.0)
-    return np.where(small, series, direct)
+        out = np.asarray(np.sin(s) / lam)
+    small = np.abs(s) < 1e-4
+    t_small, s_small = np.broadcast_to(t, s.shape)[small], s[small]
+    out[small] = t_small * (1.0 - s_small**2 / 6.0 + s_small**4 / 120.0)
+    return out
 
 
 def _hermitian_defect(amplitudes: np.ndarray) -> np.ndarray:

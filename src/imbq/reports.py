@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import to_position
 from .inflation import InflationReport
-from .solver import Trajectory
+from .solver import QUADRATURE_TARGET, Trajectory
 from .symbols import BesovEstimate
 
 __all__ = [
@@ -140,8 +140,9 @@ def write_trajectory_csv(path: str, traj: Trajectory, sample_times: list[float])
     write_csv(path, ["t", "x", "u"], rows)
 
 
-def trajectory_sidecar(times, window_edges, window_reports, config: dict, energies=None) -> dict:
-    """Solver diagnostics of an ``imbq solve`` run: its node times, window edges and window reports.
+def trajectory_sidecar(times, window_edges, window_reports, config: dict, energies=None, probe=None, failures=()) -> dict:
+    """Solver diagnostics of an ``imbq solve`` run: its node times, window edges and window reports,
+    and how the windows were sized: the probe's (window, estimate) and the failed attempts.
 
     The provenance names what that run executes: the window march, the
     Picard iteration in each window and the batched energy.
@@ -152,11 +153,24 @@ def trajectory_sidecar(times, window_edges, window_reports, config: dict, energi
         "iterations": [r.iterations for r in window_reports],
         "contraction_ratios": [list(r.ratios) for r in window_reports],
         "difference_norms": [list(r.differences) for r in window_reports],
+        "quadrature_estimates": [r.quadrature_estimate for r in window_reports],
+        "window_rule": {
+            "window": window_reports[0].window_length,
+            "probe": None if probe is None else {"window": probe[0], "quadrature_estimate": probe[1]},
+            "quadrature_target": None if probe is None else QUADRATURE_TARGET,
+            "halvings": len(failures),
+            "failed_attempts": [
+                {"windows": f.windows, "window_index": f.window_index, "difference_norms": list(f.differences)}
+                for f in failures
+            ],
+        },
         "energy": None if energies is None else [float(e) for e in energies],
         "sample_times": [float(t) for t in times],
         "provenance": {
             "states": "imbq.solver._march",
+            "window_rule": "imbq.solver._march",
             "contraction_ratios": "imbq.solver.picard_window",
+            "quadrature_estimates": "imbq.solver.picard_window",
             "energy": "imbq.solver._energy_matrix",
         },
     }

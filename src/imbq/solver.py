@@ -8,9 +8,10 @@ sign * (u^p)_hat) with lambda(xi) = |xi|/<xi>, and its Duhamel form is
 
 where the composition of the propagator with the symbol of the forcing
 has been simplified analytically to lam*sin (no 0/0 at xi = 0).  The
-solver iterates this map to its fixed point on short time windows
-(Picard), with window length tied to the data size; a classical RK4
-integrator of the first-order system serves as the independent oracle.
+solver iterates this map to its fixed point on time windows (Picard),
+sized so that an embedded estimate of the tau-quadrature error meets a
+target; a classical RK4 integrator of the first-order system serves as
+the independent oracle.
 """
 
 from __future__ import annotations
@@ -92,13 +93,21 @@ class CauchyData:
 class SolverConfig:
     """Nonlinearity, horizon, and iteration controls.
 
-    The window length used by :func:`solve` is
-    ``window_safety * R^{-(p-1)/2}`` with R = ``radius_constant`` times the
-    summed H^s-plus-sup size of the data; on non-convergence the windows
-    are halved, up to ``max_window_halvings`` times.  Picard stops once the
-    max over the window nodes of H^s + (dxi/2pi) sum |u_hat| of the iterate
-    difference, an upper bound of its H^s-plus-sup size, is below
-    ``picard_tol``.
+    :func:`solve` sizes its windows by accuracy.  A probe runs the first
+    window of the a-priori tiling, windows of ``window_safety *
+    R^{-(p-1)/2}`` with R = ``radius_constant`` times the summed
+    H^s-plus-sup size of the data.  Its embedded quadrature estimate, the
+    33-node prefix-Simpson tau-integral minus the 17-node one on the even
+    nodes, falls like h^4 in the node spacing h, so the probe window is
+    scaled by (target/estimate)^{1/4} with the target
+    :data:`QUADRATURE_TARGET` of the largest node size, and [0, horizon] is
+    tiled by ceil(horizon/window) equal windows.  A set ``window_override``,
+    a ``quadrature_nodes`` other than 33, or a run without forcing tiles by
+    that window or by the a-priori one, without a probe.  A window that does not converge, or
+    whose estimate misses the target, halves all windows, up to
+    ``max_window_halvings`` times.  Picard stops once the max over the
+    window nodes of H^s + (dxi/2pi) sum |u_hat| of the iterate difference,
+    an upper bound of its H^s-plus-sup size, is below ``picard_tol``.
     """
 
     p: int
@@ -140,12 +149,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """Per-window Picard diagnostics."""
+    """Per-window Picard diagnostics.
+
+    ``quadrature_estimate`` is the window's embedded error estimate of the
+    tau-quadrature relative to its largest node size (see :func:`_picard`);
+    0 without forcing.
+    """
 
     window_length: float
     iterations: int
     differences: tuple[float, ...]
     ratios: tuple[float, ...]
+    quadrature_estimate: float = 0.0
 
     @property
     def contraction_ratio(self) -> float | None:
@@ -158,7 +173,8 @@ class Trajectory:
     """Sampled states u(t_i), u_t(t_i) plus per-window solver diagnostics.
 
     ``u`` and ``u_t`` are (n, M) amplitude matrices, row i the state at
-    ``times[i]``.  Every row is checked finite and Hermitian on
+    ``times[i]``.  ``halvings`` counts the failed march attempts before the
+    one that produced the windows.  Every row is checked finite and Hermitian on
     construction; the matrices are taken over read-only, not copied, so the
     caller must not write to them afterwards.
     """
@@ -169,6 +185,7 @@ class Trajectory:
     grid: FrequencyGrid
     window_edges: tuple[float, ...] = ()
     window_reports: tuple[ContractionReport, ...] = ()
+    halvings: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -265,16 +282,26 @@ def _prefix_weights(n_nodes: int, h: float) -> np.ndarray:
 
 
 class _Rule(NamedTuple):
-    """Node times, prefix weights and half-layout flow table of one window length."""
+    """Node times, prefix weights and half-layout flow table of one window length.
+
+    ``embedded`` has the rows W[2i] - V[i] for i >= 1: the prefix weights at
+    the even nodes minus those V of the rule on the even nodes alone,
+    spread onto the even columns.
+    """
 
     times: np.ndarray
     weights: np.ndarray
     table: _FlowTable
+    embedded: np.ndarray
 
 
 def _rule(grid: FrequencyGrid, times: np.ndarray) -> _Rule:
     """The rule on uniform ``times`` starting at 0, over the half layout of ``grid``."""
-    return _Rule(times, _prefix_weights(times.shape[0], times[1]), _flow_table(_half_spectrum(grid.xi), times))
+    n, h = times.shape[0], times[1]
+    weights = _prefix_weights(n, h)
+    embedded = weights[2::2].copy()
+    embedded[:, ::2] -= _prefix_weights((n + 1) // 2, 2 * h)[1:]
+    return _Rule(times, weights, _flow_table(_half_spectrum(grid.xi), times), embedded)
 
 
 # ----------------------------------------------------------------------
@@ -290,22 +317,36 @@ def _free(a0, a1, table: _FlowTable, velocity=False) -> np.ndarray:
     return -lam * sin_t * a0 + cos_t * a1 if velocity else cos_t * a0 + sin_over * a1
 
 
-def _duhamel(u, free, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, velocity=False) -> np.ndarray:
-    """``free`` plus the forcing term of the Duhamel map (with ``velocity``, of its
-    time derivative) at half-layout node states ``u``.  With g = u^p, the
-    tau-integrals of cos(t_j lam) g and sin(t_j lam) g are one real GEMM over
-    the float64 view of the two stacked products (the weights are real).
+def _reals(stack: np.ndarray) -> np.ndarray:
+    """The float64 view of (n, 2, k) complex products, one row per node."""
+    return stack.reshape(stack.shape[0], -1).view(np.float64)
+
+
+def _tau_integrals(u, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig):
+    """With g = u^p at half-layout node states ``u``: the (n, 2, k) products
+    cos(t_j lam) g, sin(t_j lam) g and their prefix tau-integrals, the
+    latter one real GEMM over the float64 view of the former.
     """
     g = _power_matrix(u, grid, cfg.p, cfg.dealias)
-    lam, cos_t, sin_t, _ = rule.table
     n, k = g.shape
     # the GEMM's operand and result share one allocation and the result is combined in place,
     # so an iteration allocates few large arrays
     stack, sums = np.empty((2, n, 2, k), dtype=np.complex128)
-    np.multiply(cos_t, g, out=stack[:, 0])
-    np.multiply(sin_t, g, out=stack[:, 1])
+    np.multiply(rule.table.cos, g, out=stack[:, 0])
+    np.multiply(rule.table.sin, g, out=stack[:, 1])
     del g
-    np.matmul(rule.weights, stack.reshape(n, 2 * k).view(np.float64), out=sums.reshape(n, 2 * k).view(np.float64))
+    np.matmul(rule.weights, _reals(stack), out=_reals(sums))
+    return stack, sums
+
+
+def _duhamel(u, free, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, velocity=False, sums=None) -> np.ndarray:
+    """``free`` plus the forcing term of the Duhamel map (with ``velocity``, of its
+    time derivative) at half-layout node states ``u``, or from their given
+    :func:`_tau_integrals` ``sums``, which it combines in place.
+    """
+    if sums is None:
+        sums = _tau_integrals(u, rule, grid, cfg)[1]
+    lam, cos_t, sin_t, _ = rule.table
     c, s = sums[:, 0], sums[:, 1]
     if velocity:
         c *= cos_t
@@ -339,9 +380,29 @@ def _node_sizes(half: np.ndarray, grid: FrequencyGrid, s: float) -> np.ndarray:
         return np.sqrt(mag**2 @ weights * c) + c * (mag @ count)
 
 
+def _embedded_error(stack, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig) -> float:
+    """Largest node size, over the even nodes, of the difference between the
+    forcing terms from the window's prefix-Simpson rule and from the rule on
+    its even nodes alone, with the (n, 2, k) products ``stack``.
+    """
+    lam, cos_t, sin_t, _ = rule.table
+    diff = np.matmul(rule.embedded, _reals(stack)).view(np.complex128).reshape(-1, *stack.shape[1:])
+    c, s = diff[:, 0], diff[:, 1]
+    c *= sin_t[2::2]
+    s *= cos_t[2::2]
+    c -= s
+    c *= lam
+    return float(np.max(_node_sizes(c, grid, cfg.s)))
+
+
 def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing: bool):
     """:func:`picard_window` on half-layout data (a0, a1) and a given rule:
     returns the half-layout node states u, u_t and the window's report.
+
+    The report's quadrature estimate is :func:`_embedded_error` on the
+    converged iterate over its largest node size.  It takes the products of
+    the velocity pass, which has them anyway, so it costs no transform, and
+    its arrays are dropped before that pass allocates its result.
     """
     window = float(rule.times[-1])
     free = _free(a0, a1, rule.table)
@@ -362,7 +423,12 @@ def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing
                 history=diffs,
             )
         free = _free(a0, a1, rule.table, velocity=True)
-        ut = _duhamel(current, free, rule, grid, cfg, velocity=True) if forcing else free
+        estimate, ut = 0.0, free
+        if forcing:
+            size = float(np.max(_node_sizes(current, grid, cfg.s)))
+            stack, sums = _tau_integrals(current, rule, grid, cfg)
+            estimate = _embedded_error(stack, rule, grid, cfg) / size if size > 0 else 0.0
+            ut = _duhamel(current, free, rule, grid, cfg, velocity=True, sums=sums)
     except OverflowError as err:
         raise ConvergenceError(
             f"Picard iteration on a window of length {window:g} failed after "
@@ -370,7 +436,7 @@ def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing
             history=diffs,
         ) from err
     ratios = tuple(b / a for a, b in zip(diffs[:-1], diffs[1:]) if a > 0)
-    report = ContractionReport(window_length=window, iterations=len(diffs), differences=tuple(diffs), ratios=ratios)
+    report = ContractionReport(window, len(diffs), tuple(diffs), ratios, estimate)
     return current, ut, report
 
 
@@ -385,8 +451,9 @@ def picard_window(
     sup norm from above.  Raises :class:`ConvergenceError` with the
     difference history when ``max_iterations`` is exhausted (window too
     long or data too large) or when the pointwise power overflows.
-    ``_shared`` is internal: the rule of ``window`` that :func:`_march`
-    builds once for all windows of an attempt.
+    The report carries the window's quadrature estimate.  ``_shared`` is
+    internal: the rule of ``window`` that :func:`_march` builds once for all
+    windows of an attempt.
     """
     if not window > 0:
         raise ValueError("window length must be positive")
@@ -400,10 +467,15 @@ def picard_window(
     return traj, report
 
 
-# work budget of the march: windows at its start, ceil(horizon/window), set or data-derived.
-# At the limit `imbq solve` with the defaults (512 nodes, p = 2, 33 quadrature nodes) takes
-# 67 s on a 2-vCPU Xeon; the count ignores nodes and halvings, so it does not bound run time.
+# work budget of the march: windows at its start, ceil(horizon/window), set or data-derived, and
+# again once the probe has sized them and before a halving.  At the limit `imbq solve` with
+# 512 nodes, p = 2 and 33 quadrature nodes takes 57 s on a 2-vCPU container when the window is
+# set; data whose a-priori tiling is at the limit are sized to ~3,400 windows (25 s).  The count
+# ignores nodes and iterations, so it does not bound run time.
 MAX_SOLVE_WINDOWS = 10**4
+# accuracy target of the window rule: every window's quadrature estimate, relative to its largest
+# node size (ContractionReport.quadrature_estimate), is at most this
+QUADRATURE_TARGET = 1e-8
 
 
 def _window_length(d: CauchyData, cfg: SolverConfig) -> float:
@@ -418,54 +490,114 @@ def _window_length(d: CauchyData, cfg: SolverConfig) -> float:
     return cfg.horizon if log_w >= math.log(cfg.horizon) else math.exp(log_w)
 
 
-def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin):
-    """March Picard windows over [0, horizon], halving them on non-convergence;
-    returns the node times, the window edges and the window reports.
+def _window_count(count: float, horizon: float) -> int:
+    """ceil(count), at least 1, or :class:`ConvergenceError` past :data:`MAX_SOLVE_WINDOWS`."""
+    if not count - 1e-12 <= MAX_SOLVE_WINDOWS:
+        raise ConvergenceError(
+            f"a window of {horizon / count:.6g} makes {count:.6g} windows over [0, {horizon:g}]; "
+            f"limit {MAX_SOLVE_WINDOWS}"
+        )
+    return max(1, math.ceil(count - 1e-12))
 
-    Each attempt with n windows calls ``begin(n)`` for a fresh per-window
-    function ``take(k, times, u, u_t)`` and hands it the rows that window k
-    adds: all of window 0, then every row but the first (the previous
-    window's last state).  A failed attempt's ``take`` is dropped with
-    whatever it kept.  The windows of an attempt share one :class:`_Rule`.
-    Continuation data at each window end is the converged state and the
-    velocity from the differentiated Duhamel formula (spectrally exact, no
-    finite-difference stencil).  More than :data:`MAX_SOLVE_WINDOWS`
-    windows, or a window that underflows to 0, raise
-    :class:`ConvergenceError` before any window runs.
+
+class _Attempt(NamedTuple):
+    """A failed march attempt: its window count, failing window and that window's history."""
+
+    windows: int
+    window_index: int
+    differences: tuple[float, ...]
+
+
+class _Marched(NamedTuple):
+    """What :func:`_march` returns; ``probe`` is (window, quadrature estimate) or None."""
+
+    times: np.ndarray
+    edges: tuple[float, ...]
+    reports: tuple[ContractionReport, ...]
+    probe: tuple[float, float] | None
+    failures: tuple[_Attempt, ...]
+
+
+def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin) -> _Marched:
+    """March Picard windows of one length over [0, horizon], halving them on a failure.
+
+    The probe of :class:`SolverConfig` sizes the windows (it runs without
+    ``window_override``, with 33 quadrature nodes and with forcing); a probe
+    window that matches the sized tiling is kept as its window 0, since its
+    estimate meets the target up to the rounding of the count.  A window
+    fails when it does not converge or, when sized, when its estimate is
+    above :data:`QUADRATURE_TARGET`; an attempt that fails before anything
+    was sized probes again.  Each attempt with n windows calls ``begin(n)``
+    for a fresh per-window function ``take(k, times, u, u_t)`` and hands it
+    the rows that window k adds: all of window 0, then every row but the
+    first (the previous window's last state).  A failed attempt's ``take``
+    is dropped with whatever it kept.  The windows of an attempt share one
+    :class:`_Rule`, and node j of window k is stamped at
+    (k (Q-1) + j) horizon / (n (Q-1)), so a time the tiling hits prints
+    exactly.  Continuation data at each window end is the converged state
+    and the velocity from the differentiated Duhamel formula (spectrally
+    exact, no finite-difference stencil).  More than
+    :data:`MAX_SOLVE_WINDOWS` windows, before any window runs, once sized
+    or by a halving, or a window that underflows to 0, raise
+    :class:`ConvergenceError`.
     """
     base = _window_length(d, cfg)
-    count = cfg.horizon / base if base > 0 else math.inf
-    if count - 1e-12 > MAX_SOLVE_WINDOWS:
-        raise ConvergenceError(
-            f"a window of {base:.6g} makes {count:.6g} windows over [0, {cfg.horizon:g}]; limit {MAX_SOLVE_WINDOWS}"
-        )
-    n_windows = max(1, math.ceil(count - 1e-12))
-    for halving in range(cfg.max_window_halvings + 1):
-        w = cfg.horizon / n_windows
+    n_windows = _window_count(cfg.horizon / base if base > 0 else math.inf, cfg.horizon)
+    step = cfg.quadrature_nodes - 1
+    # the dataclass default: another node count is an override
+    sized = cfg.window_override is None and cfg.quadrature_nodes == SolverConfig.quadrature_nodes and forcing
+    target = QUADRATURE_TARGET if sized else None
+    probe, failures = None, []
+    while True:
+        w, first = cfg.horizon / n_windows, None
         rule = _rule(d.grid, np.linspace(0.0, w, cfg.quadrature_nodes))
-        take = begin(n_windows)
         times, edges, reports = [], [0.0], []
         data = d
         try:
+            if sized and probe is None:
+                first = _run_window(d, w, cfg, forcing, rule, 0, 0.0)
+                probe = (w, first[1].quadrature_estimate)
+                count = _window_count(n_windows * (probe[1] / target) ** 0.25, cfg.horizon)
+                if count != n_windows:
+                    n_windows = count
+                    continue
+            take = begin(n_windows)
             for k in range(n_windows):
-                start = k * w
-                try:
-                    traj, report = picard_window(data, w, cfg, forcing, _shared=rule)
-                except ConvergenceError as err:
-                    message = f"window {k} ([{start:g}, {start + w:g}]) failed: {err}"
-                    raise ConvergenceError(message, history=err.history, window_index=k) from err
+                start = k * cfg.horizon / n_windows
+                traj, report = first if k == 0 and first else _run_window(data, w, cfg, forcing, rule, k, start, target)
                 new = slice(0 if k == 0 else 1, None)
-                times.append(traj.times[new] + start)
+                times.append((k * step + np.arange(cfg.quadrature_nodes)[new]) * cfg.horizon / (n_windows * step))
                 take(k, times[-1], traj.u[new], traj.u_t[new])
-                edges.append(start + w)
+                edges.append((k + 1) * cfg.horizon / n_windows)
                 reports.append(report)
                 data = CauchyData(*traj.final())
-        except ConvergenceError:
-            if halving == cfg.max_window_halvings:
+        except ConvergenceError as err:
+            if err.window_index is None:  # the sized count is over the budget
                 raise
+            failures.append(_Attempt(n_windows, err.window_index, tuple(err.history)))
+            if len(failures) > cfg.max_window_halvings:
+                raise
+            if 2 * n_windows > MAX_SOLVE_WINDOWS:
+                message = f"{err}; halved, {2 * n_windows} windows would pass the limit {MAX_SOLVE_WINDOWS}"
+                raise ConvergenceError(message, history=err.history, window_index=err.window_index) from err
             n_windows *= 2
             continue
-        return np.concatenate(times), tuple(edges), tuple(reports)
+        return _Marched(np.concatenate(times), tuple(edges), tuple(reports), probe, tuple(failures))
+
+
+def _run_window(data: CauchyData, w, cfg: SolverConfig, forcing: bool, rule: _Rule, k: int, start, target=None):
+    """:func:`picard_window` as window ``k`` of a march: a failure, or a quadrature
+    estimate above ``target``, raises :class:`ConvergenceError` naming the window.
+    """
+    try:
+        traj, report = picard_window(data, w, cfg, forcing, _shared=rule)
+        if target is not None and report.quadrature_estimate > target:
+            message = f"its quadrature estimate {report.quadrature_estimate:.3g} is above the target {target:g}"
+            raise ConvergenceError(message, history=report.differences)
+    except ConvergenceError as err:
+        message = f"window {k} ([{start:g}, {start + w:g}]) failed: {err}"
+        raise ConvergenceError(message, history=err.history, window_index=k) from err
+    return traj, report
 
 
 def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
@@ -493,8 +625,8 @@ def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
 
         return take
 
-    times, edges, reports = _march(d, cfg, forcing, begin)
-    return Trajectory(times, mats[0], mats[1], d.grid, edges, reports)
+    marched = _march(d, cfg, forcing, begin)
+    return Trajectory(marched.times, mats[0], mats[1], d.grid, marched.edges, marched.reports, len(marched.failures))
 
 
 # ----------------------------------------------------------------------

@@ -178,18 +178,40 @@ def test_plain_value_error_of_a_run_exits_3(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, block, cause",
+    "command, block, key",
     [
         # t**3 in symbols._derivative_scale overflows for t above ~5.6e102
-        ("lemma-check", {"t_values": [1e120], "corpus_size": 1}, "Numerical result out of range"),
-        # eps**p underflows to 0 in inflation._solver_residual
-        ("derivative-check", {"eps": 1e-200, "N": 2}, "division by zero"),
+        ("lemma-check", {"t_values": [1e120], "corpus_size": 1}, "t_values"),
+        # eps**p underflows to 0 in inflation._solver_residual, or eps**p overflows
+        ("derivative-check", {"eps": 1e-200, "N": 2}, "eps"),
+        ("derivative-check", {"eps": 1e200, "N": 2}, "eps"),
     ],
+    ids=["t-overflow", "eps-underflow", "eps-overflow"],
+)
+def test_out_of_range_inputs_exit_2_at_once(tmp_path, capsys, command, block, key):
+    cfg_path = write_config(tmp_path, {command: block})
+    start = time.perf_counter()
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {command} {key} ")
+
+
+@pytest.mark.parametrize(
+    "error, cause",
+    [(OverflowError(34, "Numerical result out of range"), "Numerical result out of range"),
+     (ZeroDivisionError("float division by zero"), "division by zero")],
     ids=["overflow", "zero-division"],
 )
-def test_arithmetic_error_of_a_run_exits_3(tmp_path, capsys, command, block, cause):
-    cfg_path = write_config(tmp_path, {command: block})
-    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
+def test_arithmetic_error_of_a_run_exits_3(tmp_path, capsys, monkeypatch, error, cause):
+    import imbq.cli
+
+    def failing(cfg):
+        raise error
+
+    monkeypatch.setitem(imbq.cli._RUNNERS, "derivative-check", failing)
+    cfg_path = write_config(tmp_path, {"derivative-check": {"N": 2}})
+    assert main(["derivative-check", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cause in err
     assert "Traceback" not in err
@@ -408,9 +430,45 @@ def test_streamed_solve_matches_library_solve(tmp_path, block):
     assert sidecar["sample_times"] == traj.times.tolist()
     assert sidecar["window_edges"] == list(traj.window_edges)
     assert sidecar["iterations"] == [r.iterations for r in traj.window_reports]
+    assert sidecar["quadrature_estimates"] == [r.quadrature_estimate for r in traj.window_reports]
+    assert sidecar["window_rule"]["halvings"] == traj.halvings == (block is _HALVING_SOLVE)
     expected = energy_series(traj, p["p"], p["sign"])
     assert len(sidecar["energy"]) == len(expected)
     assert np.max(np.abs(np.array(sidecar["energy"]) - expected) / np.abs(expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [22, 27, 29, 85])
+def test_solve_prints_the_requested_times_exactly(tmp_path, n):
+    # node j of window k is stamped (32k + j) T / (32n), so each quarter of T is a node, printed exactly
+    cfg_path = write_config(tmp_path, {"solve": {"p": 2, "T": 20.0, "nodes": 64, "window": 20.0 / n}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
+    assert len(json.loads((out / "solve.json").read_text())["iterations"]) == n
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == ["0.0", "5.0", "10.0", "15.0", "20.0"]
+
+
+def test_solve_records_how_its_windows_were_sized(tmp_path, capsys):
+    # focusing data: the probe sizes seven windows, window 4 misses the quadrature
+    # target, and the halved attempt's fourteen windows meet it
+    block = {"p": 3, "sign": -1, "T": 3.0, "nodes": 64, "data": {"kind": "gaussian", "amplitude": 3.0}}
+    cfg_path = write_config(tmp_path, {"solve": block})
+    outputs = []
+    for run in ("a", "b"):
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / run)]) == 0
+        outputs.append([(tmp_path / run / name).read_bytes() for name in ("solve.json", "trajectory.csv")])
+    assert outputs[0] == outputs[1]
+    sidecar = json.loads(outputs[0][0])
+    rule = sidecar["window_rule"]
+    assert rule["window"] == 3.0 / 14 and rule["quadrature_target"] == 1e-8
+    assert rule["probe"]["window"] == 3.0 / 66 and rule["probe"]["quadrature_estimate"] < 1e-8
+    assert rule["halvings"] == 1
+    [failed] = rule["failed_attempts"]
+    assert (failed["windows"], failed["window_index"]) == (7, 4) and failed["difference_norms"][-1] < 1e-12
+    assert len(sidecar["quadrature_estimates"]) == 14 and max(sidecar["quadrature_estimates"]) <= 1e-8
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("solve window rule: ")]
+    assert lines[-1].startswith("solve window rule: window 0.214286 (probe window 0.0454545 estimate ")
+    assert lines[-1].endswith(f"largest estimate {max(sidecar['quadrature_estimates']):.3e}, halvings 1")
 
 
 def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys):
@@ -435,7 +493,8 @@ def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys):
 
 def test_solve_power_overflow_exits_3(tmp_path, capsys):
     # the pointwise power overflows inside a Picard window; without halvings
-    # that is a non-convergence (exit 3), not a traceback
+    # that is a non-convergence (exit 3), not a traceback.  The window is the
+    # a-priori one of these data: sized windows miss the quadrature target first
     cfg_path = write_config(
         tmp_path,
         {
@@ -445,6 +504,7 @@ def test_solve_power_overflow_exits_3(tmp_path, capsys):
                 "T": 50.0,
                 "nodes": 64,
                 "data": {"kind": "gaussian", "amplitude": 3.0},
+                "window": 0.0457,
                 "max_window_halvings": 0,
             }
         },

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from imbq.grid import (
     FrequencyGrid,
     SpectralField,
     _padded_node_count,
+    _sin_over_lambda,
     lambda_symbol,
     make_grid,
     pointwise_power,
@@ -352,3 +355,19 @@ def test_moser_product_bound_s0():
         w = random_real_field(g, rng, decay=rng.uniform(0.5, 2.0))
         vw = SpectralField(g, _padded_product(v, w, 2.0))
         assert sobolev_norm(vw, 0.0) <= sobolev_norm(v, 0.0) * sup_norm(w) + 1e-9
+
+
+def test_sin_over_lambda_evaluates_the_series_only_where_it_is_used():
+    # bit-equal to evaluating both branches everywhere and choosing with np.where,
+    # without the overflow warning that the series' powers raise at huge t*lambda
+    rng = np.random.default_rng(7)
+    lam = lambda_symbol(np.concatenate([[0.0], rng.normal(0.0, 10.0, 50), 10 ** rng.uniform(-12, 3, 200)]))
+    for t in (1e120, 2.5, 1e-9, rng.uniform(0.0, 1e200, (3, 1)), np.array([[0.0], [1e-3], [1e300]])):
+        s = t * lam
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            expected = np.where(np.abs(s) < 1e-4, t * (1.0 - s**2 / 6.0 + s**4 / 120.0), np.sin(s) / lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sin_over_lambda(lam, t)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))

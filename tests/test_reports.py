@@ -81,7 +81,9 @@ def test_trajectory_csv_and_sidecar(tmp_path):
     # what `imbq solve` runs: the streamed march and the batched energy, not solve or energy
     assert sidecar["provenance"] == {
         "states": "imbq.solver._march",
+        "window_rule": "imbq.solver._march",
         "contraction_ratios": "imbq.solver.picard_window",
+        "quadrature_estimates": "imbq.solver.picard_window",
         "energy": "imbq.solver._energy_matrix",
     }
     json.dumps(sidecar)  # serializable

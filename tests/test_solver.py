@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,8 +203,9 @@ def _count_flow_tables(monkeypatch):
 def test_one_flow_table_per_march_attempt(monkeypatch):
     calls = _count_flow_tables(monkeypatch)
     traj = solve(small_data(), SolverConfig(p=2, sign=1, horizon=2.0))
-    assert len(traj.window_reports) == 9
-    assert calls == [33]  # one table of the 33 window nodes for all nine windows
+    assert len(traj.window_reports) == 3
+    # the probe's table (window 0 of the a-priori nine), then one table for all three sized windows
+    assert calls == [33, 33]
 
 
 def test_halved_attempt_builds_a_new_flow_table(monkeypatch):
@@ -223,12 +226,77 @@ def test_march_refuses_more_windows_than_the_budget(monkeypatch):
     assert calls == []  # refused before any window runs
 
 
+def test_probe_refuses_to_size_past_the_budget(monkeypatch):
+    monkeypatch.setattr(solver_module, "QUADRATURE_TARGET", 1e-40)
+    with pytest.raises(ConvergenceError, match=f"limit {solver_module.MAX_SOLVE_WINDOWS}") as exc:
+        solve(small_data(), SolverConfig(p=2, sign=1, horizon=2.0))
+    assert exc.value.window_index is None  # refused once sized, not halved
+
+
+def test_march_refuses_to_halve_past_the_budget():
+    # 6,000 windows fail in window 0; halved, 12,000 would pass the limit
+    cfg = SolverConfig(p=2, sign=1, horizon=1.0, window_override=1 / 6000, max_iterations=1)
+    with pytest.raises(ConvergenceError, match="12000 windows would pass the limit") as exc:
+        solve(gaussian_data(make_grid(8.0, 64), 0.1, 1.0, 0.0), cfg)
+    assert exc.value.window_index == 0 and len(exc.value.history) == 1
+
+
 def test_picard_iteration_counts_on_quick_start_data():
-    # the l1 stopping norm keeps the counts of the sup-norm test it replaced
+    # the probe sizes three windows of 2/3 from the a-priori nine; each converges in four iterations
     d = small_data()
     traj = solve(d, SolverConfig(p=2, sign=1, horizon=2.0))
     counts = [r.iterations for r in traj.window_reports]
-    assert (len(counts), sum(counts)) == (9, 33)
+    assert (len(counts), sum(counts)) == (3, 12)
+
+
+def test_sized_solve_matches_a_quarter_of_its_window():
+    # solve-long's data and horizon: the probe sizes 27 windows from the a-priori 85
+    d = small_data()
+    sized = solve(d, SolverConfig(p=2, sign=1, horizon=20.0))
+    assert len(sized.window_reports) == 27 and sized.halvings == 0
+    assert all(r.quadrature_estimate <= solver_module.QUADRATURE_TARGET for r in sized.window_reports)
+    quarter = sized.window_reports[0].window_length / 4
+    fine = solve(d, SolverConfig(p=2, sign=1, horizon=20.0, window_override=quarter))
+    assert len(fine.window_reports) == 4 * 27
+    for a, b in zip(sized.final(), fine.final()):
+        assert sobolev_norm(a - b, 0.0) <= 1e-9 * sobolev_norm(b, 0.0)
+
+
+def test_sized_solve_agrees_with_rk4():
+    # criterion 6's tolerance, over three sized windows
+    d = small_data()
+    cfg = SolverConfig(p=2, sign=1, horizon=2.0)
+    picard = solve(d, cfg)
+    assert len(picard.window_reports) == 3
+    rk = rk4_solve(d, cfg, dt=1e-3, store_stride=10**9)
+    diff = picard.final()[0] - rk.final()[0]
+    assert sobolev_norm(diff, 0.0) <= 1e-6 * sobolev_norm(rk.final()[0], 0.0)
+
+
+def test_window_missing_the_quadrature_target_is_halved(monkeypatch):
+    # focusing data whose estimate grows in time: of the two sized windows, window 1
+    # converges but misses the target, and the halved attempt's four windows meet it
+    monkeypatch.setattr(solver_module, "QUADRATURE_TARGET", 1e-6)
+    d = gaussian_data(make_grid(16.0, 64), amplitude=3.0)
+    cfg = SolverConfig(p=3, sign=-1, horizon=3.0)
+    marched = solver_module._march(d, cfg, True, lambda n: lambda *rows: None)
+    assert [f[:2] for f in marched.failures] == [(2, 1)]
+    assert marched.failures[0].differences[-1] < cfg.picard_tol  # converged: rejected on its estimate
+    assert len(marched.reports) == 4
+    assert all(r.quadrature_estimate <= 1e-6 for r in marched.reports)
+    assert solve(d, cfg).halvings == 1
+    with pytest.raises(ConvergenceError, match="quadrature estimate .* is above the target 1e-06") as exc:
+        solve(d, replace(cfg, max_window_halvings=0))
+    assert exc.value.window_index == 1
+
+
+def test_quadrature_estimate_falls_like_h4():
+    # the embedded estimate of one window at half the length is 16 times smaller
+    d = small_data()
+    cfg = SolverConfig(p=2, sign=1, horizon=1.0)
+    estimates = [picard_window(d, w, cfg)[1].quadrature_estimate for w in (0.4, 0.2)]
+    assert estimates[0] / estimates[1] == pytest.approx(16.0, rel=0.05)
+    assert picard_window(d, 0.2, cfg, forcing=False)[1].quadrature_estimate == 0.0
 
 
 def test_free_propagator_identity_at_zero():
