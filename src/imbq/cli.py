@@ -239,7 +239,8 @@ def _validate_block(command: str, block) -> dict:
         try:
             max(out["t_values"]) ** 3  # the m3 tail bound of symbols._derivative_scale
         except OverflowError:
-            raise ConfigError(f"lemma-check t_values {out['t_values']}: t**3 overflows a float above ~5.6e102") from None
+            message = f"lemma-check t_values {out['t_values']}: t**3 overflows a float above ~5.6e102"
+            raise ConfigError(message) from None
     if command == "dispersion":
         steps = out["T"] / out["dt"]  # may be inf; the RK4 loop takes round(T/dt) steps
         if steps > MAX_DISPERSION_STEPS + 0.5:

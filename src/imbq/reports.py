@@ -140,7 +140,9 @@ def write_trajectory_csv(path: str, traj: Trajectory, sample_times: list[float])
     write_csv(path, ["t", "x", "u"], rows)
 
 
-def trajectory_sidecar(times, window_edges, window_reports, config: dict, energies=None, probe=None, failures=()) -> dict:
+def trajectory_sidecar(
+    times, window_edges, window_reports, config: dict, energies=None, probe=None, failures=()
+) -> dict:
     """Solver diagnostics of an ``imbq solve`` run: its node times, window edges and window reports,
     and how the windows were sized: the probe's (window, estimate) and the failed attempts.
 

@@ -103,11 +103,12 @@ class SolverConfig:
     :data:`QUADRATURE_TARGET` of the largest node size, and [0, horizon] is
     tiled by ceil(horizon/window) equal windows.  A set ``window_override``,
     a ``quadrature_nodes`` other than 33, or a run without forcing tiles by
-    that window or by the a-priori one, without a probe.  A window that does not converge, or
-    whose estimate misses the target, halves all windows, up to
-    ``max_window_halvings`` times.  Picard stops once the max over the
-    window nodes of H^s + (dxi/2pi) sum |u_hat| of the iterate difference,
-    an upper bound of its H^s-plus-sup size, is below ``picard_tol``.
+    that window or by the a-priori one, without a probe.  A window that
+    does not converge, or whose estimate misses the target, halves all
+    windows, up to ``max_window_halvings`` times.  Picard stops once the
+    max over the window nodes of H^s + (dxi/2pi) sum |u_hat| of the iterate
+    difference, an upper bound of its H^s-plus-sup size, is below
+    ``picard_tol``.
     """
 
     p: int
@@ -174,9 +175,9 @@ class Trajectory:
 
     ``u`` and ``u_t`` are (n, M) amplitude matrices, row i the state at
     ``times[i]``.  ``halvings`` counts the failed march attempts before the
-    one that produced the windows.  Every row is checked finite and Hermitian on
-    construction; the matrices are taken over read-only, not copied, so the
-    caller must not write to them afterwards.
+    one that produced the windows.  Every row is checked finite and
+    Hermitian on construction; the matrices are taken over read-only, not
+    copied, so the caller must not write to them afterwards.
     """
 
     times: np.ndarray
