@@ -31,7 +31,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import inflation, reports, solver, svgplot, symbols
-from .grid import lambda_symbol, make_grid, random_real_field, sobolev_norm
+from .grid import (
+    SUP_NORM_OVERSAMPLE,
+    _padded_node_count,
+    lambda_symbol,
+    make_grid,
+    random_real_field,
+    sobolev_norm,
+)
 from .inflation import QuadratureConfig
 from .solver import SolverConfig
 from .symbols import Symbol
@@ -178,14 +185,20 @@ TOP_LEVEL_KEYS = {"command", "out", "jobs", "seed", "plot"} | set(SCHEMAS)
 MAX_DISPERSION_STEPS = 10**6
 # work budget of lemma-check: one seminorm costs ~resolution^2 (0.09 s at 160, 22.5 s at 2560)
 MAX_BESOV_RESOLUTION = 2560
-# work budget of the Picard solver (solve, derivative-check): one dealiased row, ceil(nodes*(p+1)/2)
+# work budget of the Picard solver (solve, derivative-check): the nodes of one dealiased row,
+# grid._padded_node_count(nodes, (p+1)/2), the smallest even 5-smooth count above nodes*(p+1)/2
 MAX_SOLVE_PADDED_NODES = 2**20
 # work budget of solve: Picard windows, ceil(T/window); solver._march checks it for every run
 MAX_SOLVE_WINDOWS = solver.MAX_SOLVE_WINDOWS
 
 
 def _check_padded_row(command: str, nodes: int, p: int):
-    padded = -(-nodes * (p + 1) // 2)  # in integers: p may exceed any float
+    least = -(-nodes * (p + 1) // 2)  # in integers: p may exceed any float
+    if least > MAX_SOLVE_PADDED_NODES:
+        raise ConfigError(
+            f"{command} asks for at least {least} dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}"
+        )
+    padded = _padded_node_count(nodes, (p + 1) / 2)  # the row the solver allocates
     if padded > MAX_SOLVE_PADDED_NODES:
         raise ConfigError(f"{command} asks for {padded} dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}")
 
@@ -409,6 +422,10 @@ def _run_solve(cfg: RunConfig) -> int:
         reports.trajectory_sidecar(
             marched.times, marched.edges, marched.reports, {**p, "command": "solve"}, energies, marched.probe,
             marched.failures,
+            {
+                "dealiased_row": _padded_node_count(grid.node_count, scfg.dealias),
+                "sup_norm_grid": _padded_node_count(grid.node_count, SUP_NORM_OVERSAMPLE),
+            },
         ),
     )
     for i, rep in enumerate(marched.reports):

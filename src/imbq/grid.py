@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 HERMITIAN_RTOL = 1e-12
+# sup_norm samples a grid padded to more than this many times the field's nodes
+SUP_NORM_OVERSAMPLE = 8
 
 
 class EmptyWindowWarning(UserWarning):
@@ -240,9 +242,32 @@ def to_position(f: SpectralField) -> np.ndarray:
     return np.fft.ifft(np.fft.ifftshift(f.amplitudes)) / f.grid.dx
 
 
+def _fast_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: a length the FFT runs through its fast radices.
+
+    Enumerates the odd parts 3^b 5^c below the best length so far and
+    completes each with the smallest power of two that reaches n.
+    """
+    best = 1 << max(n - 1, 0).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _padded_node_count(node_count: int, factor: float) -> int:
-    padded = int(math.ceil(node_count * factor))
-    return padded + padded % 2
+    """The smallest even 5-smooth count strictly above ``node_count * factor``.
+
+    Strictly above: a real row of M nodes carries M + 1 modes (node k = 0
+    splits across +-M/2), so a product of degree p reaches the offsets
+    +-pM/2, and a padded count N keeps every result node alias-free only
+    when N > (p+1)M/2.
+    """
+    return 2 * _fast_length(math.floor(node_count * factor) // 2 + 1)
 
 
 # ----------------------------------------------------------------------
@@ -273,15 +298,18 @@ def restricted_norm(f: SpectralField, window: BandWindow, s: float) -> float:
     return float(np.sqrt(total))
 
 
-def sup_norm(f: SpectralField, oversample: int = 8) -> float:
+def sup_norm(f: SpectralField, oversample: int = SUP_NORM_OVERSAMPLE) -> float:
     """L^inf norm of the real band-limited interpolant of a real_valued field.
 
-    Max of |u| over an ``oversample``-times refined dual grid, sampled by
+    Max of |u| over a dual grid refined at least ``oversample`` times (the
+    count of :func:`_padded_node_count`), sampled by
     :func:`_position_matrix` (which splits node k = 0 across +-M/2), and
     sharpened by a parabolic fit through the winning sample and its two
-    neighbours.  The refinement never decreases the plain sample maximum,
-    which keeps the exact product bound |vw|_{L^2} <= |v|_{L^2} sup|w|
-    provable whenever the product is formed on a coarser padded grid.
+    neighbours.  The sharpening never lowers the largest sample, so the
+    result bounds |u| on every grid whose node count divides the refined
+    count (M = 128: the 2-padded 270 nodes of 1080), which keeps the exact
+    product bound |vw|_{L^2} <= |v|_{L^2} sup|w| provable for a product
+    formed on such a grid.
     """
     if not f.real_valued:
         raise ValueError("sup_norm requires a real_valued field")
@@ -323,8 +351,10 @@ def _full_spectrum(half: np.ndarray) -> np.ndarray:
 def _position_matrix(half: np.ndarray, grid: FrequencyGrid, factor: float):
     """Samples of every half-layout row on the grid padded by ``factor``: one irfft.
 
-    The padded half spectrum carries the Hermitian part of each row, so the
-    unpaired node k = 0 (mode -M/2) enters as conj(a_0)/2 at mode +M/2.
+    The padded grid has :func:`_padded_node_count` nodes, the smallest even
+    5-smooth count strictly above M * ``factor``.  The padded half spectrum carries
+    the Hermitian part of each row, so the unpaired node k = 0 (mode -M/2)
+    enters as conj(a_0)/2 at mode +M/2.
     Returns the (n, padded) real samples and the fine spacing dx.
     """
     h = half.shape[1] - 1
@@ -360,11 +390,12 @@ def _power_matrix(half: np.ndarray, grid: FrequencyGrid, p: int, dealias_factor:
 def pointwise_power(f: SpectralField, p: int, sign: int, dealias_factor: float | None = None) -> SpectralField:
     """Spectral representation of sign * u^p, dealiased by zero padding.
 
-    The field is transformed to position space on a grid padded by
-    ``dealias_factor`` (default (p+1)/2, the smallest factor making the
-    degree-p product alias-free on the represented band), raised to the
-    p-th power pointwise, transformed back, and truncated to the original
-    grid.
+    The field is transformed to position space on a grid of
+    :func:`_padded_node_count` nodes, the smallest even 5-smooth count
+    strictly above M * ``dealias_factor`` (default (p+1)/2, the smallest
+    factor for which the degree-p product is alias-free on every node, k = 0
+    included), raised to the p-th power pointwise, transformed back, and
+    truncated to the original grid.
     """
     if not f.real_valued:
         raise ValueError("pointwise_power requires a real_valued field")

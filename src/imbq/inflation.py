@@ -30,6 +30,7 @@ from .grid import (
     BandWindow,
     FrequencyGrid,
     SpectralField,
+    _fast_length,
     lambda_symbol,
     restricted_norm,
     sobolev_norm,
@@ -207,7 +208,8 @@ def _box_power_terms(d: IPData, g_plus: np.ndarray, g_minus: np.ndarray, p: int)
     ``g_plus`` and ``g_minus`` hold the values on the plus and minus box
     (last axis; leading axes are batched).  The power is the binomial sum
     over k of P^{*k} * M^{*(p-k)}; each term is one transform product of
-    length >= p*L, so the cost does not depend on the grid.  Yields
+    the smallest 5-smooth length that holds its p*(L-1)+1 nodes
+    (:func:`_fast_length`), so the cost does not depend on the grid.  Yields
     ``(lo, hi, values)``: each term clipped to the grid nodes [lo, hi).
     Equals the nested dxi^{p-1}-weighted node sum times (1/2pi)^{p-1}: the
     normalization the flow map itself produces for the transform of a
@@ -218,7 +220,7 @@ def _box_power_terms(d: IPData, g_plus: np.ndarray, g_minus: np.ndarray, p: int)
     i_plus, i_minus = _box_slice(d.plus_mask).start, _box_slice(d.minus_mask).start
     L = g_plus.shape[-1]  # the minus box mirrors the plus box node for node
     width = p * (L - 1) + 1
-    n_fft = 1 << (p * L - 1).bit_length()
+    n_fft = _fast_length(width)
     f_plus = np.fft.fft(g_plus, n_fft, axis=-1)
     f_minus = np.fft.fft(g_minus, n_fft, axis=-1)
     scale = (d.grid.dxi / (2.0 * np.pi)) ** (p - 1)

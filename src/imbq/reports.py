@@ -141,10 +141,18 @@ def write_trajectory_csv(path: str, traj: Trajectory, sample_times: list[float])
 
 
 def trajectory_sidecar(
-    times, window_edges, window_reports, config: dict, energies=None, probe=None, failures=()
+    times,
+    window_edges,
+    window_reports,
+    config: dict,
+    energies=None,
+    probe=None,
+    failures=(),
+    transform_lengths=None,
 ) -> dict:
     """Solver diagnostics of an ``imbq solve`` run: its node times, window edges and window reports,
-    and how the windows were sized: the probe's (window, estimate) and the failed attempts.
+    how the windows were sized (the probe's (window, estimate) and the failed attempts), and the
+    padded transform lengths it used (``transform_lengths``, name -> node count).
 
     The provenance names what that run executes: the window march, the
     Picard iteration in each window and the batched energy.
@@ -168,12 +176,14 @@ def trajectory_sidecar(
         },
         "energy": None if energies is None else [float(e) for e in energies],
         "sample_times": [float(t) for t in times],
+        "transform_lengths": transform_lengths,
         "provenance": {
             "states": "imbq.solver._march",
             "window_rule": "imbq.solver._march",
             "contraction_ratios": "imbq.solver.picard_window",
             "quadrature_estimates": "imbq.solver.picard_window",
             "energy": "imbq.solver._energy_matrix",
+            "transform_lengths": "imbq.grid._padded_node_count",
         },
     }
 

@@ -135,6 +135,24 @@ def test_padded_row_budget_exits_2_at_once(tmp_path, capsys, command, block):
     assert f"limit {MAX_SOLVE_PADDED_NODES}" in capsys.readouterr().err
 
 
+def test_padded_row_budget_counts_the_row_the_solver_allocates(tmp_path, capsys):
+    # ceil(524288 * 4/2) is exactly the limit, but the solver pads to 1,049,760 nodes, the
+    # smallest even 5-smooth count above it
+    cfg_path = write_config(tmp_path, {"solve": {"nodes": 524288, "p": 3, "T": 0.1}})
+    start = time.perf_counter()
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"asks for 1049760 dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}" in capsys.readouterr().err
+
+
+def test_solve_records_its_transform_lengths(tmp_path):
+    cfg_path = write_config(tmp_path, {"solve": {"p": 2, "T": 0.05, "nodes": 512}})
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    sidecar = json.loads((tmp_path / "out" / "solve.json").read_text())
+    # 512 * 3/2 = 768 and 512 * 8 = 4096, each padded to the next even 5-smooth count above it
+    assert sidecar["transform_lengths"] == {"dealiased_row": 800, "sup_norm_grid": 4320}
+
+
 def test_solve_window_budget_exits_2_at_once(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"solve": {"p": 2, "T": 1.0, "nodes": 64, "window": 1e-9}})
     start = time.perf_counter()

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imbq.grid import (
@@ -10,6 +10,7 @@ from imbq.grid import (
     EmptyWindowWarning,
     FrequencyGrid,
     SpectralField,
+    _fast_length,
     _padded_node_count,
     _sin_over_lambda,
     lambda_symbol,
@@ -256,12 +257,15 @@ def test_pointwise_power_matches_direct_convolution():
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
-    half_m=st.integers(4, 12),
-    p=st.integers(2, 4),
+    half_m=st.integers(4, 33),
+    p=st.integers(2, 5),
     sign=st.sampled_from([1, -1]),
     decay=st.floats(0.0, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# M = 8 with p = 2 and p = 3: a padded count of exactly (p+1)M/2 (12, 16) would fold +-pM/2 onto k = 0
+@example(half_m=4, p=2, sign=1, decay=0.0, seed=0)
+@example(half_m=4, p=3, sign=-1, decay=1.0, seed=1)
 def test_pointwise_power_equals_full_discrete_convolution(half_m, p, sign, decay, seed):
     # the whole band is occupied, the unpaired node k = 0 too: a real field puts a_0/2 at
     # xi = -M/2 dxi and conj(a_0)/2 at +M/2 dxi, so the spectrum has M + 1 modes
@@ -275,19 +279,34 @@ def test_pointwise_power_equals_full_discrete_convolution(half_m, p, sign, decay
     conv = split
     for _ in range(p - 1):
         conv = np.convolve(conv, split) * (g.dxi / (2 * np.pi))
-    # index i of the p-fold convolution, not truncated between factors, is the offset i - p*m/2
-    offsets = np.arange(conv.size) - p * m // 2
-    got = pointwise_power(f, p, sign).amplitudes
-    # the padded grid folds the offsets modulo its node count
-    padded = _padded_node_count(m, (p + 1) / 2)
-    folded = np.zeros(padded, dtype=complex)
-    np.add.at(folded, offsets % padded, conv)
-    expected = sign * folded[(np.arange(m) - m // 2) % padded]
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-    # zero padding by (p+1)/2 leaves nodes k >= 1 alias-free; node k = 0 takes the fold of
-    # the extreme offset +-p*m/2 when the padded count is exactly (p+1)*m/2
+    # index i of the p-fold convolution, not truncated between factors, is the offset i - p*m/2;
+    # every node, k = 0 (offset -m/2) included, must equal it unfolded
     lo = (p - 1) * m // 2
-    assert np.max(np.abs(got[1:] - sign * conv[lo + 1 : lo + m])) <= 1e-12 * np.max(np.abs(expected))
+    expected = sign * conv[lo : lo + m]
+    got = pointwise_power(f, p, sign).amplitudes
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _is_5_smooth(n):
+    for q in (2, 3, 5):
+        while n % q == 0:
+            n //= q
+    return n == 1
+
+
+def test_fast_length_is_the_smallest_5_smooth_length():
+    smooth = [n for n in range(1, 10**4 + 200) if _is_5_smooth(n)]
+    for n in range(1, 10**4 + 1):
+        assert _fast_length(n) == smooth[np.searchsorted(smooth, n)]
+
+
+@pytest.mark.parametrize("factor", [1.5, 2.0, 2.5, 3.0, 8.0])
+def test_padded_node_count_is_the_smallest_even_5_smooth_count_above_the_bound(factor):
+    even_smooth = np.array([n for n in range(2, 3000 * 8 + 2000, 2) if _is_5_smooth(n)])
+    for m in range(8, 3001, 2):
+        padded = _padded_node_count(m, factor)
+        assert padded % 2 == 0 and _is_5_smooth(padded) and padded > m * factor
+        assert padded == even_smooth[np.searchsorted(even_smooth, m * factor, side="right")]
 
 
 def test_pointwise_power_rejects_small_dealias_factor():

@@ -75,8 +75,12 @@ def test_trajectory_csv_and_sidecar(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + 2 * g.node_count
-    sidecar = trajectory_sidecar(traj.times, traj.window_edges, traj.window_reports, {"p": 2})
+    lengths = {"dealiased_row": 100, "sup_norm_grid": 540}
+    sidecar = trajectory_sidecar(
+        traj.times, traj.window_edges, traj.window_reports, {"p": 2}, transform_lengths=lengths
+    )
     assert sidecar["window_edges"][0] == 0.0
+    assert sidecar["transform_lengths"] == lengths
     assert len(sidecar["iterations"]) == len(traj.window_reports)
     # what `imbq solve` runs: the streamed march and the batched energy, not solve or energy
     assert sidecar["provenance"] == {
@@ -85,6 +89,7 @@ def test_trajectory_csv_and_sidecar(tmp_path):
         "contraction_ratios": "imbq.solver.picard_window",
         "quadrature_estimates": "imbq.solver.picard_window",
         "energy": "imbq.solver._energy_matrix",
+        "transform_lengths": "imbq.grid._padded_node_count",
     }
     json.dumps(sidecar)  # serializable
 
