@@ -59,6 +59,7 @@ from .symbols import (
     Symbol,
     apply_symbol,
     besov_seminorm,
+    besov_seminorms,
     check_kernel_inequality,
     eval_symbol,
     kernel_ratio_sweep,

@@ -181,10 +181,16 @@ SCHEMAS = {
 
 TOP_LEVEL_KEYS = {"command", "out", "jobs", "seed", "plot"} | set(SCHEMAS)
 
-# work budget of the dispersion command: RK4 steps per mode, round(T/dt)
+# work budgets of the dispersion command: RK4 steps per mode, round(T/dt), and mode steps
+# over all modes, len(k) * round(T/dt) (one stacked loop steps every mode)
 MAX_DISPERSION_STEPS = 10**6
-# work budget of lemma-check: one seminorm costs ~resolution^2 (0.09 s at 160, 22.5 s at 2560)
+MAX_DISPERSION_MODE_STEPS = 10**7
+# work budgets of lemma-check: a run computes 1 + 2 len(t_values) seminorms in one batch, each
+# ~resolution^2 (on one core the nine default ones take 0.20 s at 160 and 58 s at 2560, one m3
+# alone 0.055 s and 17 s); the H^s corpus costs ~corpus_size * corpus_nodes (~0.5 ms per 256-node field)
 MAX_BESOV_RESOLUTION = 2560
+MAX_BESOV_WORK = 9 * MAX_BESOV_RESOLUTION**2  # the nine default seminorms at the largest resolution
+MAX_CORPUS_NODES = 10**7
 # work budget of the Picard solver (solve, derivative-check): the nodes of one dealiased row,
 # grid._padded_node_count(nodes, (p+1)/2), the smallest even 5-smooth count above nodes*(p+1)/2
 MAX_SOLVE_PADDED_NODES = 2**20
@@ -249,6 +255,18 @@ def _validate_block(command: str, block) -> dict:
     if command == "lemma-check":
         if out["resolution"] > MAX_BESOV_RESOLUTION:
             raise ConfigError(f"lemma-check resolution {out['resolution']} is above the limit {MAX_BESOV_RESOLUTION}")
+        seminorms = 1 + 2 * len(out["t_values"])
+        work = seminorms * out["resolution"] ** 2
+        if work > MAX_BESOV_WORK:
+            raise ConfigError(
+                f"lemma-check asks for {seminorms} seminorms at resolution {out['resolution']}, "
+                f"{work} in units of resolution^2; the limit is {MAX_BESOV_WORK}"
+            )
+        corpus = out["corpus_size"] * out["corpus_nodes"]
+        if corpus > MAX_CORPUS_NODES:
+            raise ConfigError(
+                f"lemma-check corpus_size x corpus_nodes asks for {corpus} field nodes; the limit is {MAX_CORPUS_NODES}"
+            )
         try:
             max(out["t_values"]) ** 3  # the m3 tail bound of symbols._derivative_scale
         except OverflowError:
@@ -259,6 +277,12 @@ def _validate_block(command: str, block) -> dict:
         if steps > MAX_DISPERSION_STEPS + 0.5:
             raise ConfigError(
                 f"dispersion T/dt asks for {steps:.6g} RK4 steps per mode; the limit is {MAX_DISPERSION_STEPS}"
+            )
+        mode_steps = len(out["k"]) * max(1, round(steps))
+        if mode_steps > MAX_DISPERSION_MODE_STEPS:
+            raise ConfigError(
+                f"dispersion asks for {mode_steps} RK4 mode steps, len(k) x round(T/dt); "
+                f"the limit is {MAX_DISPERSION_MODE_STEPS}"
             )
     return out
 
@@ -498,10 +522,8 @@ def _run_lemma_check(cfg: RunConfig) -> int:
     p = cfg.params
     with _from_params():
         grid = make_grid(p["corpus_extent"], p["corpus_nodes"])
-    estimates = [symbols.besov_seminorm(Symbol("m1"), resolution=p["resolution"], strict=True)]
-    for t in p["t_values"]:
-        estimates.append(symbols.besov_seminorm(Symbol("m2_plus", t), resolution=p["resolution"], strict=True))
-        estimates.append(symbols.besov_seminorm(Symbol("m3", t), resolution=p["resolution"], strict=True))
+    syms = [Symbol("m1")] + [Symbol(name, t) for t in p["t_values"] for name in ("m2_plus", "m3")]
+    estimates = symbols.besov_seminorms(syms, resolution=p["resolution"], strict=True)
     reports.write_besov_csv(os.path.join(cfg.out, "besov.csv"), estimates)
     for e in estimates:
         t_str = "-" if e.t is None else f"{e.t:g}"
@@ -557,7 +579,7 @@ def _run_lemma_check(cfg: RunConfig) -> int:
             and max(ratios) / min(ratios) < 10.0
         ),
         "provenance": {
-            "seminorms": "imbq.symbols.besov_seminorm",
+            "seminorms": "imbq.symbols.besov_seminorms",
             "kernel": "imbq.symbols.check_kernel_inequality",
             "hs_corpus": "imbq.symbols.apply_symbol + imbq.grid.sobolev_norm",
         },
@@ -597,7 +619,7 @@ def _run_dispersion(cfg: RunConfig) -> int:
                 for r in rows
             ],
             "provenance": {
-                "fitted_omega": "imbq.solver.dispersion_check",
+                "fitted_omega": "imbq.solver._mode_amplitude_traces + imbq.solver._fit_mode_frequency",
                 "expected_omega": "imbq.grid.lambda_symbol",
             },
         },

@@ -14,8 +14,9 @@ constant reported, never asserted as an equality.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "eval_symbol",
     "apply_symbol",
     "besov_seminorm",
+    "besov_seminorms",
     "check_kernel_inequality",
     "kernel_ratio_sweep",
     "BesovConvergenceError",
@@ -72,27 +74,29 @@ class Symbol:
         return self.name if self.t is None else f"{self.name}(t={self.t:g})"
 
 
+def _symbol_of_lambda(sym: Symbol, lam):
+    """The symbol as a function of lam = lambda_symbol(xi), for eval_symbol and the seminorm integrands."""
+    name, t = sym.name, sym.t
+    if name in ("m1", "P"):
+        return lam**2
+    if name == "lambda":
+        return lam
+    if name == "Q_t":
+        return np.cos(t * lam)
+    if name in ("m3", "R_t"):
+        return _sin_over_lambda(lam, t)
+    if name == "m2_plus":
+        return np.exp(1j * t * lam)
+    return np.exp(-1j * t * lam)  # m2_minus
+
+
 def eval_symbol(sym: Symbol, xi):
     """Evaluate the symbol at frequency ``xi`` (scalar or array).
 
     The removable singularity of m3/R_t at xi = 0 is handled by the series
     t*(1 - (t*lambda)^2/6 + (t*lambda)^4/120) whenever |t*lambda| < 1e-4.
     """
-    xi = np.asarray(xi, dtype=float)
-    lam = lambda_symbol(xi)
-    name, t = sym.name, sym.t
-    if name in ("m1", "P"):
-        out = lam**2
-    elif name == "lambda":
-        out = lam
-    elif name == "Q_t":
-        out = np.cos(t * lam)
-    elif name in ("m3", "R_t"):
-        out = _sin_over_lambda(lam, t)
-    elif name == "m2_plus":
-        out = np.exp(1j * t * lam)
-    else:  # m2_minus
-        out = np.exp(-1j * t * lam)
+    out = _symbol_of_lambda(sym, lambda_symbol(np.asarray(xi, dtype=float)))
     return out if out.ndim else out[()]
 
 
@@ -154,27 +158,44 @@ def _graded_panel(a, b, n: int, min_cell: float = 1e-7) -> np.ndarray:
     return np.concatenate([left, right], axis=1)
 
 
-def _inner_l2_difference(rule: Callable[[np.ndarray], np.ndarray], hs: np.ndarray, extent: float, n_panel: int):
-    """|| m(.+h) - m(.) ||_{L^2([-extent, extent])} by graded panels, one value per h.
+def _squared_difference(sym: Symbol, lam_shifted: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """|m(xi+h) - m(xi)|^2 from the tables lam_shifted = lambda(xi+h) and lam = lambda(xi).
+
+    For the phases m2 it is (2 sin(t (lam_shifted - lam)/2))^2: one real sine
+    instead of two complex exponentials and a complex abs.
+    """
+    if sym.name in ("m2_plus", "m2_minus"):
+        return (2.0 * np.sin(0.5 * sym.t * (lam_shifted - lam))) ** 2
+    # every other symbol is real
+    return (_symbol_of_lambda(sym, lam_shifted) - _symbol_of_lambda(sym, lam)) ** 2
+
+
+def _inner_l2_differences(
+    syms: list[Symbol], hs: np.ndarray, extent: float, n_panel: int, right: np.ndarray, lam_right: np.ndarray
+) -> np.ndarray:
+    """|| m(.+h) - m(.) ||_{L^2([-extent, extent])} by graded panels, one row per symbol, one column per h.
 
     The integrand has kinks at xi = 0 and xi = -h (the |xi| corners of
     lambda), so panels break at -extent, -h, 0 and extent and cluster
     nodes at panel ends.  All h of ``hs`` (0 < h <= extent) are done in
     one array pass; at h = extent the first panel is empty and adds 0.
-    The h-independent panel [0, extent] is built and m on it evaluated
-    once for all of ``hs``.
+    The panels and the tables lambda(nodes), lambda(nodes + h) are built
+    once for all of ``syms``.  The h-independent panel ``right`` = [0, extent]
+    and its table ``lam_right`` come from the caller, built once per
+    resolution.
     """
-    zero = np.zeros_like(hs)
-    total = zero
-    for a, b in ((np.full_like(hs, -extent), -hs), (-hs, zero)):
-        nodes = _graded_panel(a, b, n_panel)
-        total = total + np.trapezoid(np.abs(rule(nodes + hs[:, None]) - rule(nodes)) ** 2, nodes)
-    right = _graded_panel([0.0], [extent], n_panel)
-    total = total + np.trapezoid(np.abs(rule(right + hs[:, None]) - rule(right)) ** 2, right)
-    return np.sqrt(total)
+    left = [_graded_panel(a, b, n_panel) for a, b in ((np.full_like(hs, -extent), -hs), (-hs, np.zeros_like(hs)))]
+    totals = np.zeros((len(syms), len(hs)))
+    for nodes in (*left, right):
+        # one panel's tables at a time, shared by every symbol
+        lam_shifted = lambda_symbol(nodes + hs[:, None])
+        lam = lam_right if nodes is right else lambda_symbol(nodes)
+        for i, sym in enumerate(syms):
+            totals[i] = totals[i] + np.trapezoid(_squared_difference(sym, lam_shifted, lam), nodes)
+    return np.sqrt(totals)
 
 
-# h values per array pass of _inner_l2_difference: each (16, 2 n_panel + 2)
+# h values per array pass of _inner_l2_differences: each (16, 2 n_panel + 2)
 # pass stays small in memory
 _H_BLOCK = 16
 
@@ -189,63 +210,80 @@ def _derivative_scale(sym: Symbol) -> float:
     return 3.0 * max(t, t**3)
 
 
-def _besov_value(sym: Symbol, h_min: float, h_max: float, n_h: int, n_panel: int, extent: float) -> float:
-    rule = lambda xi: eval_symbol(sym, xi)
-    hs = np.geomspace(h_min, h_max, n_h)
+def _besov_values(syms: list[Symbol], h_min: float, h_max: float, resolution: int, extent: float) -> list[float]:
+    """Every symbol's seminorm quadrature with ``resolution`` h nodes and nodes per panel."""
+    hs = np.geomspace(h_min, h_max, resolution)
+    right = _graded_panel([0.0], [extent], resolution)
+    lam_right = lambda_symbol(right)
     inner = np.concatenate(
-        [_inner_l2_difference(rule, hs[i : i + _H_BLOCK], extent, n_panel) for i in range(0, n_h, _H_BLOCK)]
+        [
+            _inner_l2_differences(syms, hs[i : i + _H_BLOCK], extent, resolution, right, lam_right)
+            for i in range(0, resolution, _H_BLOCK)
+        ],
+        axis=1,
     )
     vals = inner / hs**1.5
     # the symbols are even in xi, so the h-integrand is even: double one side;
     # trapezoid in y = log h
-    return 2.0 * float(np.trapezoid(vals * hs, np.log(hs)))
+    return [2.0 * float(np.trapezoid(v * hs, np.log(hs))) for v in vals]
 
 
-def besov_seminorm(
-    sym: Symbol,
+def besov_seminorms(
+    syms: Iterable[Symbol],
     h_min: float = 1e-3,
     h_max: float = 1e3,
     resolution: int = 160,
     xi_extent: float = 1e4,
     stabilization: float = 0.05,
     strict: bool = False,
-) -> BesovEstimate:
-    """Estimate the translation-difference seminorm of a symbol.
+) -> list[BesovEstimate]:
+    """Estimate the translation-difference seminorm of every symbol of ``syms``, in order.
 
     ``resolution`` sets both the number of h quadrature nodes and the node
     count per graded xi panel; the estimate is recomputed at double
     resolution and flagged unconverged if the two differ by more than
-    ``stabilization`` relative (with ``strict=True`` this raises instead of
-    flagging).  The inner L^2 integrals truncate at |xi| = xi_extent; the
-    analytic bound on the discarded tail is recorded.  They are evaluated
-    for blocks of 16 h values per array pass, one row per h.
+    ``stabilization`` relative (with ``strict=True`` the first unconverged
+    symbol, in the order of ``syms``, raises instead).  The inner L^2
+    integrals truncate at |xi| = xi_extent; the analytic bound on the
+    discarded tail is recorded.  They are evaluated for blocks of 16 h
+    values per array pass, one row per h, and every symbol's integrand is
+    formed from the same panels and lambda tables.
     """
     if not 0 < h_min < h_max:
         raise ValueError("need 0 < h_min < h_max")
     if h_max > xi_extent:
         raise ValueError("h_max must not exceed the inner xi extent")
-    coarse = _besov_value(sym, h_min, h_max, resolution, resolution, xi_extent)
-    fine = _besov_value(sym, h_min, h_max, 2 * resolution, 2 * resolution, xi_extent)
-    change = abs(fine - coarse) / max(abs(fine), 1e-300)
-    converged = change < stabilization or fine < 1e-12
-    if strict and not converged:
-        raise BesovConvergenceError(
-            f"seminorm of {sym} changed by {change:.1%} under resolution doubling"
-        )
-    # tail: |m(xi+h)-m(xi)| <= h * scale/<xi>^3 for |xi| >= extent - h_max
-    c = _derivative_scale(sym)
+    syms = list(syms)
+    coarse = _besov_values(syms, h_min, h_max, resolution, xi_extent)
+    fine = _besov_values(syms, h_min, h_max, 2 * resolution, xi_extent)
     safe = max(xi_extent - h_max, 1.0)
-    tail = 4.0 * c * math.sqrt(2.0 / 5.0) * safe**-2.5 * (math.sqrt(h_max) - math.sqrt(h_min))
-    return BesovEstimate(
-        symbol=sym.name,
-        t=sym.t,
-        value=fine,
-        resolution=resolution,
-        xi_extent=xi_extent,
-        converged=bool(converged),
-        refinement_change=change,
-        tail_bound=tail,
-    )
+    estimates = []
+    for sym, c, f in zip(syms, coarse, fine):
+        change = abs(f - c) / max(abs(f), 1e-300)
+        converged = change < stabilization or f < 1e-12
+        if strict and not converged:
+            raise BesovConvergenceError(f"seminorm of {sym} changed by {change:.1%} under resolution doubling")
+        # tail: |m(xi+h)-m(xi)| <= h * scale/<xi>^3 for |xi| >= extent - h_max
+        c = _derivative_scale(sym)
+        tail = 4.0 * c * math.sqrt(2.0 / 5.0) * safe**-2.5 * (math.sqrt(h_max) - math.sqrt(h_min))
+        estimates.append(
+            BesovEstimate(
+                symbol=sym.name,
+                t=sym.t,
+                value=f,
+                resolution=resolution,
+                xi_extent=xi_extent,
+                converged=bool(converged),
+                refinement_change=change,
+                tail_bound=tail,
+            )
+        )
+    return estimates
+
+
+def besov_seminorm(sym: Symbol, *args, **kwargs) -> BesovEstimate:
+    """Estimate the translation-difference seminorm of one symbol: :func:`besov_seminorms` of ``[sym]``."""
+    return besov_seminorms([sym], *args, **kwargs)[0]
 
 
 # ----------------------------------------------------------------------

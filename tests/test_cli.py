@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -104,6 +105,26 @@ def test_besov_resolution_budget_exits_2_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "100000000" in err and str(MAX_BESOV_RESOLUTION) in err
     assert parse_config(["lemma-check"]).params["resolution"] == 160  # the default stays accepted
+
+
+@pytest.mark.parametrize(
+    "command, block, estimate",
+    [
+        # 201 seminorms at the largest resolution
+        ("lemma-check", {"resolution": 2560, "t_values": [0.5 + 0.01 * i for i in range(100)]}, "1317273600"),
+        ("lemma-check", {"corpus_size": 10**9}, "256000000000 field nodes"),
+        # each mode is within the per-mode step budget, the modes together are not
+        ("dispersion", {"T": 2000.0, "dt": 2e-3, "k": [1.0 + i for i in range(1000)]}, "1000000000 RK4 mode steps"),
+    ],
+    ids=["lemma-seminorms", "lemma-corpus", "dispersion-modes"],
+)
+def test_work_budgets_count_list_lengths(tmp_path, capsys, command, block, estimate):
+    cfg_path = write_config(tmp_path, {command: block})
+    start = time.perf_counter()
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {command} ") and estimate in err
 
 
 def test_solve_huge_power_window_is_the_horizon(tmp_path):
@@ -568,6 +589,21 @@ def test_lemma_check_command(tmp_path):
     summary = json.loads((out / "lemma.json").read_text())
     assert summary["hs_violations"] == 0
     assert summary["pass"] is True
+
+
+def test_lemma_and_dispersion_provenance_names_importable_functions(tmp_path):
+    runs = (
+        ("lemma-check", {"resolution": 20, "corpus_size": 2, "t_values": [0.5, 1.0]}, "lemma.json"),
+        ("dispersion", {"k": [1.0, 10.0], "T": 5.0, "dt": 0.01}, "dispersion.json"),
+    )
+    for command, block, sidecar in runs:
+        out = tmp_path / command
+        assert main([command, "--config", write_config(tmp_path, {command: block}), "--out", str(out)]) == 0
+        provenance = json.loads((out / sidecar).read_text())["provenance"]
+        for names in provenance.values():
+            for name in names.split(" + "):
+                module, _, attr = name.rpartition(".")
+                assert module.startswith("imbq") and hasattr(importlib.import_module(module), attr), name
 
 
 def test_emit_plot_rejects_empty_report(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,11 +11,12 @@ from imbq.symbols import (
     Symbol,
     apply_symbol,
     besov_seminorm,
+    besov_seminorms,
     check_kernel_inequality,
     eval_symbol,
     kernel_ratio_sweep,
 )
-from imbq.symbols import _besov_value
+from imbq.symbols import _TIME_FREE, SYMBOL_NAMES, BesovConvergenceError, _besov_values
 
 
 def test_symbol_validation():
@@ -156,12 +158,48 @@ def _per_h_besov_value(sym, h_min, h_max, n_h, n_panel, extent):
 )
 def test_blocked_besov_value_matches_per_h_reference(sym, resolution):
     # the 16-h blocks divide neither 20 nor 40, so the last block is short
-    got = _besov_value(sym, 1e-3, 1e3, resolution, resolution, 1e4)
+    got = _besov_values([sym], 1e-3, 1e3, resolution, 1e4)[0]
     want = _per_h_besov_value(sym, 1e-3, 1e3, resolution, resolution, 1e4)
     assert got == pytest.approx(want, rel=1e-14, abs=0)
     # h_max = extent: the last h has an empty first panel
-    got = _besov_value(sym, 1e-2, 50.0, resolution, resolution, 50.0)
+    got = _besov_values([sym], 1e-2, 50.0, resolution, 50.0)[0]
     assert got == pytest.approx(_per_h_besov_value(sym, 1e-2, 50.0, resolution, resolution, 50.0), rel=1e-14, abs=0)
+
+
+# every symbol name, the timed ones at one t, in one batch
+_ALL_SYMBOLS = [Symbol(name) if name in _TIME_FREE else Symbol(name, 1.3) for name in SYMBOL_NAMES]
+
+
+def test_besov_seminorms_batch_matches_per_h_reference_for_every_symbol():
+    # one call shares the panels and lambda tables; each value is the fine (double) resolution
+    estimates = besov_seminorms(_ALL_SYMBOLS, resolution=20)
+    assert [(e.symbol, e.t) for e in estimates] == [(s.name, s.t) for s in _ALL_SYMBOLS]
+    for sym, est in zip(_ALL_SYMBOLS, estimates):
+        want = _per_h_besov_value(sym, 1e-3, 1e3, 40, 40, 1e4)
+        assert est.value == pytest.approx(want, rel=1e-14, abs=0), str(sym)
+    # h_max = extent: the last h has an empty first panel
+    for sym, got in zip(_ALL_SYMBOLS, _besov_values(_ALL_SYMBOLS, 1e-2, 50.0, 20, 50.0)):
+        assert got == pytest.approx(_per_h_besov_value(sym, 1e-2, 50.0, 20, 20, 50.0), rel=1e-14, abs=0), str(sym)
+
+
+def test_besov_seminorms_batch_equals_one_at_a_time():
+    batch = besov_seminorms(_ALL_SYMBOLS, resolution=20)
+    assert batch == [besov_seminorm(sym, resolution=20) for sym in _ALL_SYMBOLS]
+    assert besov_seminorms([], resolution=20) == []
+
+
+def test_besov_seminorms_strict_raises_for_the_first_unconverged_symbol():
+    # a stabilization below any refinement change leaves every nonzero seminorm unconverged;
+    # Q_t at t = 0 is the constant 1, whose zero seminorm still converges
+    loose = besov_seminorms([Symbol("m3", 0.5), Symbol("m1")], resolution=20, stabilization=1e-14)
+    assert [e.converged for e in loose] == [False, False]
+    for syms, first in (
+        ([Symbol("m3", 0.5), Symbol("m1")], "m3(t=0.5)"),
+        ([Symbol("m1"), Symbol("m3", 0.5)], "m1"),
+        ([Symbol("Q_t", 0.0), Symbol("m2_minus", 2.0), Symbol("m1")], "m2_minus(t=2)"),
+    ):
+        with pytest.raises(BesovConvergenceError, match=rf"^seminorm of {re.escape(first)} changed by"):
+            besov_seminorms(syms, resolution=20, stabilization=1e-14, strict=True)
 
 
 def test_besov_rejects_bad_range():
