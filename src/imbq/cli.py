@@ -33,6 +33,7 @@ import numpy as np
 from . import inflation, reports, solver, svgplot, symbols
 from .grid import (
     SUP_NORM_OVERSAMPLE,
+    _dealiased_node_count,
     _padded_node_count,
     lambda_symbol,
     make_grid,
@@ -192,7 +193,7 @@ MAX_BESOV_RESOLUTION = 2560
 MAX_BESOV_WORK = 9 * MAX_BESOV_RESOLUTION**2  # the nine default seminorms at the largest resolution
 MAX_CORPUS_NODES = 10**7
 # work budget of the Picard solver (solve, derivative-check): the nodes of one dealiased row,
-# grid._padded_node_count(nodes, (p+1)/2), the smallest even 5-smooth count above nodes*(p+1)/2
+# grid._dealiased_node_count(nodes, p)
 MAX_SOLVE_PADDED_NODES = 2**20
 # work budget of solve: Picard windows, ceil(T/window); solver._march checks it for every run
 MAX_SOLVE_WINDOWS = solver.MAX_SOLVE_WINDOWS
@@ -204,7 +205,7 @@ def _check_padded_row(command: str, nodes: int, p: int):
         raise ConfigError(
             f"{command} asks for at least {least} dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}"
         )
-    padded = _padded_node_count(nodes, (p + 1) / 2)  # the row the solver allocates
+    padded = _dealiased_node_count(nodes, p)  # the row the solver allocates
     if padded > MAX_SOLVE_PADDED_NODES:
         raise ConfigError(f"{command} asks for {padded} dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}")
 
@@ -422,24 +423,22 @@ def _run_solve(cfg: RunConfig) -> int:
         )
     times = p["sample_times"] or np.linspace(0.0, p["T"], 5).tolist()
     with_energy = abs(data.u1.amplitudes[grid.node_count // 2]) < 1e-12
-    kept: dict = {}
+    energies, kept = [], []
 
-    def begin(n_windows):
-        kept.update(energies=[], rows=[])
-
-        def take(k, t, u, ut):
-            if with_energy:
-                kept["energies"].append(solver._energy_matrix(u, ut, grid, p["p"], p["sign"]))
-            # the window's last row and its nearest to each request: the nearest overall is among these
-            rows = sorted({len(t) - 1, *(int(np.argmin(np.abs(t - t_req))) for t_req in times)})
-            kept["rows"].append((t[rows], u[rows], ut[rows]))
-
-        return take
+    def take(n_windows, k, t, u, ut):
+        if k == 0:  # a new attempt: drop what a failed one kept
+            energies.clear()
+            kept.clear()
+        if with_energy:
+            energies.append(solver._energy_matrix(u, ut, grid, p["p"], p["sign"]))
+        # the window's last row and its nearest to each request: the nearest overall is among these
+        rows = sorted({len(t) - 1, *(int(np.argmin(np.abs(t - t_req))) for t_req in times)})
+        kept.append((t[rows], u[rows], ut[rows]))
 
     # the windows stream through take, which keeps only energies and a few rows of each
-    marched = solver._march(data, scfg, True, begin)
-    sampled = solver.Trajectory(*(np.concatenate(parts) for parts in zip(*kept["rows"])), grid)
-    energies = np.concatenate(kept["energies"]) if with_energy else None
+    marched = solver._march(data, scfg, True, take)
+    sampled = solver.Trajectory(*(np.concatenate(parts) for parts in zip(*kept)), grid)
+    energies = np.concatenate(energies) if with_energy else None
     reports.write_trajectory_csv(os.path.join(cfg.out, "trajectory.csv"), sampled, times)
     reports.write_json(
         os.path.join(cfg.out, "solve.json"),
@@ -447,7 +446,7 @@ def _run_solve(cfg: RunConfig) -> int:
             marched.times, marched.edges, marched.reports, {**p, "command": "solve"}, energies, marched.probe,
             marched.failures,
             {
-                "dealiased_row": _padded_node_count(grid.node_count, scfg.dealias),
+                "dealiased_row": _dealiased_node_count(grid.node_count, scfg.p),
                 "sup_norm_grid": _padded_node_count(grid.node_count, SUP_NORM_OVERSAMPLE),
             },
         ),

@@ -270,6 +270,11 @@ def _padded_node_count(node_count: int, factor: float) -> int:
     return 2 * _fast_length(math.floor(node_count * factor) // 2 + 1)
 
 
+def _dealiased_node_count(node_count: int, p: int) -> int:
+    """The one dealiasing rule: :func:`_padded_node_count` at (p+1)/2, the least factor keeping u^p alias-free."""
+    return _padded_node_count(node_count, (p + 1) / 2)
+
+
 # ----------------------------------------------------------------------
 # norms
 
@@ -298,11 +303,11 @@ def restricted_norm(f: SpectralField, window: BandWindow, s: float) -> float:
     return float(np.sqrt(total))
 
 
-def sup_norm(f: SpectralField, oversample: int = SUP_NORM_OVERSAMPLE) -> float:
+def sup_norm(f: SpectralField) -> float:
     """L^inf norm of the real band-limited interpolant of a real_valued field.
 
-    Max of |u| over a dual grid refined at least ``oversample`` times (the
-    count of :func:`_padded_node_count`), sampled by
+    Max of |u| over a dual grid refined more than the fixed
+    :data:`SUP_NORM_OVERSAMPLE` times (:func:`_padded_node_count`), sampled by
     :func:`_position_matrix` (which splits node k = 0 across +-M/2), and
     sharpened by a parabolic fit through the winning sample and its two
     neighbours.  The sharpening never lowers the largest sample, so the
@@ -313,7 +318,8 @@ def sup_norm(f: SpectralField, oversample: int = SUP_NORM_OVERSAMPLE) -> float:
     """
     if not f.real_valued:
         raise ValueError("sup_norm requires a real_valued field")
-    mag = np.abs(_position_matrix(_half_spectrum(f.amplitudes[None]), f.grid, oversample)[0][0])
+    padded = _padded_node_count(f.grid.node_count, SUP_NORM_OVERSAMPLE)
+    mag = np.abs(_position_matrix(_half_spectrum(f.amplitudes[None]), f.grid, padded)[0][0])
     j = int(np.argmax(mag))
     y0, y1, y2 = mag[j - 1], mag[j], mag[(j + 1) % mag.shape[0]]
     denom = y0 - 2.0 * y1 + y2
@@ -348,17 +354,15 @@ def _full_spectrum(half: np.ndarray) -> np.ndarray:
     return out
 
 
-def _position_matrix(half: np.ndarray, grid: FrequencyGrid, factor: float):
-    """Samples of every half-layout row on the grid padded by ``factor``: one irfft.
+def _position_matrix(half: np.ndarray, grid: FrequencyGrid, padded: int):
+    """Samples of every half-layout row on the grid of ``padded`` nodes: one irfft.
 
-    The padded grid has :func:`_padded_node_count` nodes, the smallest even
-    5-smooth count strictly above M * ``factor``.  The padded half spectrum carries
-    the Hermitian part of each row, so the unpaired node k = 0 (mode -M/2)
-    enters as conj(a_0)/2 at mode +M/2.
+    ``padded`` is a count of :func:`_padded_node_count`.  The padded half
+    spectrum carries the Hermitian part of each row, so the unpaired node
+    k = 0 (mode -M/2) enters as conj(a_0)/2 at mode +M/2.
     Returns the (n, padded) real samples and the fine spacing dx.
     """
     h = half.shape[1] - 1
-    padded = _padded_node_count(2 * h, factor)
     dx_fine = 2.0 * np.pi / (padded * grid.dxi)
     bins = np.zeros((half.shape[0], padded // 2 + 1), dtype=np.complex128)
     bins[:, :h] = half[:, :h]
@@ -369,15 +373,16 @@ def _position_matrix(half: np.ndarray, grid: FrequencyGrid, factor: float):
     return samples, dx_fine
 
 
-def _power_matrix(half: np.ndarray, grid: FrequencyGrid, p: int, dealias_factor: float) -> np.ndarray:
+def _power_matrix(half: np.ndarray, grid: FrequencyGrid, p: int) -> np.ndarray:
     """Half-layout amplitudes of u^p for every half-layout row: one irfft/rfft pair.
 
-    The samples come from :func:`_position_matrix`; the unpaired node k = 0
+    The samples come from :func:`_position_matrix` on the grid of
+    :func:`_dealiased_node_count` nodes; the unpaired node k = 0
     is read back as the conjugate of the +M/2 bin.  Full (n, M) rows go
     through :func:`_half_spectrum` and :func:`_full_spectrum` around it.
     """
     h = half.shape[1] - 1
-    samples, dx_fine = _position_matrix(half, grid, dealias_factor)
+    samples, dx_fine = _position_matrix(half, grid, _dealiased_node_count(grid.node_count, p))
     with np.errstate(over="ignore", invalid="ignore"):
         samples **= p
     if not np.all(np.isfinite(samples)):
@@ -387,15 +392,15 @@ def _power_matrix(half: np.ndarray, grid: FrequencyGrid, p: int, dealias_factor:
     return out
 
 
-def pointwise_power(f: SpectralField, p: int, sign: int, dealias_factor: float | None = None) -> SpectralField:
+def pointwise_power(f: SpectralField, p: int, sign: int) -> SpectralField:
     """Spectral representation of sign * u^p, dealiased by zero padding.
 
     The field is transformed to position space on a grid of
-    :func:`_padded_node_count` nodes, the smallest even 5-smooth count
-    strictly above M * ``dealias_factor`` (default (p+1)/2, the smallest
-    factor for which the degree-p product is alias-free on every node, k = 0
-    included), raised to the p-th power pointwise, transformed back, and
-    truncated to the original grid.
+    :func:`_dealiased_node_count` nodes, the smallest even 5-smooth count
+    strictly above M (p+1)/2 (the smallest factor for which the degree-p
+    product is alias-free on every node, k = 0 included), raised to the
+    p-th power pointwise, transformed back, and truncated to the original
+    grid.
     """
     if not f.real_valued:
         raise ValueError("pointwise_power requires a real_valued field")
@@ -403,11 +408,7 @@ def pointwise_power(f: SpectralField, p: int, sign: int, dealias_factor: float |
         raise ValueError("power must be a positive integer")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if dealias_factor is None:
-        dealias_factor = (p + 1) / 2
-    if dealias_factor < (p + 1) / 2:
-        raise ValueError(f"dealias_factor must be >= (p+1)/2 = {(p + 1) / 2}")
-    out = sign * _full_spectrum(_power_matrix(_half_spectrum(f.amplitudes[None]), f.grid, p, dealias_factor))[0]
+    out = sign * _full_spectrum(_power_matrix(_half_spectrum(f.amplitudes[None]), f.grid, p))[0]
     return SpectralField(f.grid, out, real_valued=True)
 
 

@@ -35,7 +35,7 @@ from .grid import (
     restricted_norm,
     sobolev_norm,
 )
-from .solver import CauchyData, SolverConfig, free_propagator, solve
+from .solver import CauchyData, SolverConfig, _simpson_row, free_propagator, solve
 
 __all__ = [
     "IPData",
@@ -232,12 +232,6 @@ def _box_power_terms(d: IPData, g_plus: np.ndarray, g_minus: np.ndarray, p: int)
             yield lo, hi, (math.comb(p, k) * scale) * term
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    return w * (h / 3.0)
-
-
 def _ap_amplitudes(d: IPData, p: int, sign: int, t: float, tau_nodes: int) -> np.ndarray:
     """Simpson sums with ``tau_nodes`` nodes and with doubled nodes, as rows.
 
@@ -247,8 +241,8 @@ def _ap_amplitudes(d: IPData, p: int, sign: int, t: float, tau_nodes: int) -> np
     fine = 2 * (tau_nodes - 1) + 1
     taus = np.linspace(0.0, t, fine)
     weights = np.zeros((2, fine))
-    weights[0, ::2] = _simpson_weights(tau_nodes, taus[2] - taus[0])
-    weights[1] = _simpson_weights(fine, taus[1] - taus[0])
+    weights[0, ::2] = _simpson_row(tau_nodes - 1) * (taus[2] - taus[0])
+    weights[1] = _simpson_row(fine - 1) * (taus[1] - taus[0])
     lam = lambda_symbol(d.grid.xi)
     g_plus = np.exp(-1j * np.outer(taus, lam[_box_slice(d.plus_mask)]))
     g_minus = np.exp(1j * np.outer(taus, lam[_box_slice(d.minus_mask)]))

@@ -26,6 +26,7 @@ from .grid import (
     FrequencyGrid,
     SpectralField,
     _check_amplitudes,
+    _dealiased_node_count,
     _full_spectrum,
     _half_spectrum,
     _position_matrix,
@@ -95,10 +96,10 @@ class SolverConfig:
 
     :func:`solve` sizes its windows by accuracy.  A probe runs the first
     window of the a-priori tiling, windows of ``window_safety *
-    R^{-(p-1)/2}`` with R = ``radius_constant`` times the summed
-    H^s-plus-sup size of the data.  Its embedded quadrature estimate, the
-    33-node prefix-Simpson tau-integral minus the 17-node one on the even
-    nodes, falls like h^4 in the node spacing h, so the probe window is
+    R^{-(p-1)/2}`` with R the summed H^s-plus-sup size of the data.  Its
+    embedded quadrature estimate, the 33-node prefix-Simpson tau-integral
+    minus the 17-node one on the even nodes, falls like h^4 in the node
+    spacing h, so the probe window is
     scaled by (target/estimate)^{1/4} with the target
     :data:`QUADRATURE_TARGET` of the largest node size, and [0, horizon] is
     tiled by ceil(horizon/window) equal windows.  A set ``window_override``,
@@ -108,7 +109,7 @@ class SolverConfig:
     windows, up to ``max_window_halvings`` times.  Picard stops once the
     max over the window nodes of H^s + (dxi/2pi) sum |u_hat| of the iterate
     difference, an upper bound of its H^s-plus-sup size, is below
-    ``picard_tol``.
+    ``picard_tol``.  The power is dealiased by the fixed factor (p+1)/2.
     """
 
     p: int
@@ -119,8 +120,6 @@ class SolverConfig:
     max_iterations: int = 50
     quadrature_nodes: int = 33
     window_safety: float = 0.1
-    dealias_factor: float | None = None
-    radius_constant: float = 1.0
     window_override: float | None = None
     max_window_halvings: int = 5
 
@@ -129,23 +128,22 @@ class SolverConfig:
             raise ValueError(f"p must be an integer >= 2, got {self.p}")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.s < 0:
             raise ValueError("solver regularity s must be >= 0")
+        if not self.picard_tol > 0:
+            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
         if self.quadrature_nodes % 2 == 0 or self.quadrature_nodes < 5:
             raise ValueError("quadrature_nodes must be odd and >= 5")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-    @property
-    def dealias(self) -> float:
-        base = (self.p + 1) / 2
-        if self.dealias_factor is None:
-            return base
-        if self.dealias_factor < base:
-            raise ValueError(f"dealias_factor must be >= {base}")
-        return self.dealias_factor
+        if not 0 < self.window_safety < math.inf:
+            raise ValueError(f"window_safety must be positive and finite, got {self.window_safety}")
+        if self.window_override is not None and not self.window_override > 0:
+            raise ValueError(f"window_override must be positive, got {self.window_override}")
+        if self.max_window_halvings < 0:
+            raise ValueError(f"max_window_halvings must be >= 0, got {self.max_window_halvings}")
 
 
 @dataclass(frozen=True)
@@ -328,7 +326,7 @@ def _tau_integrals(u, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig):
     cos(t_j lam) g, sin(t_j lam) g and their prefix tau-integrals, the
     latter one real GEMM over the float64 view of the former.
     """
-    g = _power_matrix(u, grid, cfg.p, cfg.dealias)
+    g = _power_matrix(u, grid, cfg.p)
     n, k = g.shape
     # the GEMM's operand and result share one allocation and the result is combined in place,
     # so an iteration allocates few large arrays
@@ -482,8 +480,7 @@ QUADRATURE_TARGET = 1e-8
 def _window_length(d: CauchyData, cfg: SolverConfig) -> float:
     if cfg.window_override is not None:
         return min(cfg.window_override, cfg.horizon)
-    u0, u1 = d.u0, d.u1
-    r = cfg.radius_constant * (sobolev_norm(u0, cfg.s) + sup_norm(u0) + sobolev_norm(u1, cfg.s) + sup_norm(u1))
+    r = sobolev_norm(d.u0, cfg.s) + sup_norm(d.u0) + sobolev_norm(d.u1, cfg.s) + sup_norm(d.u1)
     if r == 0.0:
         return cfg.horizon
     # in logs: for r < 1 and a large p, r^{-(p-1)/2} overflows a float
@@ -519,7 +516,7 @@ class _Marched(NamedTuple):
     failures: tuple[_Attempt, ...]
 
 
-def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin) -> _Marched:
+def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take) -> _Marched:
     """March Picard windows of one length over [0, horizon], halving them on a failure.
 
     The probe of :class:`SolverConfig` sizes the windows (it runs without
@@ -528,11 +525,11 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin) -> _Marched:
     estimate meets the target up to the rounding of the count.  A window
     fails when it does not converge or, when sized, when its estimate is
     above :data:`QUADRATURE_TARGET`; an attempt that fails before anything
-    was sized probes again.  Each attempt with n windows calls ``begin(n)``
-    for a fresh per-window function ``take(k, times, u, u_t)`` and hands it
-    the rows that window k adds: all of window 0, then every row but the
-    first (the previous window's last state).  A failed attempt's ``take``
-    is dropped with whatever it kept.  The windows of an attempt share one
+    was sized probes again.  Window k of an attempt with n windows calls
+    ``take(n, k, times, u, u_t)`` with the rows it adds: all of window 0,
+    then every row but the first (the previous window's last state).
+    ``k == 0`` starts an attempt, and the consumer drops whatever it kept
+    of a failed one.  The windows of an attempt share one
     :class:`_Rule`, and node j of window k is stamped at
     (k (Q-1) + j) horizon / (n (Q-1)), so a time the tiling hits prints
     exactly.  Continuation data at each window end is the converged state
@@ -562,13 +559,12 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, begin) -> _Marched:
                 if count != n_windows:
                     n_windows = count
                     continue
-            take = begin(n_windows)
             for k in range(n_windows):
                 start = k * cfg.horizon / n_windows
                 traj, report = first if k == 0 and first else _run_window(data, w, cfg, forcing, rule, k, start, target)
                 new = slice(0 if k == 0 else 1, None)
                 times.append((k * step + np.arange(cfg.quadrature_nodes)[new]) * cfg.horizon / (n_windows * step))
-                take(k, times[-1], traj.u[new], traj.u_t[new])
+                take(n_windows, k, times[-1], traj.u[new], traj.u_t[new])
                 edges.append((k + 1) * cfg.horizon / n_windows)
                 reports.append(report)
                 data = CauchyData(*traj.final())
@@ -611,22 +607,19 @@ def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
     step, m = cfg.quadrature_nodes - 1, d.grid.node_count
     mats: list[np.ndarray] = []
 
-    def begin(n_windows: int):
-        # a single window is not copied: the copy lifts derivative-check's peak RSS from 113 to 130 MB
-        n_rows = n_windows * step + 1
-        mats[:] = [] if n_windows == 1 else [np.empty((n_rows, m), np.complex128) for _ in range(2)]
+    def take(n_windows, k, times, u, ut):
+        if n_windows == 1:
+            # a single window is not copied: the copy lifts derivative-check's peak RSS from 113 to 130 MB
+            mats[:] = [u, ut]
+            return
+        if k == 0:  # a new attempt: the matrices of a failed one go before the new ones are allocated
+            mats.clear()
+            mats.extend(np.empty((n_windows * step + 1, m), np.complex128) for _ in range(2))
+        rows = slice(k * step + (k > 0), (k + 1) * step + 1)
+        mats[0][rows] = u
+        mats[1][rows] = ut
 
-        def take(k, times, u, ut):
-            if n_windows == 1:
-                mats.extend((u, ut))
-                return
-            rows = slice(k * step + (k > 0), (k + 1) * step + 1)
-            mats[0][rows] = u
-            mats[1][rows] = ut
-
-        return take
-
-    marched = _march(d, cfg, forcing, begin)
+    marched = _march(d, cfg, forcing, take)
     return Trajectory(marched.times, mats[0], mats[1], d.grid, marched.edges, marched.reports, len(marched.failures))
 
 
@@ -651,7 +644,7 @@ def rk4_solve(
     grid = d.grid
     power = None
     if forcing:
-        power = lambda u: cfg.sign * _full_spectrum(_power_matrix(_half_spectrum(u), grid, cfg.p, cfg.dealias))
+        power = lambda u: cfg.sign * _full_spectrum(_power_matrix(_half_spectrum(u), grid, cfg.p))
     lam2 = lambda_symbol(grid.xi) ** 2
     u0, v0 = d.u0.amplitudes[None], d.u1.amplitudes[None]
     times, u, v = zip(*_rk4_stack(u0, v0, lam2, cfg.horizon, dt, store_stride, power))
@@ -707,10 +700,11 @@ def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
 # conserved energy
 
 
-def _energy_matrix(u, ut, grid: FrequencyGrid, p: int, sign: int, dealias_factor: float | None = None):
+def _energy_matrix(u, ut, grid: FrequencyGrid, p: int, sign: int):
     """:func:`energy` of every row pair of the (n, M) matrices ``u``, ``ut``.
 
-    The potential takes its samples from one :func:`_position_matrix` batch.
+    The potential takes its samples from one :func:`_position_matrix` batch
+    on the grid of :func:`_dealiased_node_count` nodes.
     Raises ValueError if any row's velocity has a nonzero mean.
     """
     zero_idx = grid.node_count // 2
@@ -720,22 +714,21 @@ def _energy_matrix(u, ut, grid: FrequencyGrid, p: int, sign: int, dealias_factor
     lam2 = np.delete(lambda_symbol(grid.xi), zero_idx) ** 2
     u2 = np.delete(u.real**2 + u.imag**2, zero_idx, axis=1)
     quad = 0.5 * np.sum(np.delete(ut2, zero_idx, axis=1) / lam2 + u2, axis=1) * grid.dxi
-    samples, dx_fine = _position_matrix(_half_spectrum(u), grid, max(dealias_factor or 0.0, (p + 1) / 2))
+    samples, dx_fine = _position_matrix(_half_spectrum(u), grid, _dealiased_node_count(grid.node_count, p))
     # u^p * u rather than u^(p+1): numpy squares in place but calls pow() for a cube
     potential = 2.0 * np.pi * sign / (p + 1) * np.sum(samples**p * samples, axis=1) * dx_fine
     return quad + potential
 
 
-def energy(
-    u: SpectralField, u_t: SpectralField, p: int, sign: int, dealias_factor: float | None = None
-) -> float:
+def energy(u: SpectralField, u_t: SpectralField, p: int, sign: int) -> float:
     """Conserved functional of the frequency-space flow.
 
     E = 1/2 sum_{xi != 0} (|u_hat_t|^2/lam^2 + |u_hat|^2) dxi
         + 2pi*sign/(p+1) * sum_j u(x_j)^{p+1} dx,
 
-    with the potential sum taken on the dealiased (padded) position grid so
-    that dE/dt vanishes identically along the semidiscrete flow -- see the
+    with the potential sum taken on the position grid of the solver's power
+    (the fixed factor of :func:`grid._dealiased_node_count`) so that dE/dt
+    vanishes identically along the semidiscrete flow -- see the
     directional-derivative identity exercised in the tests.  Requires mean
     zero velocity (u_hat_t(0) = 0), without which the xi = 0 mode grows
     linearly and is excluded from the quadratic sum.  One row of
@@ -743,7 +736,7 @@ def energy(
     """
     if u.grid != u_t.grid:
         raise ValueError("grid mismatch")
-    return float(_energy_matrix(u.amplitudes[None], u_t.amplitudes[None], u.grid, p, sign, dealias_factor)[0])
+    return float(_energy_matrix(u.amplitudes[None], u_t.amplitudes[None], u.grid, p, sign)[0])
 
 
 def energy_series(traj: Trajectory, p: int, sign: int) -> np.ndarray:

@@ -38,6 +38,7 @@ __all__ = [
 SYMBOL_NAMES = ("m1", "m2_plus", "m2_minus", "m3", "P", "Q_t", "R_t", "lambda")
 _TIME_FREE = ("m1", "P", "lambda")
 _REAL_SYMBOLS = ("m1", "m3", "P", "Q_t", "R_t", "lambda")
+_MIN_CELL = 1e-7  # the first node offset of a graded panel, relative to its half length
 
 
 class BesovConvergenceError(RuntimeError):
@@ -133,7 +134,7 @@ class BesovEstimate:
     tail_bound: float
 
 
-def _graded_panel(a, b, n: int, min_cell: float = 1e-7) -> np.ndarray:
+def _graded_panel(a, b, n: int) -> np.ndarray:
     """Nodes on [a, b] clustered geometrically toward both endpoints.
 
     ``a`` and ``b`` are arrays of panel ends; row i of the (len(a), 2n+2)
@@ -145,9 +146,9 @@ def _graded_panel(a, b, n: int, min_cell: float = 1e-7) -> np.ndarray:
     b = np.asarray(b, dtype=float)[:, None]
     half = 0.5 * (b - a)
     k = np.arange(n + 1)
-    # geometric offsets from 0 (relative): min_cell * g^k, normalized to land on 1
-    g = (1.0 / min_cell) ** (1.0 / n)
-    rel = min_cell * g**k
+    # geometric offsets from 0 (relative): _MIN_CELL * g^k, normalized to land on 1
+    g = (1.0 / _MIN_CELL) ** (1.0 / n)
+    rel = _MIN_CELL * g**k
     rel[0] = 0.0
     rel[-1] = 1.0
     left = a + half * rel

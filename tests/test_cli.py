@@ -510,6 +510,21 @@ def test_solve_records_how_its_windows_were_sized(tmp_path, capsys):
     assert lines[-1].endswith(f"largest estimate {max(sidecar['quadrature_estimates']):.3e}, halvings 1")
 
 
+def test_halved_solve_keeps_only_the_rows_of_its_last_attempt(tmp_path):
+    # the sized march of these data halves 7 -> 14 windows; what the failed attempt
+    # streamed is dropped, so the outputs equal those of the run set to 14 windows
+    block = {"p": 3, "sign": -1, "T": 3.0, "nodes": 64, "data": {"kind": "gaussian", "amplitude": 3.0}}
+    outputs = []
+    for run, extra in (("sized", {}), ("set", {"window": 3.0 / 14})):
+        cfg_path = write_config(tmp_path, {"solve": {**block, **extra}}, name=f"{run}.json")
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / run)]) == 0
+        sidecar = json.loads((tmp_path / run / "solve.json").read_text())
+        assert len(sidecar["iterations"]) == 14
+        outputs.append(((tmp_path / run / "trajectory.csv").read_bytes(), sidecar["energy"], sidecar["window_rule"]))
+    assert outputs[0][2]["halvings"] == 1 and outputs[1][2]["halvings"] == 0
+    assert outputs[0][:2] == outputs[1][:2]
+
+
 def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path,

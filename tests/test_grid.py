@@ -309,13 +309,6 @@ def test_padded_node_count_is_the_smallest_even_5_smooth_count_above_the_bound(f
         assert padded == even_smooth[np.searchsorted(even_smooth, m * factor, side="right")]
 
 
-def test_pointwise_power_rejects_small_dealias_factor():
-    g = make_grid(4.0, 32)
-    f = SpectralField.zero(g)
-    with pytest.raises(ValueError):
-        pointwise_power(f, 3, 1, dealias_factor=1.5)
-
-
 def test_pointwise_power_overflow_detected():
     g = make_grid(4.0, 32)
     amp = np.zeros(g.node_count, dtype=complex)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,25 @@ def test_solver_config_validation():
         SolverConfig(p=2, sign=1, horizon=1.0, s=-0.5)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon", math.inf),
+        ("picard_tol", 0.0),
+        ("window_safety", 0.0),
+        ("window_safety", -0.1),
+        ("window_safety", math.nan),
+        ("window_override", 0.0),
+        ("window_override", -1.0),
+        ("window_override", math.nan),
+        ("max_window_halvings", -1),
+    ],
+)
+def test_solver_config_rejects_each_setting_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SolverConfig(**{"p": 2, "sign": 1, "horizon": 1.0, field: value})
+
+
 def test_cauchy_data_validation():
     g1, g2 = make_grid(4.0, 32), make_grid(4.0, 64)
     with pytest.raises(ValueError):
@@ -141,22 +161,20 @@ def _reference_power(amp, g, p, factor):
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_power_matrix_matches_per_row_power(p, m):
     g = make_grid(4.0, m)
-    cfg = SolverConfig(p=p, sign=1, horizon=1.0)
     rows = hermitian_rows(m, 7, np.random.default_rng(100 * p + m))
     assert np.all(rows[:, 0] != 0)  # the unpaired node takes part
     # the half-layout power, expanded to full rows, against the complex-transform reference
-    got = _full_spectrum(_power_matrix(_half_spectrum(rows), g, p, cfg.dealias))
-    ref = np.vstack([_reference_power(r, g, p, cfg.dealias) for r in rows])
+    got = _full_spectrum(_power_matrix(_half_spectrum(rows), g, p))
+    ref = np.vstack([_reference_power(r, g, p, (p + 1) / 2) for r in rows])
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_power_matrix_overflow_raises():
     g = make_grid(4.0, 32)
-    cfg = SolverConfig(p=3, sign=1, horizon=1.0)
     rows = hermitian_rows(32, 3, np.random.default_rng(1))
     rows[1] *= 1e200
     with pytest.raises(OverflowError):
-        _power_matrix(_half_spectrum(rows), g, cfg.p, cfg.dealias)
+        _power_matrix(_half_spectrum(rows), g, 3)
 
 
 def test_stopping_norm_bounds_sobolev_plus_sup():
@@ -279,7 +297,7 @@ def test_window_missing_the_quadrature_target_is_halved(monkeypatch):
     monkeypatch.setattr(solver_module, "QUADRATURE_TARGET", 1e-6)
     d = gaussian_data(make_grid(16.0, 64), amplitude=3.0)
     cfg = SolverConfig(p=3, sign=-1, horizon=3.0)
-    marched = solver_module._march(d, cfg, True, lambda n: lambda *rows: None)
+    marched = solver_module._march(d, cfg, True, lambda *rows: None)
     assert [f[:2] for f in marched.failures] == [(2, 1)]
     assert marched.failures[0].differences[-1] < cfg.picard_tol  # converged: rejected on its estimate
     assert len(marched.reports) == 4
@@ -288,6 +306,35 @@ def test_window_missing_the_quadrature_target_is_halved(monkeypatch):
     with pytest.raises(ConvergenceError, match="quadrature estimate .* is above the target 1e-06") as exc:
         solve(d, replace(cfg, max_window_halvings=0))
     assert exc.value.window_index == 1
+
+
+@pytest.mark.parametrize(
+    "target, extent, data, cfg, windows",
+    [
+        # the focusing case above: two sized windows, halved to four
+        (1e-6, 16.0, dict(amplitude=3.0), dict(p=3, sign=-1, horizon=3.0), 4),
+        # window 1 of four needs a fifth iteration, halved to eight
+        (
+            solver_module.QUADRATURE_TARGET,
+            8.0,
+            dict(amplitude=0.05, velocity_amplitude=1.0),
+            dict(p=2, sign=1, horizon=2.0, max_iterations=4, window_override=0.5, max_window_halvings=1),
+            8,
+        ),
+    ],
+    ids=["focusing", "max_iterations"],
+)
+def test_halved_solve_equals_a_solve_at_the_halved_window(monkeypatch, target, extent, data, cfg, windows):
+    # the failed attempt's rows are dropped: the halved march is bit-equal to one set to its window
+    monkeypatch.setattr(solver_module, "QUADRATURE_TARGET", target)
+    d = gaussian_data(make_grid(extent, 64), **data)
+    cfg = SolverConfig(**cfg)
+    halved = solve(d, cfg)
+    assert (halved.halvings, len(halved.window_reports)) == (1, windows)
+    direct = solve(d, replace(cfg, window_override=cfg.horizon / windows))
+    assert (direct.halvings, len(direct.window_reports)) == (0, windows)
+    for name in ("times", "u", "u_t"):
+        assert np.array_equal(getattr(halved, name), getattr(direct, name))
 
 
 def test_quadrature_estimate_falls_like_h4():
@@ -683,7 +730,7 @@ def test_energy_directional_derivative_vanishes():
         ut_amp = random_real_field(g, rng).amplitudes.copy()
         ut_amp[zero_idx] = 0.0
         ut = SpectralField(g, ut_amp, real_valued=True)
-        ghat = _full_spectrum(_power_matrix(_half_spectrum(u.amplitudes[None]), g, p, (p + 1) / 2))[0]
+        ghat = _full_spectrum(_power_matrix(_half_spectrum(u.amplitudes[None]), g, p))[0]
         utt = -(lam**2) * (u.amplitudes + sign * ghat)
         d_quad = float(
             np.sum((np.conj(ut_amp[mask]) * (utt[mask] / lam[mask] ** 2 + u.amplitudes[mask])).real)
