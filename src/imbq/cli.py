@@ -315,12 +315,14 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     file_cfg: dict = {}
     if args.config is not None:
         try:
-            with open(args.config) as handle:
+            with open(args.config, encoding="utf-8") as handle:
                 file_cfg = json.load(handle)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as err:
             raise ConfigError(f"{args.config}:{err.lineno}:{err.colno}: {err.msg}")
+        except (OSError, ValueError) as err:  # a directory, bad UTF-8, an int past Python's digit limit
+            raise ConfigError(f"cannot read config file {args.config}: {err}") from err
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
     unknown = set(file_cfg) - TOP_LEVEL_KEYS

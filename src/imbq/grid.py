@@ -129,23 +129,17 @@ def _sin_over_lambda(lam: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def _hermitian_defect(amplitudes: np.ndarray) -> np.ndarray:
-    """Relative Hermitian defect of each row (last axis) of ``amplitudes``."""
-    # pairs (k, M-k) for k = 1..M-1; the leftmost node k = 0 has no partner
-    a = amplitudes[..., 1:]
-    scale = np.max(np.abs(amplitudes), axis=-1)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    diff = np.conj(a[..., ::-1])
-    diff -= a  # in place: one row-sized temporary fewer on large grids
-    return np.max(np.abs(diff), axis=-1) / scale
+def _hermitian_defect(amplitudes: np.ndarray) -> float:
+    """Relative Hermitian defect of one row: pairs (k, M-k) for k = 1..M-1; node k = 0 has no partner."""
+    scale = np.max(np.abs(amplitudes))
+    diff = np.conj(amplitudes[:0:-1])
+    diff -= amplitudes[1:]  # in place: one row-sized temporary fewer on large grids
+    return float(np.max(np.abs(diff)) / (scale if scale > 0 else 1.0))
 
 
-def _check_amplitudes(amp: np.ndarray, real_valued: bool) -> None:
-    """Finiteness and, for real-valued fields, the Hermitian test of every row."""
+def _check_finite(amp: np.ndarray) -> None:
     if not np.all(np.isfinite(amp.view(np.float64))):
         raise ValueError("amplitudes must be finite")
-    if real_valued and np.any(_hermitian_defect(amp) > HERMITIAN_RTOL):
-        raise ValueError("field marked real_valued violates Hermitian symmetry")
 
 
 @dataclass(frozen=True)
@@ -167,7 +161,9 @@ class SpectralField:
             raise ValueError(
                 f"amplitude count {amp.shape} does not match grid size {self.grid.node_count}"
             )
-        _check_amplitudes(amp, self.real_valued)
+        _check_finite(amp)
+        if self.real_valued and _hermitian_defect(amp) > HERMITIAN_RTOL:
+            raise ValueError("field marked real_valued violates Hermitian symmetry")
         amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -177,7 +173,7 @@ class SpectralField:
         return cls(grid, np.zeros(grid.node_count, dtype=np.complex128), real_valued)
 
     def hermitian_defect(self) -> float:
-        return float(_hermitian_defect(self.amplitudes))
+        return _hermitian_defect(self.amplitudes)
 
     # Linear arithmetic preserves Hermitian symmetry exactly (conjugation
     # commutes with IEEE +/-/scale), so derived fields keep the flag without
@@ -202,7 +198,7 @@ class SpectralField:
 def _combine(grid: FrequencyGrid, amplitudes: np.ndarray, real_valued: bool) -> SpectralField:
     """Field from arithmetic on validated fields: finiteness checked, symmetry trusted."""
     amp = np.asarray(amplitudes, dtype=np.complex128)
-    _check_amplitudes(amp, False)
+    _check_finite(amp)
     amp = amp.copy()
     amp.setflags(write=False)
     return _unchecked_field(grid, amp, real_valued)
@@ -354,6 +350,13 @@ def _full_spectrum(half: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_counts(width: int) -> np.ndarray:
+    """The M nodes each half-layout column stands for: xi > 0 and its mirror count 2, xi = 0 and k = 0 count 1."""
+    count = np.full(width, 2.0)
+    count[[0, -1]] = 1.0
+    return count
+
+
 def _position_matrix(half: np.ndarray, grid: FrequencyGrid, padded: int):
     """Samples of every half-layout row on the grid of ``padded`` nodes: one irfft.
 
@@ -378,8 +381,8 @@ def _power_matrix(half: np.ndarray, grid: FrequencyGrid, p: int) -> np.ndarray:
 
     The samples come from :func:`_position_matrix` on the grid of
     :func:`_dealiased_node_count` nodes; the unpaired node k = 0
-    is read back as the conjugate of the +M/2 bin.  Full (n, M) rows go
-    through :func:`_half_spectrum` and :func:`_full_spectrum` around it.
+    is read back as the conjugate of the +M/2 bin.  Only
+    :func:`pointwise_power` goes through full rows around it.
     """
     h = half.shape[1] - 1
     samples, dx_fine = _position_matrix(half, grid, _dealiased_node_count(grid.node_count, p))

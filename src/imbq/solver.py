@@ -23,9 +23,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (
+    HERMITIAN_RTOL,
     FrequencyGrid,
     SpectralField,
-    _check_amplitudes,
+    _check_finite,
+    _column_counts,
     _dealiased_node_count,
     _full_spectrum,
     _half_spectrum,
@@ -171,11 +173,11 @@ class ContractionReport:
 class Trajectory:
     """Sampled states u(t_i), u_t(t_i) plus per-window solver diagnostics.
 
-    ``u`` and ``u_t`` are (n, M) amplitude matrices, row i the state at
-    ``times[i]``.  ``halvings`` counts the failed march attempts before the
-    one that produced the windows.  Every row is checked finite and
-    Hermitian on construction; the matrices are taken over read-only, not
-    copied, so the caller must not write to them afterwards.
+    ``u`` and ``u_t`` are (n, M/2 + 1) half-layout matrices, row i the real
+    state at ``times[i]``.  ``halvings`` counts the failed march attempts
+    before the one that produced the windows.  Every row is checked finite,
+    and real at xi = 0 (the one Hermitian condition a half row can break),
+    on construction; the matrices are taken over read-only, not copied.
     """
 
     times: np.ndarray
@@ -194,15 +196,19 @@ class Trajectory:
             raise ValueError("sample times must be strictly increasing")
         for name in ("u", "u_t"):
             rows = np.asarray(getattr(self, name), dtype=np.complex128)
-            if rows.shape != (t.shape[0], self.grid.node_count):
+            if rows.shape != (t.shape[0], self.grid.node_count // 2 + 1):
                 raise ValueError(f"{name} matrix {rows.shape} does not fit the times and the grid")
-            _check_amplitudes(rows, True)
+            _check_finite(rows)
+            if np.any(2.0 * np.abs(rows[:, 0].imag) > HERMITIAN_RTOL * np.max(np.abs(rows), axis=1)):
+                raise ValueError(f"{name} has a row whose xi = 0 column is not real")
             rows.setflags(write=False)
             object.__setattr__(self, name, rows)
 
     def state(self, i: int) -> tuple[SpectralField, SpectralField]:
-        """The real-valued fields u(t_i), u_t(t_i): read-only views of row i."""
-        return _unchecked_field(self.grid, self.u[i], True), _unchecked_field(self.grid, self.u_t[i], True)
+        """The real-valued fields u(t_i), u_t(t_i): row i of ``u`` and ``u_t`` expanded, read-only."""
+        full = _full_spectrum(np.stack((self.u[i], self.u_t[i])))
+        full.setflags(write=False)
+        return _unchecked_field(self.grid, full[0], True), _unchecked_field(self.grid, full[1], True)
 
     def final(self) -> tuple[SpectralField, SpectralField]:
         return self.state(-1)
@@ -364,15 +370,13 @@ def _duhamel(u, free, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, veloc
 def _node_sizes(half: np.ndarray, grid: FrequencyGrid, s: float) -> np.ndarray:
     """H^s norm plus (dxi/2pi) sum |u_hat| over all M nodes, of each half-layout row.
 
-    A column xi > 0 stands for its mirror too and counts twice; xi = 0 and
-    node k = 0 count once.  The second term is the Wiener-algebra bound
-    |u(x)| <= (dxi/2pi) sum_k |u_hat(xi_k)|, so each value is at least the
-    row's H^s-plus-sup size.
+    Each column counts as :func:`grid._column_counts` says.  The second term
+    is the Wiener-algebra bound |u(x)| <= (dxi/2pi) sum_k |u_hat(xi_k)|, so
+    each value is at least the row's H^s-plus-sup size.
     """
     mag = np.abs(half)
     c = grid.dxi / (2.0 * np.pi)
-    count = np.full(half.shape[-1], 2.0)
-    count[[0, -1]] = 1.0
+    count = _column_counts(half.shape[-1])
     weights = count * (1.0 + _half_spectrum(grid.xi) ** 2) ** s
     # a blown-up difference reads inf, and Picard goes on until the power overflows
     with np.errstate(over="ignore"):
@@ -450,20 +454,16 @@ def picard_window(
     sup norm from above.  Raises :class:`ConvergenceError` with the
     difference history when ``max_iterations`` is exhausted (window too
     long or data too large) or when the pointwise power overflows.
-    The report carries the window's quadrature estimate.  ``_shared`` is
-    internal: the rule of ``window`` that :func:`_march` builds once for all
-    windows of an attempt.
+    The report carries the window's quadrature estimate, the trajectory the
+    half-layout node states.  ``_shared`` is internal: the rule of ``window``
+    that :func:`_march` builds once for all windows of an attempt.
     """
     if not window > 0:
         raise ValueError("window length must be positive")
     rule = _shared if _shared is not None else _rule(d.grid, np.linspace(0.0, window, cfg.quadrature_nodes))
     a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
     u, ut, report = _picard(a0, a1, rule, d.grid, cfg, forcing)
-    # rebinding frees each half matrix once its full rows exist: a lower peak on large grids
-    u = _full_spectrum(u)
-    ut = _full_spectrum(ut)
-    traj = Trajectory(rule.times, u, ut, d.grid, window_edges=(0.0, window), window_reports=(report,))
-    return traj, report
+    return Trajectory(rule.times, u, ut, d.grid, window_edges=(0.0, window), window_reports=(report,)), report
 
 
 # work budget of the march: windows at its start, ceil(horizon/window), set or data-derived, and
@@ -601,10 +601,10 @@ def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
     """March the Picard solver over [0, horizon] in windows.
 
     Windows halve on non-convergence, up to ``max_window_halvings`` times
-    (see :func:`_march`).  Each window's rows are written into (n, M)
+    (see :func:`_march`).  Each window's rows are written into (n, M/2 + 1)
     matrices allocated once per attempt; a single window keeps its own.
     """
-    step, m = cfg.quadrature_nodes - 1, d.grid.node_count
+    step, width = cfg.quadrature_nodes - 1, d.grid.node_count // 2 + 1
     mats: list[np.ndarray] = []
 
     def take(n_windows, k, times, u, ut):
@@ -614,7 +614,7 @@ def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
             return
         if k == 0:  # a new attempt: the matrices of a failed one go before the new ones are allocated
             mats.clear()
-            mats.extend(np.empty((n_windows * step + 1, m), np.complex128) for _ in range(2))
+            mats.extend(np.empty((n_windows * step + 1, width), np.complex128) for _ in range(2))
         rows = slice(k * step + (k > 0), (k + 1) * step + 1)
         mats[0][rows] = u
         mats[1][rows] = ut
@@ -639,29 +639,29 @@ def rk4_solve(
     v_hat_t = -lam^2 (u_hat + sign*(u^p)_hat), nonlinearity dealiased by
     zero padding.  Raises :class:`ConvergenceError` if the L^2 size grows
     by more than a factor 1e6 (instability guard).  The stepping is
-    :func:`_rk4_stack` on a batch of one state.
+    :func:`_rk4_stack` on a batch of one half-layout state.
     """
     grid = d.grid
     power = None
     if forcing:
-        power = lambda u: cfg.sign * _full_spectrum(_power_matrix(_half_spectrum(u), grid, cfg.p))
-    lam2 = lambda_symbol(grid.xi) ** 2
-    u0, v0 = d.u0.amplitudes[None], d.u1.amplitudes[None]
+        power = lambda u: cfg.sign * _power_matrix(u, grid, cfg.p)
+    lam2 = lambda_symbol(_half_spectrum(grid.xi)) ** 2
+    u0, v0 = _half_spectrum(d.u0.amplitudes[None]), _half_spectrum(d.u1.amplitudes[None])
     times, u, v = zip(*_rk4_stack(u0, v0, lam2, cfg.horizon, dt, store_stride, power))
     return Trajectory(np.array(times), np.concatenate(u), np.concatenate(v), grid)
 
 
 def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
-    """The RK4 stepping loop on a stack of states, one row per system.
+    """The RK4 stepping loop on a stack of half-layout states, one row per system.
 
-    ``u0``, ``v0`` are (B, M) states and ``lam2`` broadcasts against them,
-    so every row steps v_t = -lam2 (u + power(u)) with its own lam^2 in
-    the same loop (``power`` None is the free flow).  round(horizon/dt)
+    ``u0``, ``v0`` are (B, M/2 + 1) states and ``lam2`` broadcasts against
+    them, so every row steps v_t = -lam2 (u + power(u)) with its own lam^2
+    in the same loop (``power`` None is the free flow).  round(horizon/dt)
     equal steps.  A generator: yields (t, u, v) for the initial state,
-    every ``store_stride``-th step and the last, with (B, M) arrays the
-    loop never writes to again, so each caller keeps only what it reads.
-    Raises :class:`ConvergenceError` once any row's L^2 size exceeds 1e6
-    times its initial size.
+    every ``store_stride``-th step and the last, with (B, M/2 + 1) arrays
+    the loop never writes to again, so each caller keeps only what it
+    reads.  Raises :class:`ConvergenceError` once any row's L^2 size over
+    all M nodes (:func:`grid._column_counts`) exceeds 1e6 times its initial.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -678,7 +678,8 @@ def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
 
     u_now = np.array(u0, dtype=np.complex128)
     v_now = np.array(v0, dtype=np.complex128)
-    limit = 1e6 * np.maximum(np.linalg.norm(u_now, axis=-1), 1e-300)
+    weights = np.sqrt(_column_counts(u_now.shape[-1]))
+    limit = 1e6 * np.maximum(np.linalg.norm(weights * u_now, axis=-1), 1e-300)
     yield 0.0, u_now, v_now
     for step in range(1, n_steps + 1):
         try:
@@ -690,7 +691,7 @@ def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
             raise ConvergenceError(f"instability detected at step {step}: {err}") from err
         u_now = u_now + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
         v_now = v_now + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if (np.linalg.norm(u_now, axis=-1) > limit).any():
+        if (np.linalg.norm(weights * u_now, axis=-1) > limit).any():
             raise ConvergenceError(f"instability detected at step {step}: norm grew > 1e6x")
         if step % store_stride == 0 or step == n_steps:
             yield step * h, u_now, v_now
@@ -701,20 +702,20 @@ def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
 
 
 def _energy_matrix(u, ut, grid: FrequencyGrid, p: int, sign: int):
-    """:func:`energy` of every row pair of the (n, M) matrices ``u``, ``ut``.
+    """:func:`energy` of every row pair of the (n, M/2 + 1) half-layout matrices ``u``, ``ut``.
 
-    The potential takes its samples from one :func:`_position_matrix` batch
-    on the grid of :func:`_dealiased_node_count` nodes.
-    Raises ValueError if any row's velocity has a nonzero mean.
+    The quadratic sum skips column 0 (xi = 0) and weights the rest by
+    :func:`grid._column_counts`; the potential samples one :func:`_position_matrix`
+    batch on :func:`_dealiased_node_count` nodes.  Raises ValueError if any
+    row's velocity has a nonzero mean.
     """
-    zero_idx = grid.node_count // 2
     ut2 = ut.real**2 + ut.imag**2
-    if np.any(ut2[:, zero_idx] > 1e-16 * np.max(ut2, axis=1)):  # |u_hat_t(0)| > 1e-8 max|u_hat_t|
+    if np.any(ut2[:, 0] > 1e-16 * np.max(ut2, axis=1)):  # |u_hat_t(0)| > 1e-8 max|u_hat_t|
         raise ValueError("energy requires mean-zero velocity (u_hat_t(0) = 0)")
-    lam2 = np.delete(lambda_symbol(grid.xi), zero_idx) ** 2
-    u2 = np.delete(u.real**2 + u.imag**2, zero_idx, axis=1)
-    quad = 0.5 * np.sum(np.delete(ut2, zero_idx, axis=1) / lam2 + u2, axis=1) * grid.dxi
-    samples, dx_fine = _position_matrix(_half_spectrum(u), grid, _dealiased_node_count(grid.node_count, p))
+    lam2 = lambda_symbol(_half_spectrum(grid.xi)[1:]) ** 2
+    u2 = u.real[:, 1:] ** 2 + u.imag[:, 1:] ** 2
+    quad = 0.5 * np.sum((ut2[:, 1:] / lam2 + u2) * _column_counts(u.shape[1])[1:], axis=1) * grid.dxi
+    samples, dx_fine = _position_matrix(u, grid, _dealiased_node_count(grid.node_count, p))
     # u^p * u rather than u^(p+1): numpy squares in place but calls pow() for a cube
     potential = 2.0 * np.pi * sign / (p + 1) * np.sum(samples**p * samples, axis=1) * dx_fine
     return quad + potential
@@ -729,14 +730,17 @@ def energy(u: SpectralField, u_t: SpectralField, p: int, sign: int) -> float:
     with the potential sum taken on the position grid of the solver's power
     (the fixed factor of :func:`grid._dealiased_node_count`) so that dE/dt
     vanishes identically along the semidiscrete flow -- see the
-    directional-derivative identity exercised in the tests.  Requires mean
-    zero velocity (u_hat_t(0) = 0), without which the xi = 0 mode grows
-    linearly and is excluded from the quadratic sum.  One row of
-    :func:`_energy_matrix`.
+    directional-derivative identity exercised in the tests.  Requires
+    real_valued fields and mean zero velocity (u_hat_t(0) = 0), without
+    which the xi = 0 mode grows linearly and is excluded from the quadratic
+    sum.  One half-layout row of :func:`_energy_matrix`.
     """
     if u.grid != u_t.grid:
         raise ValueError("grid mismatch")
-    return float(_energy_matrix(u.amplitudes[None], u_t.amplitudes[None], u.grid, p, sign)[0])
+    if not (u.real_valued and u_t.real_valued):
+        raise ValueError("energy requires real_valued fields")
+    rows = [_half_spectrum(f.amplitudes[None]) for f in (u, u_t)]
+    return float(_energy_matrix(*rows, u.grid, p, sign)[0])
 
 
 def energy_series(traj: Trajectory, p: int, sign: int) -> np.ndarray:
@@ -781,29 +785,23 @@ def gaussian_data(
 def _mode_amplitude_traces(ks, horizon: float = 20.0, dt: float = 2e-3):
     """Uniform samples of the normalized mode amplitude of the free flow, for every k.
 
-    Evolves u0 = cos(kx), u1 = 0 on each ``make_mode_grid(k)`` with the RK4
-    integrator (forcing off), all modes stacked in one loop of
-    :func:`_rk4_stack` (row i carries the lam^2 of its own grid), and
-    returns (times, a) with a[i] = Re u_hat(k_i, t)/u_hat(k_i, 0), sampled
-    roughly every half time unit.  Only those amplitudes are kept of each
-    sample, not the states.
+    Evolves u0 = cos(kx), u1 = 0 of :func:`single_mode_data` by RK4 (forcing
+    off), k as column 8 of the 17 half-layout columns of a 32-node grid of
+    spacing k/8, all modes in one loop of :func:`_rk4_stack`.  Returns
+    (times, a), a[i] = Re u_hat(k_i, t)/u_hat(k_i, 0) sampled roughly every
+    half time unit; only those amplitudes are kept, not the states.
     """
-    grids = [make_mode_grid(k) for k in ks]
-    data = [single_mode_data(g, k) for g, k in zip(grids, ks)]
-    idx = np.array([g.index_of(k) for g, k in zip(grids, ks)])
-    rows = np.arange(len(grids))
+    dxi = np.array(ks, dtype=float)[:, None] / 8.0
+    if not np.all(np.isfinite(dxi) & (dxi > 0)):
+        raise ValueError(f"every k must be positive and finite, got {ks}")
+    u0 = np.zeros((len(ks), 17), dtype=np.complex128)
+    u0[:, 8:9] = np.pi / dxi  # the amplitude of single_mode_data
+    lam2 = lambda_symbol(np.arange(17) * dxi) ** 2
     stride = max(1, round(0.5 / dt))
     times, samples = [], []
-    for t, u, _ in _rk4_stack(
-        np.stack([d.u0.amplitudes for d in data]),
-        np.stack([d.u1.amplitudes for d in data]),
-        np.stack([lambda_symbol(g.xi) ** 2 for g in grids]),
-        horizon,
-        dt,
-        stride,
-    ):
+    for t, u, _ in _rk4_stack(u0, np.zeros_like(u0), lam2, horizon, dt, stride):
         times.append(t)
-        samples.append(u[rows, idx].real)
+        samples.append(u[:, 8].real)
     times = np.array(times)
     a = (np.array(samples) / samples[0]).T.copy()
     steps = np.diff(times)
@@ -839,10 +837,3 @@ def dispersion_check(k: float, horizon: float = 20.0, dt: float = 2e-3) -> float
     """
     times, a = _mode_amplitude_traces([k], horizon, dt)
     return _fit_mode_frequency(times, a[0])
-
-
-def make_mode_grid(k: float) -> FrequencyGrid:
-    """Small grid with k on it, comfortably inside the extent."""
-    if not k > 0:
-        raise ValueError("k must be positive")
-    return FrequencyGrid(dxi=k / 8.0, node_count=32)

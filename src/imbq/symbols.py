@@ -159,20 +159,21 @@ def _graded_panel(a, b, n: int) -> np.ndarray:
     return np.concatenate([left, right], axis=1)
 
 
-def _squared_difference(sym: Symbol, lam_shifted: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """|m(xi+h) - m(xi)|^2 from the tables lam_shifted = lambda(xi+h) and lam = lambda(xi).
+def _squared_difference(sym: Symbol, lam_shifted: np.ndarray, lam: np.ndarray, m=None) -> np.ndarray:
+    """|m(xi+h) - m(xi)|^2 from lam_shifted = lambda(xi+h) and lam = lambda(xi), or given values m = m(xi).
 
     For the phases m2 it is (2 sin(t (lam_shifted - lam)/2))^2: one real sine
     instead of two complex exponentials and a complex abs.
     """
-    if sym.name in ("m2_plus", "m2_minus"):
+    if not sym.is_real:  # the phases m2
         return (2.0 * np.sin(0.5 * sym.t * (lam_shifted - lam))) ** 2
-    # every other symbol is real
-    return (_symbol_of_lambda(sym, lam_shifted) - _symbol_of_lambda(sym, lam)) ** 2
+    if m is None:
+        m = _symbol_of_lambda(sym, lam)
+    return (_symbol_of_lambda(sym, lam_shifted) - m) ** 2
 
 
 def _inner_l2_differences(
-    syms: list[Symbol], hs: np.ndarray, extent: float, n_panel: int, right: np.ndarray, lam_right: np.ndarray
+    syms: list[Symbol], hs: np.ndarray, extent: float, n_panel: int, right: np.ndarray, lam_right: np.ndarray, m_right
 ) -> np.ndarray:
     """|| m(.+h) - m(.) ||_{L^2([-extent, extent])} by graded panels, one row per symbol, one column per h.
 
@@ -181,9 +182,9 @@ def _inner_l2_differences(
     nodes at panel ends.  All h of ``hs`` (0 < h <= extent) are done in
     one array pass; at h = extent the first panel is empty and adds 0.
     The panels and the tables lambda(nodes), lambda(nodes + h) are built
-    once for all of ``syms``.  The h-independent panel ``right`` = [0, extent]
-    and its table ``lam_right`` come from the caller, built once per
-    resolution.
+    once for all of ``syms``.  The h-independent panel ``right`` = [0, extent],
+    its table ``lam_right`` and each real symbol's values ``m_right`` on it
+    come from the caller, built once per resolution.
     """
     left = [_graded_panel(a, b, n_panel) for a, b in ((np.full_like(hs, -extent), -hs), (-hs, np.zeros_like(hs)))]
     totals = np.zeros((len(syms), len(hs)))
@@ -192,7 +193,8 @@ def _inner_l2_differences(
         lam_shifted = lambda_symbol(nodes + hs[:, None])
         lam = lam_right if nodes is right else lambda_symbol(nodes)
         for i, sym in enumerate(syms):
-            totals[i] = totals[i] + np.trapezoid(_squared_difference(sym, lam_shifted, lam), nodes)
+            m = m_right[i] if nodes is right else None
+            totals[i] = totals[i] + np.trapezoid(_squared_difference(sym, lam_shifted, lam, m), nodes)
     return np.sqrt(totals)
 
 
@@ -216,9 +218,10 @@ def _besov_values(syms: list[Symbol], h_min: float, h_max: float, resolution: in
     hs = np.geomspace(h_min, h_max, resolution)
     right = _graded_panel([0.0], [extent], resolution)
     lam_right = lambda_symbol(right)
+    m_right = [_symbol_of_lambda(sym, lam_right) if sym.is_real else None for sym in syms]
     inner = np.concatenate(
         [
-            _inner_l2_differences(syms, hs[i : i + _H_BLOCK], extent, resolution, right, lam_right)
+            _inner_l2_differences(syms, hs[i : i + _H_BLOCK], extent, resolution, right, lam_right, m_right)
             for i in range(0, resolution, _H_BLOCK)
         ],
         axis=1,

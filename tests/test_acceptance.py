@@ -139,7 +139,7 @@ def test_criterion_5_linear_solver_exactness():
     traj = solve(d, cfg, forcing=False)
     idx = g.index_of(k)
     expect = np.cos(t_final * lambda_symbol(k)) * d.u0.amplitudes[idx]
-    err = abs(traj.u[-1, idx] - expect) / abs(expect)
+    err = abs(traj.final()[0].amplitudes[idx] - expect) / abs(expect)
     ok = err <= 1e-10 and len(traj.window_reports) == 2
     report(5, f"two-window linear single mode error {err:.2e} <= 1e-10", ok)
 

@@ -346,6 +346,29 @@ def test_parse_reports_json_location(tmp_path):
         parse_config(["inflate", "--config", str(path)])
 
 
+def _non_utf8(path):
+    path.write_bytes(b'{"solve": {"p": 2, "T": 0.1, "data": "\xff"}}')
+
+
+def _directory(path):
+    path.mkdir()
+
+
+def _huge_int(path):
+    path.write_text('{"solve": {"p": ' + "9" * 5000 + ', "T": 0.1}}')
+
+
+@pytest.mark.parametrize("make", [_non_utf8, _directory, _huge_int], ids=["non-utf8", "directory", "huge-int"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, make):
+    path = tmp_path / "cfg.json"
+    make(path)
+    with pytest.raises(ConfigError, match=r"cannot read config file .*cfg\.json"):
+        parse_config(["solve", "--config", str(path)])
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "cfg.json" in err and "Traceback" not in err
+
+
 def test_missing_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         parse_config([])

@@ -388,26 +388,46 @@ def test_free_propagator_time_reversal():
 def test_trajectory_validates_every_row():
     g = make_grid(4.0, 32)
     rng = np.random.default_rng(5)
-    rows = np.vstack([random_real_field(g, rng).amplitudes for _ in range(4)])
+    fields = [random_real_field(g, rng) for _ in range(4)]
+    rows = _half_spectrum(np.vstack([f.amplitudes for f in fields]))
+    assert rows.shape == (4, g.node_count // 2 + 1)
     times = np.arange(4.0)
     traj = Trajectory(times, rows.copy(), rows.copy(), g)
-    for i, r in enumerate(rows):
+    for i, f in enumerate(fields):
         u, ut = traj.state(i)
         assert u.real_valued and ut.real_valued
-        assert np.array_equal(u.amplitudes, r) and np.array_equal(ut.amplitudes, r)
+        assert np.array_equal(u.amplitudes, f.amplitudes) and np.array_equal(ut.amplitudes, f.amplitudes)
     assert not traj.u.flags.writeable and not traj.state(0)[0].amplitudes.flags.writeable
-    bad = rows.copy()
-    bad[2, g.index_of(1.0)] += 1e-6  # one row loses its mirror partner
-    with pytest.raises(ValueError, match="Hermitian"):
-        Trajectory(times, rows, bad, g)
     bad = rows.copy()
     bad[3, 5] = np.nan
     with pytest.raises(ValueError, match="finite"):
         Trajectory(times, bad, rows, g)
-    with pytest.raises(ValueError):
-        Trajectory(times, rows[:, :16], rows, g)
-    with pytest.raises(ValueError):
+    bad, scale = rows.copy(), np.max(np.abs(rows[2]))
+    bad[2, 0] += 1e-6j * scale  # the xi = 0 column of one row is not real
+    with pytest.raises(ValueError, match="xi = 0"):
+        Trajectory(times, rows, bad, g)
+    bad[2, 0] = rows[2, 0] + 0.4e-12j * scale  # within HERMITIAN_RTOL of the full row
+    assert Trajectory(times, rows, bad, g).state(2)[1].hermitian_defect() <= 1e-12
+    with pytest.raises(ValueError, match="does not fit"):
+        Trajectory(times, _full_spectrum(rows), rows, g)  # full rows are the wrong width
+    with pytest.raises(ValueError, match="does not fit"):
         Trajectory(times[:3], rows, rows, g)
+
+
+def _assert_half_rows(traj):
+    """``traj`` holds half-layout rows, and every state it expands is exactly Hermitian."""
+    width = traj.grid.node_count // 2 + 1
+    assert traj.u.shape == traj.u_t.shape == (traj.times.shape[0], width)
+    for i in range(traj.times.shape[0]):
+        assert all(f.hermitian_defect() == 0 for f in traj.state(i))
+
+
+def test_solvers_return_half_layout_trajectories():
+    d = small_data(make_grid(8.0, 128))
+    cfg = SolverConfig(p=2, sign=1, horizon=0.5)
+    _assert_half_rows(picard_window(d, 0.25, cfg)[0])
+    _assert_half_rows(solve(d, replace(cfg, window_override=0.125)))
+    _assert_half_rows(rk4_solve(d, cfg, dt=0.01, store_stride=5))
 
 
 def test_duhamel_zero_trajectory_reduces_to_free():
@@ -447,7 +467,7 @@ def test_picard_without_forcing_converges_in_one_iteration():
     assert report.iterations == 1
     assert report.ratios == ()
     final = free_propagator(d, 0.3)
-    assert np.max(np.abs(traj.u[-1] - final.amplitudes)) < 1e-13
+    assert np.max(np.abs(traj.final()[0].amplitudes - final.amplitudes)) < 1e-13
 
 
 def test_picard_contraction_is_at_least_geometric():
@@ -500,9 +520,10 @@ def test_solve_linear_single_mode_two_windows_exact():
     assert len(traj.window_reports) == 2
     idx = g.index_of(k)
     expect = np.cos(t_final * lambda_symbol(k)) * d.u0.amplitudes[idx]
-    got = traj.u[-1, idx]
+    u_final = traj.final()[0].amplitudes
+    got = u_final[idx]
     assert abs(got - expect) <= 1e-10 * abs(expect)
-    others = np.delete(np.abs(traj.u[-1]), [idx, g.index_of(-k)])
+    others = np.delete(np.abs(u_final), [idx, g.index_of(-k)])
     assert np.max(others) < 1e-12 * abs(expect)
 
 
@@ -519,7 +540,7 @@ def test_solve_fixed_point_is_stable_under_extra_application():
     d = small_data()
     cfg = SolverConfig(p=2, sign=1, horizon=0.2)
     traj, _ = picard_window(d, 0.2, cfg)
-    again = duhamel_rows(d, traj.times, traj.u, cfg)
+    again = duhamel_rows(d, traj.times, _full_spectrum(traj.u), cfg)
     diffs = [SpectralField(d.grid, a, real_valued=True) - traj.state(i)[0] for i, a in enumerate(again)]
     change = max(sobolev_norm(e, cfg.s) + sup_norm(e) for e in diffs)
     assert change < 10 * cfg.picard_tol
@@ -586,7 +607,7 @@ def test_rk4_self_convergence_order():
         cfg = SolverConfig(p=2, sign=1, horizon=1.0)
         traj = rk4_solve(d, cfg, dt, forcing=False, store_stride=10**9)
         exact = np.cos(lambda_symbol(k)) * d.u0.amplitudes[idx]
-        errs.append(abs(traj.u[-1, idx] - exact))
+        errs.append(abs(traj.final()[0].amplitudes[idx] - exact))
     assert 10 < errs[0] / errs[1] < 24  # fourth order: ~16x per halving
 
 
@@ -600,13 +621,36 @@ def test_rk4_instability_detected():
 
 def test_rk4_stack_guard_trips_on_one_unstable_row():
     g = make_grid(8.0, 64)
-    u0 = np.stack([single_mode_data(g, 1.0).u0.amplitudes] * 2)
+    u0 = _half_spectrum(np.stack([single_mode_data(g, 1.0).u0.amplitudes] * 2))
     v0 = np.zeros_like(u0)
     lam2 = np.ones_like(u0.real)
     assert len(list(_rk4_stack(u0, v0, lam2, 50.0, 0.5, 1))) == 101  # h*lam = 0.5: both rows stable
     lam2[1] *= 100.0  # h*lam = 5 is past the RK4 stability limit ~2.83
     with pytest.raises(ConvergenceError, match="norm grew"):
         list(_rk4_stack(u0, v0, lam2, 50.0, 0.5, 1))
+
+
+def test_rk4_guard_counts_each_paired_column_twice():
+    # u0 only at xi = 0, one node; u1 only at xi = +-1, a mirror pair that u grows on.  The guard's L^2
+    # size over all M nodes counts that pair twice, which trips it steps before one count per column would.
+    g = make_grid(4.0, 32)
+    amp0, amp1 = np.zeros((2, g.node_count), dtype=complex)
+    amp0[g.index_of(0.0)] = 1.0
+    amp1[[g.index_of(1.0), g.index_of(-1.0)]] = 1.0
+    d = CauchyData(SpectralField(g, amp0, real_valued=True), SpectralField(g, amp1, real_valued=True))
+    lam = lambda_symbol(1.0)
+    h = 2.85 / lam  # past the RK4 stability limit h lam = 2 sqrt(2): the pair grows ~6% per step
+    ha = h * np.array([[0.0, 1.0], [-(lam**2), 0.0]])
+    rk4_step = sum(np.linalg.matrix_power(ha, i) / math.factorial(i) for i in range(5))
+    y, pair = np.array([0.0, 1.0]), []
+    for _ in range(400):
+        y = rk4_step @ y
+        pair.append(abs(y[0]))
+    # the first step whose size exceeds 1e6 times the initial size 1, with each pair node counted `copies` times
+    trip = lambda copies: 1 + int(np.argmax(np.sqrt(1.0 + copies * np.array(pair) ** 2) > 1e6))
+    assert trip(2) < trip(1) < 400
+    with pytest.raises(ConvergenceError, match=f"at step {trip(2)}: norm grew"):
+        rk4_solve(d, SolverConfig(p=2, sign=1, horizon=400 * h), h, forcing=False)
 
 
 def test_stacked_mode_traces_equal_single_mode_traces():
@@ -632,6 +676,14 @@ def test_energy_requires_mean_zero_velocity():
     u1 = SpectralField(g, amp, real_valued=True)
     with pytest.raises(ValueError):
         energy(SpectralField.zero(g), u1, 2, 1)
+
+
+def test_energy_rejects_fields_not_marked_real_valued():
+    d = small_data(make_grid(8.0, 64))
+    assert math.isfinite(energy(d.u0, d.u1, 2, 1))
+    for u, ut in ((SpectralField(d.grid, d.u0.amplitudes), d.u1), (d.u0, SpectralField(d.grid, d.u1.amplitudes))):
+        with pytest.raises(ValueError, match="real_valued"):
+            energy(u, ut, 2, 1)
 
 
 def _padded_samples(f, padded):
@@ -680,17 +732,17 @@ def test_batched_energy_matches_per_row_reference(seed, p, sign, n, m):
     rng = np.random.default_rng(seed)
     g = make_grid(rng.uniform(1.0, 16.0), m)
     u, ut = _random_rows(g, rng, n, False), _random_rows(g, rng, n, True)
-    got = _energy_matrix(u, ut, g, p, sign)
+    got = _energy_matrix(_half_spectrum(u), _half_spectrum(ut), g, p, sign)
     for i in range(n):
         quad, potential = _reference_energy_terms(
             SpectralField(g, u[i], real_valued=True), SpectralField(g, ut[i], real_valued=True), p, sign
         )
         # relative to the size of the two terms: their sum may cancel
         assert abs(got[i] - (quad + potential)) <= 1e-13 * (abs(quad) + abs(potential))
-    bad = ut.copy()
-    bad[-1, m // 2] = 1e-3 * np.max(np.abs(bad[-1]))  # one row with a nonzero mean velocity
+    bad = _half_spectrum(ut)
+    bad[-1, 0] = 1e-3 * np.max(np.abs(bad[-1]))  # one row with a nonzero mean velocity
     with pytest.raises(ValueError, match="mean-zero"):
-        _energy_matrix(u, bad, g, p, sign)
+        _energy_matrix(_half_spectrum(u), bad, g, p, sign)
 
 
 def test_energy_constant_on_single_mode_nonlinear_flow():
