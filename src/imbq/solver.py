@@ -637,64 +637,54 @@ def rk4_solve(
     """Classical RK4 on the first-order system (u_hat, v_hat) in frequency space.
 
     v_hat_t = -lam^2 (u_hat + sign*(u^p)_hat), nonlinearity dealiased by
-    zero padding.  Raises :class:`ConvergenceError` if the L^2 size grows
-    by more than a factor 1e6 (instability guard).  The stepping is
-    :func:`_rk4_stack` on a batch of one half-layout state.
+    zero padding, stepped on one half-layout row in round(horizon/dt) equal
+    steps (:func:`_rk4_steps`).  Stores the initial state, every
+    ``store_stride``-th step and the last.  Raises :class:`ConvergenceError`
+    once the L^2 size over all M nodes (:func:`grid._column_counts`) grows by
+    more than a factor 1e6 (instability guard).
     """
-    grid = d.grid
-    power = None
-    if forcing:
-        power = lambda u: cfg.sign * _power_matrix(u, grid, cfg.p)
-    lam2 = lambda_symbol(_half_spectrum(grid.xi)) ** 2
-    u0, v0 = _half_spectrum(d.u0.amplitudes[None]), _half_spectrum(d.u1.amplitudes[None])
-    times, u, v = zip(*_rk4_stack(u0, v0, lam2, cfg.horizon, dt, store_stride, power))
-    return Trajectory(np.array(times), np.concatenate(u), np.concatenate(v), grid)
-
-
-def _rk4_stack(u0, v0, lam2, horizon, dt, store_stride, power=None):
-    """The RK4 stepping loop on a stack of half-layout states, one row per system.
-
-    ``u0``, ``v0`` are (B, M/2 + 1) states and ``lam2`` broadcasts against
-    them, so every row steps v_t = -lam2 (u + power(u)) with its own lam^2
-    in the same loop (``power`` None is the free flow).  round(horizon/dt)
-    equal steps.  A generator: yields (t, u, v) for the initial state,
-    every ``store_stride``-th step and the last, with (B, M/2 + 1) arrays
-    the loop never writes to again, so each caller keeps only what it
-    reads.  Raises :class:`ConvergenceError` once any row's L^2 size over
-    all M nodes (:func:`grid._column_counts`) exceeds 1e6 times its initial.
-    """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     if store_stride < 1:
         raise ValueError("store_stride must be >= 1")
-    n_steps = max(1, round(horizon / dt))
-    h = horizon / n_steps
+    n_steps, h, _ = _rk4_steps(cfg.horizon, dt)
+    grid = d.grid
+    lam2 = lambda_symbol(_half_spectrum(grid.xi)) ** 2
 
-    def rhs(ustate: np.ndarray, vstate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        force = ustate if power is None else ustate + power(ustate)
-        return vstate, -lam2 * force
+    def rhs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        force = u + cfg.sign * _power_matrix(u, grid, cfg.p) if forcing else u
+        return v, -lam2 * force
 
-    u_now = np.array(u0, dtype=np.complex128)
-    v_now = np.array(v0, dtype=np.complex128)
-    weights = np.sqrt(_column_counts(u_now.shape[-1]))
-    limit = 1e6 * np.maximum(np.linalg.norm(weights * u_now, axis=-1), 1e-300)
-    yield 0.0, u_now, v_now
+    u, v = _half_spectrum(d.u0.amplitudes[None]), _half_spectrum(d.u1.amplitudes[None])
+    weights = np.sqrt(_column_counts(u.shape[1]))
+    limit = 1e6 * max(np.linalg.norm(weights * u), 1e-300)
+    times, us, vs = [0.0], [u], [v]
     for step in range(1, n_steps + 1):
         try:
-            k1u, k1v = rhs(u_now, v_now)
-            k2u, k2v = rhs(u_now + 0.5 * h * k1u, v_now + 0.5 * h * k1v)
-            k3u, k3v = rhs(u_now + 0.5 * h * k2u, v_now + 0.5 * h * k2v)
-            k4u, k4v = rhs(u_now + h * k3u, v_now + h * k3v)
+            k1u, k1v = rhs(u, v)
+            k2u, k2v = rhs(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
+            k3u, k3v = rhs(u + 0.5 * h * k2u, v + 0.5 * h * k2v)
+            k4u, k4v = rhs(u + h * k3u, v + h * k3v)
         except OverflowError as err:
             raise ConvergenceError(f"instability detected at step {step}: {err}") from err
-        u_now = u_now + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v_now = v_now + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if (np.linalg.norm(weights * u_now, axis=-1) > limit).any():
+        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if np.linalg.norm(weights * u) > limit:
             raise ConvergenceError(f"instability detected at step {step}: norm grew > 1e6x")
         if step % store_stride == 0 or step == n_steps:
-            yield step * h, u_now, v_now
+            times.append(step * h)
+            us.append(u)
+            vs.append(v)
+    return Trajectory(np.array(times), np.concatenate(us), np.concatenate(vs), grid)
+
+
+def _rk4_steps(horizon: float, dt: float) -> tuple[int, float, int]:
+    """(n_steps, h, stride): RK4's round(horizon/dt) equal steps (at least one) of h,
+    and the stride round(0.5/dt) (at least one) between the samples of
+    :func:`_mode_amplitude_traces`.  OverflowError if either ratio is infinite.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    n_steps = max(1, round(horizon / dt))
+    return n_steps, horizon / n_steps, max(1, round(0.5 / dt))
 
 
 # ----------------------------------------------------------------------
@@ -785,29 +775,36 @@ def gaussian_data(
 def _mode_amplitude_traces(ks, horizon: float = 20.0, dt: float = 2e-3):
     """Uniform samples of the normalized mode amplitude of the free flow, for every k.
 
-    Evolves u0 = cos(kx), u1 = 0 of :func:`single_mode_data` by RK4 (forcing
-    off), k as column 8 of the 17 half-layout columns of a 32-node grid of
-    spacing k/8, all modes in one loop of :func:`_rk4_stack`.  Returns
-    (times, a), a[i] = Re u_hat(k_i, t)/u_hat(k_i, 0) sampled roughly every
-    half time unit; only those amplitudes are kept, not the states.
+    RK4 (:func:`_rk4_steps`) on u0 = cos(kx), u1 = 0 of :func:`single_mode_data`
+    with forcing off: one step on mode k is the 2x2 matrix P = sum_{i<=4} (hA)^i/i!,
+    A = [[0, 1], [-lambda(k)^2, 0]], acting on (u_hat(k), v_hat(k))/u_hat(k, 0).
+    P^stride carries [1, 0] from one sample to the next, so the cost is
+    independent of the step count.  Returns (times, a), a[i] = u_hat(k_i, t)/u_hat(k_i, 0)
+    at t = j * stride * h, j = 0 .. n_steps // stride.  Raises
+    :class:`ConvergenceError`, naming the first such sample, if a sampled |a|
+    exceeds 1e6 or is not finite: the instability guard of :func:`rk4_solve`
+    on this mode.
     """
-    dxi = np.array(ks, dtype=float)[:, None] / 8.0
-    if not np.all(np.isfinite(dxi) & (dxi > 0)):
+    k = np.array(ks, dtype=float)
+    if not np.all(np.isfinite(k) & (k > 0)):
         raise ValueError(f"every k must be positive and finite, got {ks}")
-    u0 = np.zeros((len(ks), 17), dtype=np.complex128)
-    u0[:, 8:9] = np.pi / dxi  # the amplitude of single_mode_data
-    lam2 = lambda_symbol(np.arange(17) * dxi) ** 2
-    stride = max(1, round(0.5 / dt))
-    times, samples = [], []
-    for t, u, _ in _rk4_stack(u0, np.zeros_like(u0), lam2, horizon, dt, stride):
-        times.append(t)
-        samples.append(u[:, 8].real)
-    times = np.array(times)
-    a = (np.array(samples) / samples[0]).T.copy()
-    steps = np.diff(times)
-    if steps.shape[0] > 1 and not np.isclose(steps[-1], steps[0], rtol=1e-9):
-        times, a = times[:-1], a[:, :-1]  # final sample off the uniform stride
-    return times, a
+    n_steps, h, stride = _rk4_steps(horizon, dt)
+    ha = np.zeros((k.shape[0], 2, 2))
+    ha[:, 0, 1] = h
+    ha[:, 1, 0] = -h * lambda_symbol(k) ** 2
+    step = sum(np.linalg.matrix_power(ha, i) / math.factorial(i) for i in range(5))
+    sample_map = np.linalg.matrix_power(step, stride)
+    y = np.zeros((n_steps // stride + 1, k.shape[0], 2, 1))  # (sample, mode, [u, v])
+    y[0, :, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a run that blows up is reported below
+        for j in range(1, y.shape[0]):
+            np.matmul(sample_map, y[j - 1], out=y[j])
+    a = y[:, :, 0, 0].T.copy()
+    unstable = ~np.all(np.abs(a) <= 1e6, axis=0)
+    if unstable.any():
+        first = int(np.argmax(unstable)) * stride
+        raise ConvergenceError(f"instability detected at step {first}: mode amplitude grew > 1e6x")
+    return np.arange(y.shape[0]) * float(stride) * h, a
 
 
 def _fit_mode_frequency(times: np.ndarray, a: np.ndarray) -> float:
@@ -831,9 +828,9 @@ def _fit_mode_frequency(times: np.ndarray, a: np.ndarray) -> float:
 def dispersion_check(k: float, horizon: float = 20.0, dt: float = 2e-3) -> float:
     """Fitted oscillation frequency of a linearly evolved cosine mode.
 
-    :func:`_fit_mode_frequency` on the one-row :func:`_mode_amplitude_traces`;
-    ``imbq dispersion`` fits every k from one stacked RK4 run, each row of
-    it, with the same result.
+    :func:`_fit_mode_frequency` on the one-row :func:`_mode_amplitude_traces`
+    (RK4 through its one-step matrix); ``imbq dispersion`` fits every k from
+    one batch of traces, each row of it, with the same result.
     """
     times, a = _mode_amplitude_traces([k], horizon, dt)
     return _fit_mode_frequency(times, a[0])

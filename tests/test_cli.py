@@ -15,6 +15,7 @@ from imbq.cli import (
     COMMANDS,
     DATA_SCHEMAS,
     MAX_BESOV_RESOLUTION,
+    MAX_DISPERSION_SAMPLES,
     MAX_SOLVE_PADDED_NODES,
     MAX_SOLVE_WINDOWS,
     SCHEMAS,
@@ -89,12 +90,42 @@ def test_non_finite_float_exits_2(tmp_path, capsys):
     assert "expected finite float" in capsys.readouterr().err
 
 
-def test_dispersion_step_budget_exits_2_at_once(tmp_path, capsys):
+def test_dispersion_tiny_dt_runs_at_once(tmp_path):
+    # 2e301 RK4 steps per mode cost one matrix power each: 41 samples, as at the default dt
     cfg_path = write_config(tmp_path, {"dispersion": {"dt": 1e-300}})
+    start = time.perf_counter()
+    assert main(["dispersion", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = json.loads((tmp_path / "out" / "dispersion.json").read_text())["rows"]
+    assert [r["k"] for r in rows] == [1.0, 10.0, 100.0]
+    for r in rows:
+        assert abs(r["fitted_omega"] - r["expected_omega"]) < 1e-6
+
+
+def test_dispersion_sample_budget_exits_2_at_once(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"dispersion": {"T": 1e300}})
     start = time.perf_counter()
     assert main(["dispersion", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
-    assert "2e+301 RK4 steps" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # 3 modes x (5e302 steps // 250 + 1) samples
+    assert "asks for 6e+300 amplitude samples" in err and f"the limit is {MAX_DISPERSION_SAMPLES}" in err
+
+
+def test_dispersion_unstable_dt_exits_3(tmp_path, capsys):
+    # h lam = 2.99994 for k = 100 is past the RK4 stability limit 2 sqrt(2)
+    cfg_path = write_config(tmp_path, {"dispersion": {"k": [100.0], "T": 300.0, "dt": 3.0}})
+    assert main(["dispersion", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
+    assert "instability detected at step 34" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_dispersion_underflowing_mode_exits_3_without_warnings(tmp_path, capsys):
+    # lambda(1e-300)^2 underflows to 0: the trace never moves and the fit fails, with no numpy warning
+    cfg_path = write_config(tmp_path, {"dispersion": {"k": [1e-300]}})
+    assert main(["dispersion", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: dispersion fit failed") and err.count("\n") == 1
 
 
 def test_besov_resolution_budget_exits_2_at_once(tmp_path, capsys):
@@ -113,8 +144,8 @@ def test_besov_resolution_budget_exits_2_at_once(tmp_path, capsys):
         # 201 seminorms at the largest resolution
         ("lemma-check", {"resolution": 2560, "t_values": [0.5 + 0.01 * i for i in range(100)]}, "1317273600"),
         ("lemma-check", {"corpus_size": 10**9}, "256000000000 field nodes"),
-        # each mode is within the per-mode step budget, the modes together are not
-        ("dispersion", {"T": 2000.0, "dt": 2e-3, "k": [1.0 + i for i in range(1000)]}, "1000000000 RK4 mode steps"),
+        # 4001 samples per mode, 1000 modes
+        ("dispersion", {"T": 2000.0, "dt": 2e-3, "k": [1.0 + i for i in range(1000)]}, "4001000 amplitude samples"),
     ],
     ids=["lemma-seminorms", "lemma-corpus", "dispersion-modes"],
 )

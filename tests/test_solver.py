@@ -44,7 +44,6 @@ from imbq.solver import (
     _mode_amplitude_traces,
     _node_sizes,
     _prefix_weights,
-    _rk4_stack,
     _rule,
 )
 from imbq.symbols import Symbol, eval_symbol
@@ -619,15 +618,20 @@ def test_rk4_instability_detected():
         rk4_solve(d, cfg, dt=0.5)
 
 
-def test_rk4_stack_guard_trips_on_one_unstable_row():
-    g = make_grid(8.0, 64)
-    u0 = _half_spectrum(np.stack([single_mode_data(g, 1.0).u0.amplitudes] * 2))
-    v0 = np.zeros_like(u0)
-    lam2 = np.ones_like(u0.real)
-    assert len(list(_rk4_stack(u0, v0, lam2, 50.0, 0.5, 1))) == 101  # h*lam = 0.5: both rows stable
-    lam2[1] *= 100.0  # h*lam = 5 is past the RK4 stability limit ~2.83
-    with pytest.raises(ConvergenceError, match="norm grew"):
-        list(_rk4_stack(u0, v0, lam2, 50.0, 0.5, 1))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "horizon, dt, stable", [(300.0, 3.0, False), (1e4, 3.0, False), (300.0, 2.8, True)],
+    ids=["unstable", "unstable-overflowing", "stable"],
+)
+def test_mode_traces_guard_trips_past_the_rk4_stability_limit(horizon, dt, stable):
+    # k = 100: h lam = 2.99994 > 2 sqrt(2) at dt = 3 grows past 1e6 at step 34 (t = 102), and past the
+    # float range by T = 1e4, without a numpy warning; h lam = 2.79994 < 2 sqrt(2) at dt = 2.8 stays bounded
+    if stable:
+        times, a = _mode_amplitude_traces([100.0], horizon, dt)
+        assert np.all(np.abs(a) <= 1.0 + 1e-12) and times[-1] == pytest.approx(horizon, rel=0.01)
+    else:
+        with pytest.raises(ConvergenceError, match="at step 34: mode amplitude grew"):
+            _mode_amplitude_traces([100.0], horizon, dt)
 
 
 def test_rk4_guard_counts_each_paired_column_twice():
@@ -661,6 +665,19 @@ def test_stacked_mode_traces_equal_single_mode_traces():
         t1, a1 = _mode_amplitude_traces([k], horizon=3.0)
         assert np.array_equal(t1, times) and np.array_equal(a1[0], row)
         assert _fit_mode_frequency(times, row) == dispersion_check(k, horizon=3.0)
+
+
+@pytest.mark.parametrize("k", [1.0, 10.0, 100.0])
+def test_mode_traces_equal_stepped_rk4(k):
+    # the one-step matrix route against rk4_solve stepping the same mode on a 32-node grid of spacing k/8
+    times, a = _mode_amplitude_traces([k], horizon=3.0)
+    g = make_grid(2.0 * k, 32)
+    d = single_mode_data(g, k)
+    traj = rk4_solve(d, SolverConfig(p=2, sign=1, horizon=3.0), 2e-3, forcing=False, store_stride=250)
+    node = g.index_of(k)
+    stepped = np.array([traj.state(i)[0].amplitudes[node] for i in range(len(traj.times))])
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(a[0] - stepped / d.u0.amplitudes[node])) < 1e-12
 
 
 def test_energy_zero_state():
