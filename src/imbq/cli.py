@@ -139,12 +139,7 @@ SCHEMAS = {
         "extent": (16.0, _pos_float()),
         "nodes": (512, _int_ge(8)),
         "data": ({"kind": "gaussian"}, None),
-        "picard_tol": (1e-12, _pos_float()),
-        "max_iterations": (50, _int_ge(1)),
-        "quadrature_nodes": (33, _int_ge(5)),
-        "window_safety": (0.1, _pos_float()),
         "window": (None, _nullable(_pos_float())),
-        "max_window_halvings": (5, _int_ge(0)),
         "sample_times": (None, _nullable(_number_list(lambda v: v >= 0))),
     },
     "inflate": {
@@ -243,6 +238,9 @@ def _validate_block(command: str, block) -> dict:
         windows = 1.0 if out["window"] is None else out["T"] / out["window"]  # may be inf
         if windows - 1e-12 > MAX_SOLVE_WINDOWS:
             raise ConfigError(f"solve T/window asks for {windows:.6g} windows; the limit is {MAX_SOLVE_WINDOWS}")
+        late = [t for t in out["sample_times"] or () if t > out["T"]]
+        if late:
+            raise ConfigError(f"solve sample_times entry {late[0]!r} is above T = {out['T']!r}")
     if command == "inflate" and len(set(out["N"])) < len(out["N"]):
         raise ConfigError(f"inflate N values must be distinct, got {out['N']}")
     if command == "derivative-check":  # the grid of inflation.grid_for_boxes, in exact arithmetic
@@ -409,28 +407,16 @@ def _run_solve(cfg: RunConfig) -> int:
             data = solver.single_mode_data(grid, data_spec["k"], data_spec["amplitude"])
         else:
             data = inflation.make_ip_data(data_spec["N"], grid).data.scaled(data_spec["scale"])
-        scfg = SolverConfig(
-            p=p["p"],
-            sign=p["sign"],
-            horizon=p["T"],
-            s=p["s"],
-            picard_tol=p["picard_tol"],
-            max_iterations=p["max_iterations"],
-            quadrature_nodes=p["quadrature_nodes"],
-            window_safety=p["window_safety"],
-            window_override=p["window"],
-            max_window_halvings=p["max_window_halvings"],
-        )
+        scfg = SolverConfig(p=p["p"], sign=p["sign"], horizon=p["T"], s=p["s"], window_override=p["window"])
     times = p["sample_times"] or np.linspace(0.0, p["T"], 5).tolist()
-    with_energy = abs(data.u1.amplitudes[grid.node_count // 2]) < 1e-12
     energies, kept = [], []
 
     def take(n_windows, k, t, u, ut):
         if k == 0:  # a new attempt: drop what a failed one kept
             energies.clear()
             kept.clear()
-        if with_energy:
-            energies.append(solver._energy_matrix(u, ut, grid, p["p"], p["sign"]))
+        # every data kind has mean-zero velocity; _energy_matrix raises ValueError (exit 3) otherwise
+        energies.append(solver._energy_matrix(u, ut, grid, p["p"], p["sign"]))
         # the window's last row and its nearest to each request: the nearest overall is among these
         rows = sorted({len(t) - 1, *(int(np.argmin(np.abs(t - t_req))) for t_req in times)})
         kept.append((t[rows], u[rows], ut[rows]))
@@ -438,7 +424,7 @@ def _run_solve(cfg: RunConfig) -> int:
     # the windows stream through take, which keeps only energies and a few rows of each
     marched = solver._march(data, scfg, True, take)
     sampled = solver.Trajectory(*(np.concatenate(parts) for parts in zip(*kept)), grid)
-    energies = np.concatenate(energies) if with_energy else None
+    energies = np.concatenate(energies)
     reports.write_trajectory_csv(os.path.join(cfg.out, "trajectory.csv"), sampled, times)
     reports.write_json(
         os.path.join(cfg.out, "solve.json"),

@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 EVEN_BAND = BandWindow(0.25, 0.5)
-DEGENERACY_RTOL = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -145,36 +144,16 @@ def _sinc(x):
 
 
 def generic_term_real(alpha, beta, t):
-    """Re of int_0^t sin(alpha (t - tau)) e^{i beta tau} dtau, in closed form.
-
-    Away from the degeneracy |alpha| = |beta| this is
-    alpha (cos(beta t) - cos(alpha t)) / (alpha^2 - beta^2), evaluated
-    through the product identity cos b - cos a = 2 sin((a+b)/2) sin((a-b)/2)
-    so no cancellation occurs; within |beta^2 - alpha^2| <
-    1e-8 max(alpha^2, beta^2, 1) it switches to the series about the
-    degenerate branch t sin(alpha t)/2, second order in (beta^2 - alpha^2).
+    """Re of int_0^t sin(alpha (t - tau)) e^{i beta tau} dtau: the real part
+    (alpha t^2/2) sinc((alpha+beta) t/2) sinc((alpha-beta) t/2) of
+    :func:`generic_term_complex`, which equals
+    alpha (cos(beta t) - cos(alpha t)) / (alpha^2 - beta^2) away from
+    |alpha| = |beta| and t sin(alpha t)/2 on it, with no cancellation near it.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    delta = beta**2 - alpha**2
-    threshold = DEGENERACY_RTOL * np.maximum(np.maximum(alpha**2, beta**2), 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plus = (alpha + beta) * t / 2.0
-        minus = (alpha - beta) * t / 2.0
-        closed = 2.0 * alpha * np.sin(plus) * np.sin(minus) / ((alpha - beta) * (alpha + beta))
-        ta = t * alpha
-        sin_ta, cos_ta = np.sin(ta), np.cos(ta)
-        c1 = (t**2 * alpha * cos_ta - t * sin_ta) / (8.0 * alpha**2)
-        c2 = -(t**3 * alpha**2 * sin_ta + 3.0 * t**2 * alpha * cos_ta - 3.0 * t * sin_ta) / (
-            48.0 * alpha**4
-        )
-        series = 0.5 * t * sin_ta + c1 * delta + c2 * delta**2
-    out = np.where(np.abs(delta) < threshold, series, closed)
-    out = np.where(alpha == 0.0, 0.0, out)
-    return out if out.ndim else float(out[()])
+    return generic_term_complex(alpha, beta, t).real
 
 
 def generic_term_complex(alpha, beta, t):

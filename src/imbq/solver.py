@@ -94,36 +94,31 @@ class CauchyData:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Nonlinearity, horizon, and iteration controls.
+    """Nonlinearity, horizon, regularity of the stopping norm, and an optional window.
 
     :func:`solve` sizes its windows by accuracy.  A probe runs the first
-    window of the a-priori tiling, windows of ``window_safety *
-    R^{-(p-1)/2}`` with R the summed H^s-plus-sup size of the data.  Its
-    embedded quadrature estimate, the 33-node prefix-Simpson tau-integral
-    minus the 17-node one on the even nodes, falls like h^4 in the node
-    spacing h, so the probe window is
-    scaled by (target/estimate)^{1/4} with the target
-    :data:`QUADRATURE_TARGET` of the largest node size, and [0, horizon] is
-    tiled by ceil(horizon/window) equal windows.  A set ``window_override``,
-    a ``quadrature_nodes`` other than 33, or a run without forcing tiles by
-    that window or by the a-priori one, without a probe.  A window that
-    does not converge, or whose estimate misses the target, halves all
-    windows, up to ``max_window_halvings`` times.  Picard stops once the
-    max over the window nodes of H^s + (dxi/2pi) sum |u_hat| of the iterate
-    difference, an upper bound of its H^s-plus-sup size, is below
-    ``picard_tol``.  The power is dealiased by the fixed factor (p+1)/2.
+    window of the a-priori tiling, windows of :data:`WINDOW_SAFETY` *
+    R^{-(p-1)/2} with R the summed H^s-plus-sup size of the data.  Its
+    embedded quadrature estimate, the :data:`QUADRATURE_NODES`-node
+    prefix-Simpson tau-integral minus the one on the even nodes, falls like
+    h^4 in the node spacing h, so the probe window is scaled by
+    (target/estimate)^{1/4} with the target :data:`QUADRATURE_TARGET` of the
+    largest node size, and [0, horizon] is tiled by ceil(horizon/window)
+    equal windows; without forcing the estimate is 0 and one window covers
+    [0, horizon].  A set ``window_override`` tiles by that window, without a
+    probe.  A window that does not converge, or whose estimate misses the
+    target, halves all windows, up to :data:`MAX_WINDOW_HALVINGS` times.
+    Picard stops once the max over the window nodes of H^s + (dxi/2pi) sum
+    |u_hat| of the iterate difference, an upper bound of its H^s-plus-sup
+    size, is below :data:`PICARD_TOL`.  The power is dealiased by the fixed
+    factor (p+1)/2.
     """
 
     p: int
     sign: int
     horizon: float
     s: float = 0.0
-    picard_tol: float = 1e-12
-    max_iterations: int = 50
-    quadrature_nodes: int = 33
-    window_safety: float = 0.1
     window_override: float | None = None
-    max_window_halvings: int = 5
 
     def __post_init__(self):
         if not (isinstance(self.p, int) and self.p >= 2):
@@ -134,18 +129,8 @@ class SolverConfig:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.s < 0:
             raise ValueError("solver regularity s must be >= 0")
-        if not self.picard_tol > 0:
-            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
-        if self.quadrature_nodes % 2 == 0 or self.quadrature_nodes < 5:
-            raise ValueError("quadrature_nodes must be odd and >= 5")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0 < self.window_safety < math.inf:
-            raise ValueError(f"window_safety must be positive and finite, got {self.window_safety}")
         if self.window_override is not None and not self.window_override > 0:
             raise ValueError(f"window_override must be positive, got {self.window_override}")
-        if self.max_window_halvings < 0:
-            raise ValueError(f"max_window_halvings must be >= 0, got {self.max_window_halvings}")
 
 
 @dataclass(frozen=True)
@@ -412,17 +397,17 @@ def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing
     current = free
     diffs: list[float] = []
     try:
-        for _ in range(cfg.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             new = _duhamel(current, free, rule, grid, cfg) if forcing else free
             diff = float(np.max(_node_sizes(new - current, grid, cfg.s)))
             diffs.append(diff)
             current = new
-            if diff < cfg.picard_tol:
+            if diff < PICARD_TOL:
                 break
         else:
             raise ConvergenceError(
-                f"Picard iteration did not reach {cfg.picard_tol:g} within "
-                f"{cfg.max_iterations} iterations on a window of length {window:g}",
+                f"Picard iteration did not reach {PICARD_TOL:g} within "
+                f"{MAX_ITERATIONS} iterations on a window of length {window:g}",
                 history=diffs,
             )
         free = _free(a0, a1, rule.table, velocity=True)
@@ -450,9 +435,9 @@ def picard_window(
 
     Starts from the free evolution and stops when the max over the nodes of
     H^s + (dxi/2pi) sum |u_hat| of the iterate difference, the report's
-    ``differences``, drops below ``picard_tol``; the second term bounds the
+    ``differences``, drops below :data:`PICARD_TOL`; the second term bounds the
     sup norm from above.  Raises :class:`ConvergenceError` with the
-    difference history when ``max_iterations`` is exhausted (window too
+    difference history when :data:`MAX_ITERATIONS` is exhausted (window too
     long or data too large) or when the pointwise power overflows.
     The report carries the window's quadrature estimate, the trajectory the
     half-layout node states.  ``_shared`` is internal: the rule of ``window``
@@ -460,7 +445,7 @@ def picard_window(
     """
     if not window > 0:
         raise ValueError("window length must be positive")
-    rule = _shared if _shared is not None else _rule(d.grid, np.linspace(0.0, window, cfg.quadrature_nodes))
+    rule = _shared if _shared is not None else _rule(d.grid, np.linspace(0.0, window, QUADRATURE_NODES))
     a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
     u, ut, report = _picard(a0, a1, rule, d.grid, cfg, forcing)
     return Trajectory(rule.times, u, ut, d.grid, window_edges=(0.0, window), window_reports=(report,)), report
@@ -475,6 +460,15 @@ MAX_SOLVE_WINDOWS = 10**4
 # accuracy target of the window rule: every window's quadrature estimate, relative to its largest
 # node size (ContractionReport.quadrature_estimate), is at most this
 QUADRATURE_TARGET = 1e-8
+# Picard stops once the stopping norm of the iterate difference is below PICARD_TOL and fails
+# after MAX_ITERATIONS; each window has QUADRATURE_NODES tau nodes (odd, so the embedded rule has
+# the even ones); the a-priori window is WINDOW_SAFETY * R^{-(p-1)/2}; a march halves its windows
+# at most MAX_WINDOW_HALVINGS times
+PICARD_TOL = 1e-12
+MAX_ITERATIONS = 50
+QUADRATURE_NODES = 33
+WINDOW_SAFETY = 0.1
+MAX_WINDOW_HALVINGS = 5
 
 
 def _window_length(d: CauchyData, cfg: SolverConfig) -> float:
@@ -484,7 +478,7 @@ def _window_length(d: CauchyData, cfg: SolverConfig) -> float:
     if r == 0.0:
         return cfg.horizon
     # in logs: for r < 1 and a large p, r^{-(p-1)/2} overflows a float
-    log_w = math.log(cfg.window_safety) - 0.5 * (cfg.p - 1) * math.log(r)
+    log_w = math.log(WINDOW_SAFETY) - 0.5 * (cfg.p - 1) * math.log(r)
     return cfg.horizon if log_w >= math.log(cfg.horizon) else math.exp(log_w)
 
 
@@ -519,11 +513,10 @@ class _Marched(NamedTuple):
 def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take) -> _Marched:
     """March Picard windows of one length over [0, horizon], halving them on a failure.
 
-    The probe of :class:`SolverConfig` sizes the windows (it runs without
-    ``window_override``, with 33 quadrature nodes and with forcing); a probe
-    window that matches the sized tiling is kept as its window 0, since its
-    estimate meets the target up to the rounding of the count.  A window
-    fails when it does not converge or, when sized, when its estimate is
+    The probe of :class:`SolverConfig` sizes the windows unless
+    ``window_override`` is set; a probe window that matches the sized tiling
+    is kept as its window 0, since its estimate meets the target up to the
+    rounding of the count.  A window fails when it does not converge or, when sized, when its estimate is
     above :data:`QUADRATURE_TARGET`; an attempt that fails before anything
     was sized probes again.  Window k of an attempt with n windows calls
     ``take(n, k, times, u, u_t)`` with the rows it adds: all of window 0,
@@ -541,14 +534,13 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take) -> _Marched:
     """
     base = _window_length(d, cfg)
     n_windows = _window_count(cfg.horizon / base if base > 0 else math.inf, cfg.horizon)
-    step = cfg.quadrature_nodes - 1
-    # the dataclass default: another node count is an override
-    sized = cfg.window_override is None and cfg.quadrature_nodes == SolverConfig.quadrature_nodes and forcing
+    step = QUADRATURE_NODES - 1
+    sized = cfg.window_override is None
     target = QUADRATURE_TARGET if sized else None
     probe, failures = None, []
     while True:
         w, first = cfg.horizon / n_windows, None
-        rule = _rule(d.grid, np.linspace(0.0, w, cfg.quadrature_nodes))
+        rule = _rule(d.grid, np.linspace(0.0, w, QUADRATURE_NODES))
         times, edges, reports = [], [0.0], []
         data = d
         try:
@@ -563,7 +555,7 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take) -> _Marched:
                 start = k * cfg.horizon / n_windows
                 traj, report = first if k == 0 and first else _run_window(data, w, cfg, forcing, rule, k, start, target)
                 new = slice(0 if k == 0 else 1, None)
-                times.append((k * step + np.arange(cfg.quadrature_nodes)[new]) * cfg.horizon / (n_windows * step))
+                times.append((k * step + np.arange(QUADRATURE_NODES)[new]) * cfg.horizon / (n_windows * step))
                 take(n_windows, k, times[-1], traj.u[new], traj.u_t[new])
                 edges.append((k + 1) * cfg.horizon / n_windows)
                 reports.append(report)
@@ -572,7 +564,7 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take) -> _Marched:
             if err.window_index is None:  # the sized count is over the budget
                 raise
             failures.append(_Attempt(n_windows, err.window_index, tuple(err.history)))
-            if len(failures) > cfg.max_window_halvings:
+            if len(failures) > MAX_WINDOW_HALVINGS:
                 raise
             if 2 * n_windows > MAX_SOLVE_WINDOWS:
                 message = f"{err}; halved, {2 * n_windows} windows would pass the limit {MAX_SOLVE_WINDOWS}"
@@ -600,11 +592,11 @@ def _run_window(data: CauchyData, w, cfg: SolverConfig, forcing: bool, rule: _Ru
 def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
     """March the Picard solver over [0, horizon] in windows.
 
-    Windows halve on non-convergence, up to ``max_window_halvings`` times
+    Windows halve on non-convergence, up to :data:`MAX_WINDOW_HALVINGS` times
     (see :func:`_march`).  Each window's rows are written into (n, M/2 + 1)
     matrices allocated once per attempt; a single window keeps its own.
     """
-    step, width = cfg.quadrature_nodes - 1, d.grid.node_count // 2 + 1
+    step, width = QUADRATURE_NODES - 1, d.grid.node_count // 2 + 1
     mats: list[np.ndarray] = []
 
     def take(n_windows, k, times, u, ut):
@@ -777,11 +769,11 @@ def _mode_amplitude_traces(ks, horizon: float = 20.0, dt: float = 2e-3):
 
     RK4 (:func:`_rk4_steps`) on u0 = cos(kx), u1 = 0 of :func:`single_mode_data`
     with forcing off: one step on mode k is the 2x2 matrix P = sum_{i<=4} (hA)^i/i!,
-    A = [[0, 1], [-lambda(k)^2, 0]], acting on (u_hat(k), v_hat(k))/u_hat(k, 0).
-    P^stride carries [1, 0] from one sample to the next, so the cost is
-    independent of the step count.  Returns (times, a), a[i] = u_hat(k_i, t)/u_hat(k_i, 0)
-    at t = j * stride * h, j = 0 .. n_steps // stride.  Raises
-    :class:`ConvergenceError`, naming the first such sample, if a sampled |a|
+    A = [[0, 1], [-lambda(k)^2, 0]], whose eigenvalues are r = sum_{i<=4} (i lambda h)^i/i!
+    and its conjugate, so n steps carry (u_hat(k), v_hat(k))/u_hat(k, 0) = [1, 0]
+    to the amplitude Re r^n, evaluated as |r|^n cos(n arg r).  Returns (times, a),
+    a[i] = u_hat(k_i, t)/u_hat(k_i, 0) at t = j * stride * h, j = 0 .. n_steps // stride.
+    Raises :class:`ConvergenceError`, naming the first such sample, if a sampled |a|
     exceeds 1e6 or is not finite: the instability guard of :func:`rk4_solve`
     on this mode.
     """
@@ -789,22 +781,16 @@ def _mode_amplitude_traces(ks, horizon: float = 20.0, dt: float = 2e-3):
     if not np.all(np.isfinite(k) & (k > 0)):
         raise ValueError(f"every k must be positive and finite, got {ks}")
     n_steps, h, stride = _rk4_steps(horizon, dt)
-    ha = np.zeros((k.shape[0], 2, 2))
-    ha[:, 0, 1] = h
-    ha[:, 1, 0] = -h * lambda_symbol(k) ** 2
-    step = sum(np.linalg.matrix_power(ha, i) / math.factorial(i) for i in range(5))
-    sample_map = np.linalg.matrix_power(step, stride)
-    y = np.zeros((n_steps // stride + 1, k.shape[0], 2, 1))  # (sample, mode, [u, v])
-    y[0, :, 0] = 1.0
+    y = h * lambda_symbol(k)[:, None]
+    r = (1.0 - y**2 / 2.0 + y**4 / 24.0) + 1j * (y - y**3 / 6.0)
+    n = stride * np.arange(n_steps // stride + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a run that blows up is reported below
-        for j in range(1, y.shape[0]):
-            np.matmul(sample_map, y[j - 1], out=y[j])
-    a = y[:, :, 0, 0].T.copy()
+        a = np.abs(r) ** n * np.cos(n * np.angle(r))
     unstable = ~np.all(np.abs(a) <= 1e6, axis=0)
     if unstable.any():
         first = int(np.argmax(unstable)) * stride
         raise ConvergenceError(f"instability detected at step {first}: mode amplitude grew > 1e6x")
-    return np.arange(y.shape[0]) * float(stride) * h, a
+    return n * h, a
 
 
 def _fit_mode_frequency(times: np.ndarray, a: np.ndarray) -> float:

@@ -119,7 +119,7 @@ def apply_symbol(sym: Symbol, f: SpectralField) -> SpectralField:
 class BesovEstimate:
     """Quadrature estimate of the translation-difference seminorm of a symbol.
 
-    ``value`` approximates the integral over h_min <= |h| <= h_max of
+    ``value`` approximates the integral over H_MIN <= |h| <= H_MAX of
     ||m(.+h) - m(.)||_{L^2} / |h|^{3/2}, the one-dimensional seminorm that
     controls the symbol's multiplier norm on L^inf.
     """
@@ -201,6 +201,13 @@ def _inner_l2_differences(
 # h values per array pass of _inner_l2_differences: each (16, 2 n_panel + 2)
 # pass stays small in memory
 _H_BLOCK = 16
+# the seminorm integrates over H_MIN <= |h| <= H_MAX (H_MAX <= XI_EXTENT), truncates the inner
+# L^2 integrals at |xi| = XI_EXTENT, and calls an estimate converged once doubling the resolution
+# changes it by less than STABILIZATION relative
+H_MIN = 1e-3
+H_MAX = 1e3
+XI_EXTENT = 1e4
+STABILIZATION = 0.05
 
 
 def _derivative_scale(sym: Symbol) -> float:
@@ -232,51 +239,40 @@ def _besov_values(syms: list[Symbol], h_min: float, h_max: float, resolution: in
     return [2.0 * float(np.trapezoid(v * hs, np.log(hs))) for v in vals]
 
 
-def besov_seminorms(
-    syms: Iterable[Symbol],
-    h_min: float = 1e-3,
-    h_max: float = 1e3,
-    resolution: int = 160,
-    xi_extent: float = 1e4,
-    stabilization: float = 0.05,
-    strict: bool = False,
-) -> list[BesovEstimate]:
+def besov_seminorms(syms: Iterable[Symbol], resolution: int = 160, strict: bool = False) -> list[BesovEstimate]:
     """Estimate the translation-difference seminorm of every symbol of ``syms``, in order.
 
-    ``resolution`` sets both the number of h quadrature nodes and the node
-    count per graded xi panel; the estimate is recomputed at double
-    resolution and flagged unconverged if the two differ by more than
-    ``stabilization`` relative (with ``strict=True`` the first unconverged
-    symbol, in the order of ``syms``, raises instead).  The inner L^2
-    integrals truncate at |xi| = xi_extent; the analytic bound on the
-    discarded tail is recorded.  They are evaluated for blocks of 16 h
-    values per array pass, one row per h, and every symbol's integrand is
-    formed from the same panels and lambda tables.
+    ``resolution`` sets both the number of h quadrature nodes on
+    [:data:`H_MIN`, :data:`H_MAX`] and the node count per graded xi panel;
+    the estimate is recomputed at double resolution and flagged unconverged
+    if the two differ by more than :data:`STABILIZATION` relative (with
+    ``strict=True`` the first unconverged symbol, in the order of ``syms``,
+    raises instead).  The inner L^2 integrals truncate at |xi| =
+    :data:`XI_EXTENT`; the analytic bound on the discarded tail is recorded.
+    They are evaluated for blocks of 16 h values per array pass, one row per
+    h, and every symbol's integrand is formed from the same panels and
+    lambda tables.
     """
-    if not 0 < h_min < h_max:
-        raise ValueError("need 0 < h_min < h_max")
-    if h_max > xi_extent:
-        raise ValueError("h_max must not exceed the inner xi extent")
     syms = list(syms)
-    coarse = _besov_values(syms, h_min, h_max, resolution, xi_extent)
-    fine = _besov_values(syms, h_min, h_max, 2 * resolution, xi_extent)
-    safe = max(xi_extent - h_max, 1.0)
+    coarse = _besov_values(syms, H_MIN, H_MAX, resolution, XI_EXTENT)
+    fine = _besov_values(syms, H_MIN, H_MAX, 2 * resolution, XI_EXTENT)
+    safe = max(XI_EXTENT - H_MAX, 1.0)
     estimates = []
     for sym, c, f in zip(syms, coarse, fine):
         change = abs(f - c) / max(abs(f), 1e-300)
-        converged = change < stabilization or f < 1e-12
+        converged = change < STABILIZATION or f < 1e-12
         if strict and not converged:
             raise BesovConvergenceError(f"seminorm of {sym} changed by {change:.1%} under resolution doubling")
-        # tail: |m(xi+h)-m(xi)| <= h * scale/<xi>^3 for |xi| >= extent - h_max
+        # tail: |m(xi+h)-m(xi)| <= h * scale/<xi>^3 for |xi| >= XI_EXTENT - H_MAX
         c = _derivative_scale(sym)
-        tail = 4.0 * c * math.sqrt(2.0 / 5.0) * safe**-2.5 * (math.sqrt(h_max) - math.sqrt(h_min))
+        tail = 4.0 * c * math.sqrt(2.0 / 5.0) * safe**-2.5 * (math.sqrt(H_MAX) - math.sqrt(H_MIN))
         estimates.append(
             BesovEstimate(
                 symbol=sym.name,
                 t=sym.t,
                 value=f,
                 resolution=resolution,
-                xi_extent=xi_extent,
+                xi_extent=XI_EXTENT,
                 converged=bool(converged),
                 refinement_change=change,
                 tail_bound=tail,

@@ -1,10 +1,11 @@
 import importlib
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,10 @@ from imbq.grid import make_grid
 from imbq.inflation import InflationReport
 from imbq.reports import DispersionReport, DispersionRow, write_trajectory_csv
 from imbq.solver import ConvergenceError, SolverConfig, energy_series, gaussian_data, solve
+from imbq import solver as solver_module
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -291,7 +296,7 @@ def test_arithmetic_error_of_a_run_exits_3(tmp_path, capsys, monkeypatch, error,
     "command, block",
     [
         ("solve", {"p": 2, "T": 1.0, "nodes": 65}),  # make_grid: odd node count
-        ("solve", {"p": 2, "T": 1.0, "quadrature_nodes": 32}),  # SolverConfig: even node count
+        ("solve", {"p": 2, "T": 1.0, "data": {"kind": "boxes", "N": 100}}),  # make_ip_data: box off the grid
         ("solve", {"p": 2, "T": 1.0, "data": {"kind": "cosine", "k": 0.3}}),  # k off the grid
         ("inflate", {"p": 2, "s": 0.0, "t": 0.5, "N": [8], "tau_nodes": 32}),  # QuadratureConfig
         ("inflate", {"p": 2, "s": 0.0, "t": 0.5, "N": [8, 8.0]}),  # repeated N
@@ -305,6 +310,41 @@ def test_parameter_errors_found_by_the_library_exit_2(tmp_path, capsys, command,
     assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("picard_tol", 1e-12), ("max_iterations", 50), ("quadrature_nodes", 32), ("window_safety", 0.1),
+     ("max_window_halvings", 5)],
+)
+def test_retired_solver_keys_exit_2_naming_the_key(tmp_path, capsys, key, value):
+    # the Picard and window controls are solver module constants, not config keys
+    cfg_path = write_config(tmp_path, {"solve": {"p": 2, "T": 1.0, key: value}})
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown key(s) in 'solve' block: {key}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_sample_time_above_T_exits_2_naming_it(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"solve": {"p": 2, "T": 1.0, "nodes": 64, "sample_times": [0, 0.5, 100]}})
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "sample_times entry 100.0 is above T = 1.0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_benchmark_config_parses(tmp_path, monkeypatch):
+    # a schema edit that breaks a benchmark workload fails here, not only in the benchmark
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for i, (command, payload) in enumerate(workload.configs(seed=101)):
+            cfg = parse_config([command, "--config", write_config(tmp_path, payload, f"{workload.name}-{i}.json")])
+            assert cfg.command == command
+    # perfbench's self-test runs inflate with these two keys
+    assert {"tau_nodes", "dxi"} <= set(SCHEMAS["inflate"])
 
 
 _SCHEMA_KEYS = sorted(TOP_LEVEL_KEYS | {k for s in (*SCHEMAS.values(), *DATA_SCHEMAS.values()) for k in s} | {"kind"})
@@ -484,8 +524,6 @@ _HALVING_SOLVE = {
     "nodes": 64,
     "data": {"kind": "gaussian", "amplitude": 0.05, "velocity_amplitude": 1.0},
     "window": 0.5,
-    "max_iterations": 4,
-    "max_window_halvings": 1,
 }
 
 
@@ -498,7 +536,10 @@ _HALVING_SOLVE = {
     ],
     ids=["plain", "halving"],
 )
-def test_streamed_solve_matches_library_solve(tmp_path, block):
+def test_streamed_solve_matches_library_solve(tmp_path, monkeypatch, block):
+    if block is _HALVING_SOLVE:  # at most four Picard iterations and one halving
+        monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 4)
+        monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 1)
     cfg_path = write_config(tmp_path, {"solve": block})
     out = tmp_path / "cli"
     assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
@@ -507,13 +548,11 @@ def test_streamed_solve_matches_library_solve(tmp_path, block):
         make_grid(p["extent"], p["nodes"]), p["data"]["amplitude"], p["data"]["width"],
         p["data"]["velocity_amplitude"],
     )
-    scfg = SolverConfig(
-        p=p["p"], sign=p["sign"], horizon=p["T"], max_iterations=p["max_iterations"],
-        window_override=p["window"], max_window_halvings=p["max_window_halvings"],
-    )
+    scfg = SolverConfig(p=p["p"], sign=p["sign"], horizon=p["T"], window_override=p["window"])
     if block is _HALVING_SOLVE:
-        with pytest.raises(ConvergenceError) as exc:
-            solve(data, replace(scfg, max_window_halvings=0))
+        with monkeypatch.context() as no_halving, pytest.raises(ConvergenceError) as exc:
+            no_halving.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
+            solve(data, scfg)
         assert exc.value.window_index == 1
     traj = solve(data, scfg)
     times = p["sample_times"] or np.linspace(0.0, p["T"], 5).tolist()
@@ -579,7 +618,9 @@ def test_halved_solve_keeps_only_the_rows_of_its_last_attempt(tmp_path):
     assert outputs[0][:2] == outputs[1][:2]
 
 
-def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys):
+def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
+    monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 6)
     cfg_path = write_config(
         tmp_path,
         {
@@ -589,8 +630,6 @@ def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys):
                 "nodes": 256,
                 "data": {"kind": "gaussian", "amplitude": 5.0, "width": 2.0},
                 "window": 1.0,
-                "max_window_halvings": 0,
-                "max_iterations": 6,
             }
         },
     )
@@ -599,10 +638,11 @@ def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys):
     assert "window 0" in capsys.readouterr().err
 
 
-def test_solve_power_overflow_exits_3(tmp_path, capsys):
+def test_solve_power_overflow_exits_3(tmp_path, capsys, monkeypatch):
     # the pointwise power overflows inside a Picard window; without halvings
     # that is a non-convergence (exit 3), not a traceback.  The window is the
     # a-priori one of these data: sized windows miss the quadrature target first
+    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
     cfg_path = write_config(
         tmp_path,
         {
@@ -613,7 +653,6 @@ def test_solve_power_overflow_exits_3(tmp_path, capsys):
                 "nodes": 64,
                 "data": {"kind": "gaussian", "amplitude": 3.0},
                 "window": 0.0457,
-                "max_window_halvings": 0,
             }
         },
     )

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -77,8 +77,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(p=2, sign=1, horizon=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(p=2, sign=1, horizon=1.0, quadrature_nodes=10)
-    with pytest.raises(ValueError):
         SolverConfig(p=2, sign=1, horizon=1.0, s=-0.5)
 
 
@@ -86,14 +84,9 @@ def test_solver_config_validation():
     "field, value",
     [
         ("horizon", math.inf),
-        ("picard_tol", 0.0),
-        ("window_safety", 0.0),
-        ("window_safety", -0.1),
-        ("window_safety", math.nan),
         ("window_override", 0.0),
         ("window_override", -1.0),
         ("window_override", math.nan),
-        ("max_window_halvings", -1),
     ],
 )
 def test_solver_config_rejects_each_setting_by_name(field, value):
@@ -228,7 +221,9 @@ def test_one_flow_table_per_march_attempt(monkeypatch):
 def test_halved_attempt_builds_a_new_flow_table(monkeypatch):
     # the first attempt fails in window 1, the halved one marches eight windows
     d = gaussian_data(make_grid(8.0, 64), amplitude=0.05, width=1.0, velocity_amplitude=1.0)
-    cfg = SolverConfig(p=2, sign=1, horizon=2.0, max_iterations=4, window_override=0.5, max_window_halvings=1)
+    monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 4)
+    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 1)
+    cfg = SolverConfig(p=2, sign=1, horizon=2.0, window_override=0.5)
     calls = _count_flow_tables(monkeypatch)
     traj = solve(d, cfg)
     assert len(traj.window_reports) == 8
@@ -250,9 +245,10 @@ def test_probe_refuses_to_size_past_the_budget(monkeypatch):
     assert exc.value.window_index is None  # refused once sized, not halved
 
 
-def test_march_refuses_to_halve_past_the_budget():
+def test_march_refuses_to_halve_past_the_budget(monkeypatch):
     # 6,000 windows fail in window 0; halved, 12,000 would pass the limit
-    cfg = SolverConfig(p=2, sign=1, horizon=1.0, window_override=1 / 6000, max_iterations=1)
+    monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 1)
+    cfg = SolverConfig(p=2, sign=1, horizon=1.0, window_override=1 / 6000)
     with pytest.raises(ConvergenceError, match="12000 windows would pass the limit") as exc:
         solve(gaussian_data(make_grid(8.0, 64), 0.1, 1.0, 0.0), cfg)
     assert exc.value.window_index == 0 and len(exc.value.history) == 1
@@ -298,34 +294,36 @@ def test_window_missing_the_quadrature_target_is_halved(monkeypatch):
     cfg = SolverConfig(p=3, sign=-1, horizon=3.0)
     marched = solver_module._march(d, cfg, True, lambda *rows: None)
     assert [f[:2] for f in marched.failures] == [(2, 1)]
-    assert marched.failures[0].differences[-1] < cfg.picard_tol  # converged: rejected on its estimate
+    assert marched.failures[0].differences[-1] < solver_module.PICARD_TOL  # converged: rejected on its estimate
     assert len(marched.reports) == 4
     assert all(r.quadrature_estimate <= 1e-6 for r in marched.reports)
     assert solve(d, cfg).halvings == 1
+    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
     with pytest.raises(ConvergenceError, match="quadrature estimate .* is above the target 1e-06") as exc:
-        solve(d, replace(cfg, max_window_halvings=0))
+        solve(d, cfg)
     assert exc.value.window_index == 1
 
 
 @pytest.mark.parametrize(
-    "target, extent, data, cfg, windows",
+    "constants, extent, data, cfg, windows",
     [
         # the focusing case above: two sized windows, halved to four
-        (1e-6, 16.0, dict(amplitude=3.0), dict(p=3, sign=-1, horizon=3.0), 4),
+        (dict(QUADRATURE_TARGET=1e-6), 16.0, dict(amplitude=3.0), dict(p=3, sign=-1, horizon=3.0), 4),
         # window 1 of four needs a fifth iteration, halved to eight
         (
-            solver_module.QUADRATURE_TARGET,
+            dict(MAX_ITERATIONS=4, MAX_WINDOW_HALVINGS=1),
             8.0,
             dict(amplitude=0.05, velocity_amplitude=1.0),
-            dict(p=2, sign=1, horizon=2.0, max_iterations=4, window_override=0.5, max_window_halvings=1),
+            dict(p=2, sign=1, horizon=2.0, window_override=0.5),
             8,
         ),
     ],
     ids=["focusing", "max_iterations"],
 )
-def test_halved_solve_equals_a_solve_at_the_halved_window(monkeypatch, target, extent, data, cfg, windows):
+def test_halved_solve_equals_a_solve_at_the_halved_window(monkeypatch, constants, extent, data, cfg, windows):
     # the failed attempt's rows are dropped: the halved march is bit-equal to one set to its window
-    monkeypatch.setattr(solver_module, "QUADRATURE_TARGET", target)
+    for name, value in constants.items():
+        monkeypatch.setattr(solver_module, name, value)
     d = gaussian_data(make_grid(extent, 64), **data)
     cfg = SolverConfig(**cfg)
     halved = solve(d, cfg)
@@ -433,7 +431,7 @@ def test_duhamel_zero_trajectory_reduces_to_free():
     g = make_grid(8.0, 128)
     d = small_data(g)
     cfg = SolverConfig(p=2, sign=1, horizon=0.2)
-    times = np.linspace(0.0, 0.2, cfg.quadrature_nodes)
+    times = np.linspace(0.0, 0.2, solver_module.QUADRATURE_NODES)
     z = duhamel_rows(d, times, np.zeros((len(times), g.node_count)), cfg)
     for i, t in enumerate(times):
         free = free_propagator(d, t)
@@ -445,14 +443,13 @@ def test_duhamel_against_refined_quadrature():
     # one application on the free trajectory vs the same with 10x nodes
     g = make_grid(8.0, 128)
     d = small_data(g)
-    cfg = SolverConfig(p=2, sign=1, horizon=0.2, quadrature_nodes=33)
     t_end = 0.2
+    cfg = SolverConfig(p=2, sign=1, horizon=t_end)
 
     def apply_with(nodes):
         times = np.linspace(0.0, t_end, nodes)
         free = np.stack([free_propagator(d, t).amplitudes for t in times])
-        local = SolverConfig(p=2, sign=1, horizon=t_end, quadrature_nodes=nodes)
-        return SpectralField(g, duhamel_rows(d, times, free, local)[-1], real_valued=True)
+        return SpectralField(g, duhamel_rows(d, times, free, cfg)[-1], real_valued=True)
 
     uc = apply_with(33)
     uf = apply_with(321)
@@ -469,10 +466,11 @@ def test_picard_without_forcing_converges_in_one_iteration():
     assert np.max(np.abs(traj.final()[0].amplitudes - final.amplitudes)) < 1e-13
 
 
-def test_picard_contraction_is_at_least_geometric():
+def test_picard_contraction_is_at_least_geometric(monkeypatch):
     g = make_grid(16.0, 512)
     d = gaussian_data(g, amplitude=0.8, width=1.0, velocity_amplitude=0.4)
-    cfg = SolverConfig(p=2, sign=1, horizon=1.5, max_iterations=80)
+    monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 80)
+    cfg = SolverConfig(p=2, sign=1, horizon=1.5)
     _, report = picard_window(d, 1.5, cfg)
     assert len(report.ratios) >= 4
     assert all(r < 1 for r in report.ratios)
@@ -494,10 +492,11 @@ def test_picard_contraction_scales_as_window_squared():
     assert 3.0 <= factor <= 5.0
 
 
-def test_picard_nonconvergence_reports_history():
+def test_picard_nonconvergence_reports_history(monkeypatch):
     g = make_grid(16.0, 256)
     d = gaussian_data(g, amplitude=5.0, width=2.0)
-    cfg = SolverConfig(p=2, sign=1, horizon=1.0, max_iterations=6)
+    monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 6)
+    cfg = SolverConfig(p=2, sign=1, horizon=1.0)
     with pytest.raises(ConvergenceError) as exc:
         picard_window(d, 1.0, cfg)
     assert len(exc.value.history) == 6
@@ -526,6 +525,23 @@ def test_solve_linear_single_mode_two_windows_exact():
     assert np.max(others) < 1e-12 * abs(expect)
 
 
+def test_linear_solve_without_a_window_marches_one_window():
+    # without forcing the probe's quadrature estimate is 0, so the sized march is one window of T
+    g = make_grid(4.0, 64)
+    k, t_final = 1.0, 3.0
+    d = single_mode_data(g, k)
+    traj = solve(d, SolverConfig(p=2, sign=1, horizon=t_final), forcing=False)
+    assert traj.window_edges == (0.0, t_final) and traj.halvings == 0
+    idx = g.index_of(k)
+    expect = np.cos(t_final * lambda_symbol(k)) * d.u0.amplitudes[idx]
+    assert abs(traj.final()[0].amplitudes[idx] - expect) <= 1e-10 * abs(expect)
+
+
+def test_solver_config_fields_are_the_constructive_ones():
+    # the Picard and window controls are module constants, not settings
+    assert [f.name for f in fields(SolverConfig)] == ["p", "sign", "horizon", "s", "window_override"]
+
+
 def test_solve_agrees_with_rk4():
     d = small_data()
     cfg = SolverConfig(p=2, sign=1, horizon=0.25)
@@ -542,7 +558,7 @@ def test_solve_fixed_point_is_stable_under_extra_application():
     again = duhamel_rows(d, traj.times, _full_spectrum(traj.u), cfg)
     diffs = [SpectralField(d.grid, a, real_valued=True) - traj.state(i)[0] for i, a in enumerate(again)]
     change = max(sobolev_norm(e, cfg.s) + sup_norm(e) for e in diffs)
-    assert change < 10 * cfg.picard_tol
+    assert change < 10 * solver_module.PICARD_TOL
 
 
 def test_solve_small_amplitude_stays_near_free_flow():
@@ -577,12 +593,12 @@ def test_picard_power_overflow_is_a_convergence_error():
     assert exc.value.history == []
 
 
-def test_solve_propagates_window_index_on_failure():
+def test_solve_propagates_window_index_on_failure(monkeypatch):
     g = make_grid(16.0, 256)
     d = gaussian_data(g, amplitude=5.0, width=2.0)
-    cfg = SolverConfig(
-        p=2, sign=1, horizon=1.0, window_override=1.0, max_window_halvings=0, max_iterations=6
-    )
+    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
+    monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 6)
+    cfg = SolverConfig(p=2, sign=1, horizon=1.0, window_override=1.0)
     with pytest.raises(ConvergenceError) as exc:
         solve(d, cfg)
     assert exc.value.window_index == 0

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -17,6 +18,7 @@ from imbq.symbols import (
     kernel_ratio_sweep,
 )
 from imbq.symbols import _TIME_FREE, SYMBOL_NAMES, BesovConvergenceError, _besov_values
+from imbq import symbols as symbols_module
 
 
 def test_symbol_validation():
@@ -188,10 +190,11 @@ def test_besov_seminorms_batch_equals_one_at_a_time():
     assert besov_seminorms([], resolution=20) == []
 
 
-def test_besov_seminorms_strict_raises_for_the_first_unconverged_symbol():
+def test_besov_seminorms_strict_raises_for_the_first_unconverged_symbol(monkeypatch):
     # a stabilization below any refinement change leaves every nonzero seminorm unconverged;
     # Q_t at t = 0 is the constant 1, whose zero seminorm still converges
-    loose = besov_seminorms([Symbol("m3", 0.5), Symbol("m1")], resolution=20, stabilization=1e-14)
+    monkeypatch.setattr(symbols_module, "STABILIZATION", 1e-14)
+    loose = besov_seminorms([Symbol("m3", 0.5), Symbol("m1")], resolution=20)
     assert [e.converged for e in loose] == [False, False]
     for syms, first in (
         ([Symbol("m3", 0.5), Symbol("m1")], "m3(t=0.5)"),
@@ -199,12 +202,12 @@ def test_besov_seminorms_strict_raises_for_the_first_unconverged_symbol():
         ([Symbol("Q_t", 0.0), Symbol("m2_minus", 2.0), Symbol("m1")], "m2_minus(t=2)"),
     ):
         with pytest.raises(BesovConvergenceError, match=rf"^seminorm of {re.escape(first)} changed by"):
-            besov_seminorms(syms, resolution=20, stabilization=1e-14, strict=True)
+            besov_seminorms(syms, resolution=20, strict=True)
 
 
-def test_besov_rejects_bad_range():
-    with pytest.raises(ValueError):
-        besov_seminorm(Symbol("m1"), h_min=1.0, h_max=0.5)
+def test_besov_seminorms_takes_only_the_symbols_resolution_and_strict():
+    # the h range, xi truncation and stabilization are the symbols module constants
+    assert list(inspect.signature(besov_seminorms).parameters) == ["syms", "resolution", "strict"]
 
 
 def test_kernel_inequality_symmetric_case():
