@@ -409,28 +409,22 @@ def _run_solve(cfg: RunConfig) -> int:
             data = inflation.make_ip_data(data_spec["N"], grid).data.scaled(data_spec["scale"])
         scfg = SolverConfig(p=p["p"], sign=p["sign"], horizon=p["T"], s=p["s"], window_override=p["window"])
     times = p["sample_times"] or np.linspace(0.0, p["T"], 5).tolist()
-    energies, kept = [], []
+    energies = []
 
     def take(n_windows, k, t, u, ut):
-        if k == 0:  # a new attempt: drop what a failed one kept
+        if k == 0:  # a new attempt: drop the energies of a failed one
             energies.clear()
-            kept.clear()
         # every data kind has mean-zero velocity; _energy_matrix raises ValueError (exit 3) otherwise
         energies.append(solver._energy_matrix(u, ut, grid, p["p"], p["sign"]))
-        # the window's last row and its nearest to each request: the nearest overall is among these
-        rows = sorted({len(t) - 1, *(int(np.argmin(np.abs(t - t_req))) for t_req in times)})
-        kept.append((t[rows], u[rows], ut[rows]))
 
-    # the windows stream through take, which keeps only energies and a few rows of each
-    marched = solver._march(data, scfg, True, take)
-    sampled = solver.Trajectory(*(np.concatenate(parts) for parts in zip(*kept)), grid)
+    # take keeps only each window's energies; the march evaluates the requested times and T there
+    marched = solver._march(data, scfg, True, take, sorted({*times, p["T"]}))
     energies = np.concatenate(energies)
-    reports.write_trajectory_csv(os.path.join(cfg.out, "trajectory.csv"), sampled, times)
+    reports.write_trajectory_csv(os.path.join(cfg.out, "trajectory.csv"), marched.sampled, times)
     reports.write_json(
         os.path.join(cfg.out, "solve.json"),
         reports.trajectory_sidecar(
-            marched.times, marched.edges, marched.reports, {**p, "command": "solve"}, energies, marched.probe,
-            marched.failures,
+            marched, {**p, "command": "solve"}, energies,
             {
                 "dealiased_row": _dealiased_node_count(grid.node_count, scfg.p),
                 "sup_norm_grid": _padded_node_count(grid.node_count, SUP_NORM_OVERSAMPLE),
@@ -443,12 +437,13 @@ def _run_solve(cfg: RunConfig) -> int:
             f"solve window {i}: [{marched.edges[i]:g}, {marched.edges[i + 1]:g}] "
             f"iterations={rep.iterations} contraction={ratio}"
         )
-    probe = "no probe" if marched.probe is None else "probe window {:.6g} estimate {:.3e}".format(*marched.probe)
+    probe = marched.probe and f"probe window {marched.probe[0]:.6g} contraction {marched.probe[1] or 0.0:.3e}"
     print(
-        f"solve window rule: window {marched.reports[0].window_length:.6g} ({probe}), largest estimate "
+        f"solve window rule: window {marched.reports[0].window_length:.6g} ({probe or 'no probe'}), "
+        f"nodes {marched.doubling[-1][0]}, largest estimate "
         f"{max(r.quadrature_estimate for r in marched.reports):.3e}, halvings {len(marched.failures)}"
     )
-    final = sobolev_norm(sampled.final()[0], 0.0)
+    final = sobolev_norm(marched.sampled.final()[0], 0.0)
     print(f"solve: final |u|_L2 = {final:.6e} over {len(marched.reports)} window(s)")
     return 0
 

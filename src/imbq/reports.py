@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import to_position
 from .inflation import InflationReport
-from .solver import QUADRATURE_TARGET, Trajectory
+from .solver import CONTRACTION_TARGET, QUADRATURE_TARGET, Trajectory
 from .symbols import BesovEstimate
 
 __all__ = [
@@ -140,42 +140,39 @@ def write_trajectory_csv(path: str, traj: Trajectory, sample_times: list[float])
     write_csv(path, ["t", "x", "u"], rows)
 
 
-def trajectory_sidecar(
-    times,
-    window_edges,
-    window_reports,
-    config: dict,
-    energies=None,
-    probe=None,
-    failures=(),
-    transform_lengths=None,
-) -> dict:
-    """Solver diagnostics of an ``imbq solve`` run: its node times, window edges and window reports,
-    how the windows were sized (the probe's (window, estimate) and the failed attempts), and the
-    padded transform lengths it used (``transform_lengths``, name -> node count).
+def trajectory_sidecar(marched, config: dict, energies=None, transform_lengths=None) -> dict:
+    """Solver diagnostics of an ``imbq solve`` run from its ``solver._march`` result: its node times,
+    window edges and reports, how the windows were sized (the probe's window and contraction ratio,
+    window 0's node doubling, the failed attempts and their node counts), and the padded transform
+    lengths it used (``transform_lengths``, name -> node count).
 
     The provenance names what that run executes: the window march, the
     Picard iteration in each window and the batched energy.
     """
+    reports, probe = marched.reports, marched.probe
     return {
         "config": config,
-        "window_edges": list(window_edges),
-        "iterations": [r.iterations for r in window_reports],
-        "contraction_ratios": [list(r.ratios) for r in window_reports],
-        "difference_norms": [list(r.differences) for r in window_reports],
-        "quadrature_estimates": [r.quadrature_estimate for r in window_reports],
+        "window_edges": list(marched.edges),
+        "iterations": [r.iterations for r in reports],
+        "contraction_ratios": [list(r.ratios) for r in reports],
+        "difference_norms": [list(r.differences) for r in reports],
+        "quadrature_estimates": [r.quadrature_estimate for r in reports],
         "window_rule": {
-            "window": window_reports[0].window_length,
-            "probe": None if probe is None else {"window": probe[0], "quadrature_estimate": probe[1]},
-            "quadrature_target": None if probe is None else QUADRATURE_TARGET,
-            "halvings": len(failures),
+            "window": reports[0].window_length,
+            "nodes": marched.doubling[-1][0],
+            "node_doubling": [{"nodes": n, "quadrature_estimate": e} for n, e in marched.doubling],
+            "probe": None if probe is None else {"window": probe[0], "contraction_ratio": probe[1]},
+            "contraction_target": None if probe is None else CONTRACTION_TARGET,
+            "quadrature_target": QUADRATURE_TARGET,
+            "halvings": len(marched.failures),
             "failed_attempts": [
-                {"windows": f.windows, "window_index": f.window_index, "difference_norms": list(f.differences)}
-                for f in failures
+                {"windows": f.windows, "window_index": f.window_index, "nodes": f.nodes,
+                 "difference_norms": list(f.differences)}
+                for f in marched.failures
             ],
         },
         "energy": None if energies is None else [float(e) for e in energies],
-        "sample_times": [float(t) for t in times],
+        "sample_times": [float(t) for t in marched.times],
         "transform_lengths": transform_lengths,
         "provenance": {
             "states": "imbq.solver._march",

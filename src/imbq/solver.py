@@ -96,22 +96,18 @@ class CauchyData:
 class SolverConfig:
     """Nonlinearity, horizon, regularity of the stopping norm, and an optional window.
 
-    :func:`solve` sizes its windows by accuracy.  A probe runs the first
-    window of the a-priori tiling, windows of :data:`WINDOW_SAFETY` *
-    R^{-(p-1)/2} with R the summed H^s-plus-sup size of the data.  Its
-    embedded quadrature estimate, the :data:`QUADRATURE_NODES`-node
-    prefix-Simpson tau-integral minus the one on the even nodes, falls like
-    h^4 in the node spacing h, so the probe window is scaled by
-    (target/estimate)^{1/4} with the target :data:`QUADRATURE_TARGET` of the
-    largest node size, and [0, horizon] is tiled by ceil(horizon/window)
-    equal windows; without forcing the estimate is 0 and one window covers
-    [0, horizon].  A set ``window_override`` tiles by that window, without a
-    probe.  A window that does not converge, or whose estimate misses the
-    target, halves all windows, up to :data:`MAX_WINDOW_HALVINGS` times.
-    Picard stops once the max over the window nodes of H^s + (dxi/2pi) sum
-    |u_hat| of the iterate difference, an upper bound of its H^s-plus-sup
-    size, is below :data:`PICARD_TOL`.  The power is dealiased by the fixed
-    factor (p+1)/2.
+    :func:`solve` sizes its windows by the contraction and their nodes by accuracy.  A probe runs the
+    first window of the a-priori tiling, windows of sqrt(:data:`CONTRACTION_TARGET`) * R^{-(p-1)/2}
+    with R the summed H^s-plus-sup size of the data, on 9 Chebyshev-Lobatto nodes.  Its contraction
+    ratio, scaled like the window squared, reaches :data:`CONTRACTION_TARGET` at the window length,
+    and ceil(horizon/window) equal windows tile [0, horizon].  Window 0 doubles its nodes, up to
+    :data:`MAX_QUADRATURE_NODES`, until its embedded quadrature estimate (the n-node tau-integral
+    minus the nested (n+1)/2-node one) meets :data:`QUADRATURE_TARGET` of the largest node size.
+    Without forcing one window covers [0, horizon]; a set ``window_override`` tiles by that window,
+    without a probe.  A window that does not converge, or whose estimate misses the target, halves
+    all windows, up to :data:`MAX_WINDOW_HALVINGS` times.  Picard stops once the max over the window
+    nodes of H^s + (dxi/2pi) sum |u_hat| of the iterate difference, an upper bound of its
+    H^s-plus-sup size, is below :data:`PICARD_TOL`.  The power is dealiased by the factor (p+1)/2.
     """
 
     p: int
@@ -127,8 +123,8 @@ class SolverConfig:
             raise ValueError("sign must be +1 or -1")
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.s < 0:
-            raise ValueError("solver regularity s must be >= 0")
+        if not 0 <= self.s < math.inf:
+            raise ValueError(f"s must be non-negative and finite, got {self.s}")
         if self.window_override is not None and not self.window_override > 0:
             raise ValueError(f"window_override must be positive, got {self.window_override}")
 
@@ -240,9 +236,6 @@ def free_propagator(d: CauchyData, t: float) -> SpectralField:
 # ----------------------------------------------------------------------
 # quadrature over the window nodes
 
-_HALF_STEP_ROW = np.array([5.0, 8.0, -1.0]) / 12.0
-_THREE_EIGHTHS_ROW = np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 / 8.0)
-
 
 def _simpson_row(i: int) -> np.ndarray:
     w = np.ones(i + 1)
@@ -251,46 +244,46 @@ def _simpson_row(i: int) -> np.ndarray:
     return w / 3.0
 
 
-def _prefix_weights(n_nodes: int, h: float) -> np.ndarray:
-    """Rows W[i] with  int_0^{t_i} f  ~=  sum_j W[i, j] f(t_j),  t_j = j*h.
-
-    Even prefixes use composite Simpson; odd prefixes splice a 3/8 block
-    (or, for i = 1, the half-interval rule through nodes 0..2) so every row
-    is fourth-order accurate and closed over the node set.
+def _lobatto_weights(n: int, window: float, times) -> np.ndarray:
+    """Rows W with  int_0^t f  ~=  sum_j W[., j] f(t_j)  at each of ``times`` in [0, window], on the n
+    Chebyshev-Lobatto nodes t_j = window (1 - cos(pi j/(n-1)))/2.  Each row integrates the degree n-1
+    interpolant exactly: a DCT-I maps the node values to Chebyshev coefficients in s = 2t/window - 1,
+    and T_k integrates to T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)).
     """
-    w = np.zeros((n_nodes, n_nodes))
-    for i in range(1, n_nodes):
-        if i == 1:
-            w[1, :3] = _HALF_STEP_ROW
-        elif i % 2 == 0:
-            w[i, : i + 1] = _simpson_row(i)
-        else:
-            if i > 3:
-                w[i, : i - 2] = _simpson_row(i - 3)
-            w[i, i - 3 : i + 1] += _THREE_EIGHTHS_ROW
-    return w * h
+    m, k = n - 1, np.arange(n)
+    ends = np.where((k == 0) | (k == m), 0.5, 1.0)  # the DCT-I halves the end rows and columns
+    coef = np.cos(np.outer(k, np.pi - np.pi * k / m)) * np.outer(ends, ends) * (2.0 / m)  # T_k(s_j), s_j = -cos(pi j/m)
+
+    def antiderivatives(theta):  # of T_0 .. T_m at s = cos(theta)
+        c = np.cos(np.multiply.outer(theta, np.arange(n + 1.0)))
+        c[..., 3:] = c[..., 3:] / (2.0 * k[2:] + 2.0) - c[..., 1:-2] / (2.0 * k[2:] - 2.0)
+        c[..., 2] *= 0.25
+        return c[..., 1:]
+
+    theta = np.arccos(np.clip(2.0 * np.asarray(times, dtype=float) / window - 1.0, -1.0, 1.0))
+    # at t = 0 (theta = pi) both terms are the same numbers, so that row is exactly 0
+    return 0.5 * window * (antiderivatives(theta) - antiderivatives(np.pi)) @ coef
 
 
 class _Rule(NamedTuple):
-    """Node times, prefix weights and half-layout flow table of one window length.
-
-    ``embedded`` has the rows W[2i] - V[i] for i >= 1: the prefix weights at
-    the even nodes minus those V of the rule on the even nodes alone,
-    spread onto the even columns.
-    """
+    """Node times, prefix weights and half-layout flow table of one window.  ``embedded`` has the rows
+    W[2i] - V[i], i >= 1: the weights at the even nodes minus those V of the rule on the even nodes
+    alone (the (n+1)/2-node Lobatto set), spread onto the even columns."""
 
     times: np.ndarray
     weights: np.ndarray
     table: _FlowTable
-    embedded: np.ndarray
+    embedded: np.ndarray | None
 
 
-def _rule(grid: FrequencyGrid, times: np.ndarray) -> _Rule:
-    """The rule on uniform ``times`` starting at 0, over the half layout of ``grid``."""
-    n, h = times.shape[0], times[1]
-    weights = _prefix_weights(n, h)
-    embedded = weights[2::2].copy()
-    embedded[:, ::2] -= _prefix_weights((n + 1) // 2, 2 * h)[1:]
+def _rule(grid: FrequencyGrid, window: float, n: int, at=None) -> _Rule:
+    """The n-node Chebyshev-Lobatto rule on [0, window] over the half layout of ``grid``; with ``at``,
+    its rows and flow table at the times ``at`` instead of the nodes, and no embedded rows."""
+    times = 0.5 * window * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) if at is None else np.asarray(at, float)
+    weights, embedded = _lobatto_weights(n, window, times), None
+    if at is None:
+        embedded = weights[2::2].copy()
+        embedded[:, ::2] -= _lobatto_weights((n + 1) // 2, window, times[::2])[1:]
     return _Rule(times, weights, _flow_table(_half_spectrum(grid.xi), times), embedded)
 
 
@@ -310,6 +303,11 @@ def _free(a0, a1, table: _FlowTable, velocity=False) -> np.ndarray:
 def _reals(stack: np.ndarray) -> np.ndarray:
     """The float64 view of (n, 2, k) complex products, one row per node."""
     return stack.reshape(stack.shape[0], -1).view(np.float64)
+
+
+def _combined(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``weights`` times the (n, 2, k) products ``stack``: (m, 2, k), one real GEMM."""
+    return np.matmul(weights, _reals(stack)).view(np.complex128).reshape(-1, *stack.shape[1:])
 
 
 def _tau_integrals(u, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig):
@@ -370,11 +368,11 @@ def _node_sizes(half: np.ndarray, grid: FrequencyGrid, s: float) -> np.ndarray:
 
 def _embedded_error(stack, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig) -> float:
     """Largest node size, over the even nodes, of the difference between the
-    forcing terms from the window's prefix-Simpson rule and from the rule on
-    its even nodes alone, with the (n, 2, k) products ``stack``.
+    forcing terms from the window's n-node rule and from the (n+1)/2-node rule
+    on its even nodes, with the (n, 2, k) products ``stack``.
     """
     lam, cos_t, sin_t, _ = rule.table
-    diff = np.matmul(rule.embedded, _reals(stack)).view(np.complex128).reshape(-1, *stack.shape[1:])
+    diff = _combined(rule.embedded, stack)
     c, s = diff[:, 0], diff[:, 1]
     c *= sin_t[2::2]
     s *= cos_t[2::2]
@@ -383,14 +381,14 @@ def _embedded_error(stack, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig) 
     return float(np.max(_node_sizes(c, grid, cfg.s)))
 
 
-def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing: bool):
+def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing: bool, at: _Rule | None = None):
     """:func:`picard_window` on half-layout data (a0, a1) and a given rule:
-    returns the half-layout node states u, u_t and the window's report.
+    returns the half-layout node states u, u_t, the window's report and, given
+    the rule's rows ``at`` other times (:func:`_rule`), the states there, else None.
 
-    The report's quadrature estimate is :func:`_embedded_error` on the
-    converged iterate over its largest node size.  It takes the products of
-    the velocity pass, which has them anyway, so it costs no transform, and
-    its arrays are dropped before that pass allocates its result.
+    The report's quadrature estimate is :func:`_embedded_error` on the converged iterate over its
+    largest node size.  It takes the products of the velocity pass, which has them anyway, so it
+    costs no transform; so do the states at ``at``, the Duhamel formula there (no interpolation).
     """
     window = float(rule.times[-1])
     free = _free(a0, a1, rule.table)
@@ -412,11 +410,15 @@ def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing
             )
         free = _free(a0, a1, rule.table, velocity=True)
         estimate, ut = 0.0, free
+        sampled = None if at is None else [_free(a0, a1, at.table, velocity=v) for v in (False, True)]
         if forcing:
             size = float(np.max(_node_sizes(current, grid, cfg.s)))
             stack, sums = _tau_integrals(current, rule, grid, cfg)
             estimate = _embedded_error(stack, rule, grid, cfg) / size if size > 0 else 0.0
             ut = _duhamel(current, free, rule, grid, cfg, velocity=True, sums=sums)
+            if at is not None:  # each call combines its own product rows in place
+                pairs = zip(sampled, (False, True))
+                sampled = [_duhamel(None, f, at, grid, cfg, v, _combined(at.weights, stack)) for f, v in pairs]
     except OverflowError as err:
         raise ConvergenceError(
             f"Picard iteration on a window of length {window:g} failed after "
@@ -425,11 +427,11 @@ def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing
         ) from err
     ratios = tuple(b / a for a, b in zip(diffs[:-1], diffs[1:]) if a > 0)
     report = ContractionReport(window, len(diffs), tuple(diffs), ratios, estimate)
-    return current, ut, report
+    return current, ut, report, sampled
 
 
 def picard_window(
-    d: CauchyData, window: float, cfg: SolverConfig, forcing: bool = True, *, _shared: _Rule | None = None
+    d: CauchyData, window: float, cfg: SolverConfig, forcing: bool = True, *, _shared: _Rule | None = None, _at=None
 ) -> tuple[Trajectory, ContractionReport]:
     """Iterate the Duhamel map to its fixed point on [0, window].
 
@@ -439,46 +441,46 @@ def picard_window(
     sup norm from above.  Raises :class:`ConvergenceError` with the
     difference history when :data:`MAX_ITERATIONS` is exhausted (window too
     long or data too large) or when the pointwise power overflows.
-    The report carries the window's quadrature estimate, the trajectory the
-    half-layout node states.  ``_shared`` is internal: the rule of ``window``
-    that :func:`_march` builds once for all windows of an attempt.
+    The report carries the window's quadrature estimate, the trajectory the half-layout states at the
+    rule's nodes, :data:`MAX_QUADRATURE_NODES` Chebyshev-Lobatto nodes by default.  ``_shared`` and
+    ``_at`` are :func:`_march`'s: its rule and that rule's rows at sample times, whose states come third.
     """
     if not window > 0:
         raise ValueError("window length must be positive")
-    rule = _shared if _shared is not None else _rule(d.grid, np.linspace(0.0, window, QUADRATURE_NODES))
+    rule = _shared if _shared is not None else _rule(d.grid, window, MAX_QUADRATURE_NODES)
     a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
-    u, ut, report = _picard(a0, a1, rule, d.grid, cfg, forcing)
-    return Trajectory(rule.times, u, ut, d.grid, window_edges=(0.0, window), window_reports=(report,)), report
+    u, ut, report, sampled = _picard(a0, a1, rule, d.grid, cfg, forcing, _at)
+    traj = Trajectory(rule.times, u, ut, d.grid, window_edges=(0.0, window), window_reports=(report,))
+    return (traj, report) if _at is None else (traj, report, sampled)
 
 
 # work budget of the march: windows at its start, ceil(horizon/window), set or data-derived, and
-# again once the probe has sized them and before a halving.  At the limit `imbq solve` with
-# 512 nodes, p = 2 and 33 quadrature nodes takes 57 s on a 2-vCPU container when the window is
-# set; data whose a-priori tiling is at the limit are sized to ~3,400 windows (25 s).  The count
-# ignores nodes and iterations, so it does not bound run time.
+# again once the probe has sized them and before a halving.  The count ignores nodes and
+# iterations, so it does not bound run time.
 MAX_SOLVE_WINDOWS = 10**4
-# accuracy target of the window rule: every window's quadrature estimate, relative to its largest
+# accuracy target of the node count: every window's quadrature estimate, relative to its largest
 # node size (ContractionReport.quadrature_estimate), is at most this
 QUADRATURE_TARGET = 1e-8
 # Picard stops once the stopping norm of the iterate difference is below PICARD_TOL and fails
-# after MAX_ITERATIONS; each window has QUADRATURE_NODES tau nodes (odd, so the embedded rule has
-# the even ones); the a-priori window is WINDOW_SAFETY * R^{-(p-1)/2}; a march halves its windows
-# at most MAX_WINDOW_HALVINGS times
+# after MAX_ITERATIONS; a window's Chebyshev-Lobatto node count doubles from 9 (9, 17, 33, 65) to at
+# most MAX_QUADRATURE_NODES; windows are as long as the contraction ratio, modelled a priori as
+# (R^{(p-1)/2} w)^2 and scaled like w^2 from the probe's measured one, reads CONTRACTION_TARGET; a
+# march halves its windows at most MAX_WINDOW_HALVINGS times
 PICARD_TOL = 1e-12
 MAX_ITERATIONS = 50
-QUADRATURE_NODES = 33
-WINDOW_SAFETY = 0.1
+MAX_QUADRATURE_NODES = 65
+CONTRACTION_TARGET = 0.01
 MAX_WINDOW_HALVINGS = 5
 
 
-def _window_length(d: CauchyData, cfg: SolverConfig) -> float:
+def _window_length(d: CauchyData, cfg: SolverConfig, forcing: bool) -> float:
     if cfg.window_override is not None:
         return min(cfg.window_override, cfg.horizon)
-    r = sobolev_norm(d.u0, cfg.s) + sup_norm(d.u0) + sobolev_norm(d.u1, cfg.s) + sup_norm(d.u1)
-    if r == 0.0:
+    r = sobolev_norm(d.u0, cfg.s) + sup_norm(d.u0) + sobolev_norm(d.u1, cfg.s) + sup_norm(d.u1) if forcing else 0.0
+    if r == 0.0:  # no forcing, or zero data: one window
         return cfg.horizon
-    # in logs: for r < 1 and a large p, r^{-(p-1)/2} overflows a float
-    log_w = math.log(WINDOW_SAFETY) - 0.5 * (cfg.p - 1) * math.log(r)
+    # (r^{(p-1)/2} w)^2 = CONTRACTION_TARGET in logs: for r < 1 and a large p, r^{-(p-1)/2} overflows
+    log_w = 0.5 * (math.log(CONTRACTION_TARGET) - (cfg.p - 1) * math.log(r))
     return cfg.horizon if log_w >= math.log(cfg.horizon) else math.exp(log_w)
 
 
@@ -493,77 +495,88 @@ def _window_count(count: float, horizon: float) -> int:
 
 
 class _Attempt(NamedTuple):
-    """A failed march attempt: its window count, failing window and that window's history."""
+    """A failed march attempt: its window count, failing window, that window's history and node count."""
 
     windows: int
     window_index: int
     differences: tuple[float, ...]
+    nodes: int
 
 
 class _Marched(NamedTuple):
-    """What :func:`_march` returns; ``probe`` is (window, quadrature estimate) or None."""
+    """:func:`_march`'s result: ``probe`` (window, contraction ratio) or None, ``doubling`` (nodes, estimate)
+    of each run of the last attempt's window 0, ``sampled`` the states at the requested times or None."""
 
     times: np.ndarray
     edges: tuple[float, ...]
     reports: tuple[ContractionReport, ...]
-    probe: tuple[float, float] | None
+    probe: tuple[float, float | None] | None
     failures: tuple[_Attempt, ...]
+    doubling: tuple[tuple[int, float], ...]
+    sampled: Trajectory | None
 
 
-def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take) -> _Marched:
+def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take, samples=()) -> _Marched:
     """March Picard windows of one length over [0, horizon], halving them on a failure.
 
-    The probe of :class:`SolverConfig` sizes the windows unless
-    ``window_override`` is set; a probe window that matches the sized tiling
-    is kept as its window 0, since its estimate meets the target up to the
-    rounding of the count.  A window fails when it does not converge or, when sized, when its estimate is
-    above :data:`QUADRATURE_TARGET`; an attempt that fails before anything
-    was sized probes again.  Window k of an attempt with n windows calls
-    ``take(n, k, times, u, u_t)`` with the rows it adds: all of window 0,
-    then every row but the first (the previous window's last state).
-    ``k == 0`` starts an attempt, and the consumer drops whatever it kept
-    of a failed one.  The windows of an attempt share one
-    :class:`_Rule`, and node j of window k is stamped at
-    (k (Q-1) + j) horizon / (n (Q-1)), so a time the tiling hits prints
-    exactly.  Continuation data at each window end is the converged state
-    and the velocity from the differentiated Duhamel formula (spectrally
-    exact, no finite-difference stencil).  More than
-    :data:`MAX_SOLVE_WINDOWS` windows, before any window runs, once sized
-    or by a halving, or a window that underflows to 0, raise
-    :class:`ConvergenceError`.
+    Window 0 runs first, on 9 Chebyshev-Lobatto nodes.  Unless ``window_override`` is set or forcing
+    is off (one window), that run is the probe of :class:`SolverConfig`, sizes the windows by its
+    contraction and stays as window 0 if the count does not change.  Window 0 doubles its nodes (17,
+    33, 65) until its estimate meets :data:`QUADRATURE_TARGET`; all windows share that rule.  A window
+    fails when it does not converge or, when sized, when its estimate is above the target (window 0 at
+    :data:`MAX_QUADRATURE_NODES` only); an attempt failing before anything was sized probes again.
+    Window k of n spans [k horizon/n, (k+1) horizon/n], its last node stamped with that end, and calls
+    ``take(n, k, times, u, u_t)`` with the node rows it adds: all of window 0, then all but the first
+    (the previous window's last state); ``k == 0`` starts an attempt, and the consumer drops what it
+    kept of a failed one.  Each of the sorted, distinct ``samples`` in [0, horizon] is the Duhamel
+    formula of its window at that time (:func:`_picard`).  Continuation data at a window end is the
+    converged state and the velocity of the differentiated Duhamel formula.  More than
+    :data:`MAX_SOLVE_WINDOWS` windows, before any window runs, once sized or by a halving, or a window
+    that underflows to 0, raise :class:`ConvergenceError`.
     """
-    base = _window_length(d, cfg)
+    base = _window_length(d, cfg, forcing)
     n_windows = _window_count(cfg.horizon / base if base > 0 else math.inf, cfg.horizon)
-    step = QUADRATURE_NODES - 1
-    sized = cfg.window_override is None
+    sized = forcing and cfg.window_override is None
     target = QUADRATURE_TARGET if sized else None
+    samples = np.asarray(samples, dtype=float)
     probe, failures = None, []
     while True:
-        w, first = cfg.horizon / n_windows, None
-        rule = _rule(d.grid, np.linspace(0.0, w, QUADRATURE_NODES))
-        times, edges, reports = [], [0.0], []
-        data = d
+        w, nodes = cfg.horizon / n_windows, 9
+        edges = [k * cfg.horizon / n_windows for k in range(n_windows + 1)]
+        # window k holds the samples in (edges[k], edges[k + 1]] (and 0 for k = 0): samples[cut[k]:cut[k + 1]]
+        cut = [0, *np.searchsorted(samples, edges[1:-1], side="right").tolist(), samples.size]
+        times, reports, sampled, data, rule = [], [], [], d, _rule(d.grid, w, nodes)
         try:
+            first = _run_window(d, cfg, forcing, rule, 0, 0.0, None, samples[: cut[1]])
             if sized and probe is None:
-                first = _run_window(d, w, cfg, forcing, rule, 0, 0.0)
-                probe = (w, first[1].quadrature_estimate)
-                count = _window_count(n_windows * (probe[1] / target) ** 0.25, cfg.horizon)
+                probe = (w, first[1].contraction_ratio)
+                count = _window_count(n_windows * math.sqrt((probe[1] or 0.0) / CONTRACTION_TARGET), cfg.horizon)
                 if count != n_windows:
                     n_windows = count
                     continue
+            doubling = [(nodes, first[1].quadrature_estimate)]
+            while doubling[-1][1] > QUADRATURE_TARGET and nodes < MAX_QUADRATURE_NODES:
+                nodes = 2 * nodes - 1
+                rule = _rule(d.grid, w, nodes)
+                last = target if nodes == MAX_QUADRATURE_NODES else None
+                first = _run_window(d, cfg, forcing, rule, 0, 0.0, last, samples[: cut[1]])
+                doubling.append((nodes, first[1].quadrature_estimate))
             for k in range(n_windows):
-                start = k * cfg.horizon / n_windows
-                traj, report = first if k == 0 and first else _run_window(data, w, cfg, forcing, rule, k, start, target)
+                at = samples[cut[k] : cut[k + 1]]
+                traj, report, rows = first if k == 0 else _run_window(data, cfg, forcing, rule, k, edges[k], target, at)
+                t = edges[k] + rule.times
+                t[-1] = edges[k + 1]
                 new = slice(0 if k == 0 else 1, None)
-                times.append((k * step + np.arange(QUADRATURE_NODES)[new]) * cfg.horizon / (n_windows * step))
+                times.append(t[new])
                 take(n_windows, k, times[-1], traj.u[new], traj.u_t[new])
-                edges.append((k + 1) * cfg.horizon / n_windows)
                 reports.append(report)
+                if rows is not None:
+                    sampled.append(rows)
                 data = CauchyData(*traj.final())
         except ConvergenceError as err:
             if err.window_index is None:  # the sized count is over the budget
                 raise
-            failures.append(_Attempt(n_windows, err.window_index, tuple(err.history)))
+            failures.append(_Attempt(n_windows, err.window_index, tuple(err.history), nodes))
             if len(failures) > MAX_WINDOW_HALVINGS:
                 raise
             if 2 * n_windows > MAX_SOLVE_WINDOWS:
@@ -571,48 +584,43 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take) -> _Marched:
                 raise ConvergenceError(message, history=err.history, window_index=err.window_index) from err
             n_windows *= 2
             continue
-        return _Marched(np.concatenate(times), tuple(edges), tuple(reports), probe, tuple(failures))
+        states = Trajectory(*(np.concatenate(part) for part in zip(*sampled)), d.grid) if sampled else None
+        marched = (np.concatenate(times), tuple(edges), tuple(reports), probe, tuple(failures), tuple(doubling))
+        return _Marched(*marched, states)
 
 
-def _run_window(data: CauchyData, w, cfg: SolverConfig, forcing: bool, rule: _Rule, k: int, start, target=None):
-    """:func:`picard_window` as window ``k`` of a march: a failure, or a quadrature
-    estimate above ``target``, raises :class:`ConvergenceError` naming the window.
-    """
+def _run_window(data: CauchyData, cfg: SolverConfig, forcing: bool, rule: _Rule, k: int, start, target=None, at=()):
+    """:func:`picard_window` with ``rule`` as window ``k`` of a march, from ``start``; a failure or an estimate
+    above ``target`` raises naming it.  Returns its trajectory, report and (times, u, u_t) at ``at`` or None."""
+    w = float(rule.times[-1])
+    rows = _rule(data.grid, w, rule.times.shape[0], at - start) if len(at) else None
     try:
-        traj, report = picard_window(data, w, cfg, forcing, _shared=rule)
+        traj, report, *sampled = picard_window(data, w, cfg, forcing, _shared=rule, _at=rows)
         if target is not None and report.quadrature_estimate > target:
             message = f"its quadrature estimate {report.quadrature_estimate:.3g} is above the target {target:g}"
             raise ConvergenceError(message, history=report.differences)
     except ConvergenceError as err:
         message = f"window {k} ([{start:g}, {start + w:g}]) failed: {err}"
         raise ConvergenceError(message, history=err.history, window_index=k) from err
-    return traj, report
+    return traj, report, (at, *sampled[0]) if sampled else None
 
 
 def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
-    """March the Picard solver over [0, horizon] in windows.
+    """March the Picard solver over [0, horizon] in windows, sized and halved as :func:`_march` says.
 
-    Windows halve on non-convergence, up to :data:`MAX_WINDOW_HALVINGS` times
-    (see :func:`_march`).  Each window's rows are written into (n, M/2 + 1)
-    matrices allocated once per attempt; a single window keeps its own.
-    """
-    step, width = QUADRATURE_NODES - 1, d.grid.node_count // 2 + 1
-    mats: list[np.ndarray] = []
+    Each window's node rows are kept as it completes and stacked once at the end, so a failed attempt
+    holds only the windows it ran; a single window keeps its own rows, uncopied."""
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
 
     def take(n_windows, k, times, u, ut):
-        if n_windows == 1:
-            # a single window is not copied: the copy lifts derivative-check's peak RSS from 113 to 130 MB
-            mats[:] = [u, ut]
-            return
-        if k == 0:  # a new attempt: the matrices of a failed one go before the new ones are allocated
-            mats.clear()
-            mats.extend(np.empty((n_windows * step + 1, width), np.complex128) for _ in range(2))
-        rows = slice(k * step + (k > 0), (k + 1) * step + 1)
-        mats[0][rows] = u
-        mats[1][rows] = ut
+        if k == 0:  # a new attempt: drop the rows of a failed one
+            rows.clear()
+        rows.append((u, ut))
 
     marched = _march(d, cfg, forcing, take)
-    return Trajectory(marched.times, mats[0], mats[1], d.grid, marched.edges, marched.reports, len(marched.failures))
+    # a single window is not copied: the copy lifts derivative-check's peak RSS
+    u, ut = rows[0] if len(rows) == 1 else (np.concatenate(part) for part in zip(*rows))
+    return Trajectory(marched.times, u, ut, d.grid, marched.edges, marched.reports, len(marched.failures))
 
 
 # ----------------------------------------------------------------------

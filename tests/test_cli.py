@@ -556,8 +556,11 @@ def test_streamed_solve_matches_library_solve(tmp_path, monkeypatch, block):
         assert exc.value.window_index == 1
     traj = solve(data, scfg)
     times = p["sample_times"] or np.linspace(0.0, p["T"], 5).tolist()
-    write_trajectory_csv(str(tmp_path / "lib.csv"), traj, times)
+    # the rows at the requested times are the march's Duhamel evaluations there, as in the library
+    marched = solver_module._march(data, scfg, True, lambda *rows: None, sorted({*times, p["T"]}))
+    write_trajectory_csv(str(tmp_path / "lib.csv"), marched.sampled, times)
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    assert [float(row.split(",")[0]) for row in (out / "trajectory.csv").read_text().splitlines()[1 :: p["nodes"]]] == times
     sidecar = json.loads((out / "solve.json").read_text())
     assert sidecar["sample_times"] == traj.times.tolist()
     assert sidecar["window_edges"] == list(traj.window_edges)
@@ -581,8 +584,8 @@ def test_solve_prints_the_requested_times_exactly(tmp_path, n):
 
 
 def test_solve_records_how_its_windows_were_sized(tmp_path, capsys):
-    # focusing data: the probe sizes seven windows, window 4 misses the quadrature
-    # target, and the halved attempt's fourteen windows meet it
+    # focusing data: the probe's contraction sizes ten windows of 9 nodes, window 6
+    # misses the quadrature target, and the halved attempt's twenty windows meet it
     block = {"p": 3, "sign": -1, "T": 3.0, "nodes": 64, "data": {"kind": "gaussian", "amplitude": 3.0}}
     cfg_path = write_config(tmp_path, {"solve": block})
     outputs = []
@@ -592,27 +595,32 @@ def test_solve_records_how_its_windows_were_sized(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     sidecar = json.loads(outputs[0][0])
     rule = sidecar["window_rule"]
-    assert rule["window"] == 3.0 / 14 and rule["quadrature_target"] == 1e-8
-    assert rule["probe"]["window"] == 3.0 / 66 and rule["probe"]["quadrature_estimate"] < 1e-8
-    assert rule["halvings"] == 1
+    assert rule["window"] == 3.0 / 20 and rule["quadrature_target"] == 1e-8
+    assert rule["probe"]["window"] == 3.0 / 66 and 0 < rule["probe"]["contraction_ratio"] < 1e-2
+    assert rule["contraction_target"] == 1e-2 and rule["halvings"] == 1
+    # window 0 of the halved attempt meets the target on 9 nodes, so no doubling
+    assert rule["nodes"] == 9 and [n["nodes"] for n in rule["node_doubling"]] == [9]
+    assert rule["node_doubling"][0]["quadrature_estimate"] == sidecar["quadrature_estimates"][0] <= 1e-8
     [failed] = rule["failed_attempts"]
-    assert (failed["windows"], failed["window_index"]) == (7, 4) and failed["difference_norms"][-1] < 1e-12
-    assert len(sidecar["quadrature_estimates"]) == 14 and max(sidecar["quadrature_estimates"]) <= 1e-8
+    assert (failed["windows"], failed["window_index"], failed["nodes"]) == (10, 6, 9)
+    assert failed["difference_norms"][-1] < 1e-12
+    assert len(sidecar["quadrature_estimates"]) == 20 and max(sidecar["quadrature_estimates"]) <= 1e-8
+    assert len(sidecar["energy"]) == len(sidecar["sample_times"]) == 20 * 8 + 1
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("solve window rule: ")]
-    assert lines[-1].startswith("solve window rule: window 0.214286 (probe window 0.0454545 estimate ")
-    assert lines[-1].endswith(f"largest estimate {max(sidecar['quadrature_estimates']):.3e}, halvings 1")
+    assert lines[-1].startswith("solve window rule: window 0.15 (probe window 0.0454545 contraction ")
+    assert lines[-1].endswith(f"nodes 9, largest estimate {max(sidecar['quadrature_estimates']):.3e}, halvings 1")
 
 
 def test_halved_solve_keeps_only_the_rows_of_its_last_attempt(tmp_path):
-    # the sized march of these data halves 7 -> 14 windows; what the failed attempt
-    # streamed is dropped, so the outputs equal those of the run set to 14 windows
+    # the sized march of these data halves 10 -> 20 windows; what the failed attempt
+    # streamed is dropped, so the outputs equal those of the run set to 20 windows
     block = {"p": 3, "sign": -1, "T": 3.0, "nodes": 64, "data": {"kind": "gaussian", "amplitude": 3.0}}
     outputs = []
-    for run, extra in (("sized", {}), ("set", {"window": 3.0 / 14})):
+    for run, extra in (("sized", {}), ("set", {"window": 3.0 / 20})):
         cfg_path = write_config(tmp_path, {"solve": {**block, **extra}}, name=f"{run}.json")
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / run)]) == 0
         sidecar = json.loads((tmp_path / run / "solve.json").read_text())
-        assert len(sidecar["iterations"]) == 14
+        assert len(sidecar["iterations"]) == 20
         outputs.append(((tmp_path / run / "trajectory.csv").read_bytes(), sidecar["energy"], sidecar["window_rule"]))
     assert outputs[0][2]["halvings"] == 1 and outputs[1][2]["halvings"] == 0
     assert outputs[0][:2] == outputs[1][:2]

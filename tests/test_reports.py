@@ -13,7 +13,7 @@ from imbq.reports import (
     write_trajectory_csv,
 )
 from imbq.inflation import InflationReport, InflationRow
-from imbq.solver import SolverConfig, gaussian_data, solve
+from imbq.solver import SolverConfig, _march, gaussian_data, solve
 from imbq.symbols import BesovEstimate
 
 
@@ -76,10 +76,10 @@ def test_trajectory_csv_and_sidecar(tmp_path):
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + 2 * g.node_count
     lengths = {"dealiased_row": 100, "sup_norm_grid": 540}
-    sidecar = trajectory_sidecar(
-        traj.times, traj.window_edges, traj.window_reports, {"p": 2}, transform_lengths=lengths
-    )
-    assert sidecar["window_edges"][0] == 0.0
+    marched = _march(d, SolverConfig(p=2, sign=1, horizon=0.2), True, lambda *rows: None)
+    sidecar = trajectory_sidecar(marched, {"p": 2}, transform_lengths=lengths)
+    assert sidecar["window_edges"] == list(traj.window_edges) and sidecar["window_edges"][0] == 0.0
+    assert sidecar["sample_times"] == traj.times.tolist()
     assert sidecar["transform_lengths"] == lengths
     assert len(sidecar["iterations"]) == len(traj.window_reports)
     # what `imbq solve` runs: the streamed march and the batched energy, not solve or energy

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -42,8 +43,8 @@ from imbq.solver import (
     _flow_table,
     _free,
     _mode_amplitude_traces,
+    _lobatto_weights,
     _node_sizes,
-    _prefix_weights,
     _rule,
 )
 from imbq.symbols import Symbol, eval_symbol
@@ -62,9 +63,10 @@ def free_velocity(d, t):
     return SpectralField(d.grid, amp, real_valued=True)
 
 
-def duhamel_rows(d, times, u, cfg):
-    """One application of the Duhamel map (solver._rule plus solver._duhamel) to the (n, M) node rows ``u``."""
-    rule = _rule(d.grid, times)
+def duhamel_rows(d, window, n, u, cfg):
+    """One application of the Duhamel map (solver._rule plus solver._duhamel) to the (n, M) rows ``u``
+    at the n Chebyshev-Lobatto nodes of [0, window]."""
+    rule = _rule(d.grid, window, n)
     free = _free(_half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes), rule.table)
     return _full_spectrum(_duhamel(_half_spectrum(u), free, rule, d.grid, cfg))
 
@@ -84,6 +86,9 @@ def test_solver_config_validation():
     "field, value",
     [
         ("horizon", math.inf),
+        ("s", -0.5),
+        ("s", math.nan),
+        ("s", math.inf),
         ("window_override", 0.0),
         ("window_override", -1.0),
         ("window_override", math.nan),
@@ -102,18 +107,32 @@ def test_cauchy_data_validation():
         CauchyData(SpectralField.zero(g1), SpectralField.zero(g1, real_valued=False))
 
 
-def test_prefix_weights_fourth_order():
-    # rows integrate exp exactly enough: O(h^4) composite rules
-    n, h = 33, 0.25 / 32
-    w = _prefix_weights(n, h)
-    t = np.arange(n) * h
-    err = np.max(np.abs(w @ np.exp(t) - (np.exp(t) - 1.0)))
-    assert err < 1e-9
-    # halving h drops the error ~16x
-    w2 = _prefix_weights(2 * (n - 1) + 1, h / 2)
-    t2 = np.arange(2 * (n - 1) + 1) * h / 2
-    err2 = np.max(np.abs(w2 @ np.exp(t2) - (np.exp(t2) - 1.0)))
-    assert err / err2 > 10
+@pytest.mark.parametrize("n", [5, 9, 17, 33, 65])
+def test_lobatto_weights_integrate_polynomials_exactly(n):
+    # every degree <= n - 1, at each node and at off-node times: with s = 2t/w - 1,
+    # int_0^t s^d = (w/2)(s^{d+1} - (-1)^{d+1})/(d+1), and |s^d| <= 1 on [0, w]
+    window = 3.7
+    nodes = _rule(make_grid(4.0, 16), window, n).times
+    off = np.array([0.0, 1e-3, 0.123, 1.85, 3.0, window])
+    for times in (nodes, off):
+        rows = _lobatto_weights(n, window, times)
+        s_nodes, s_t = 2.0 * nodes / window - 1.0, 2.0 * times / window - 1.0
+        for d in range(n):
+            exact = 0.5 * window * (s_t ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+            assert np.max(np.abs(rows @ s_nodes**d - exact)) <= 1e-13 * window
+        assert not np.any(rows[0])  # the row at t = 0 is exactly 0
+
+
+@pytest.mark.parametrize("n", [9, 17, 33, 65])
+def test_lobatto_even_nodes_are_the_nested_set(n):
+    g = make_grid(4.0, 16)
+    fine, coarse = _rule(g, 2.5, n), _rule(g, 2.5, (n + 1) // 2)
+    assert np.array_equal(fine.times[::2], coarse.times)
+    assert fine.times[0] == 0.0 and fine.times[-1] == 2.5 and np.all(np.diff(fine.times) > 0)
+    # the embedded rows: the n-node rows at the even nodes minus the nested rule's rows there
+    expect = fine.weights[2::2].copy()
+    expect[:, ::2] -= coarse.weights[1:]
+    assert np.max(np.abs(fine.embedded - expect)) <= 1e-15 * 2.5
 
 
 def test_flow_table_rows_equal_the_symbols():
@@ -212,10 +231,15 @@ def _count_flow_tables(monkeypatch):
 
 def test_one_flow_table_per_march_attempt(monkeypatch):
     calls = _count_flow_tables(monkeypatch)
+    traj = solve(small_data(), SolverConfig(p=2, sign=1, horizon=2.0, window_override=0.25))
+    assert len(traj.window_reports) == 8
+    assert calls == [9]  # window 0 meets the target on 9 nodes, and the eight windows share its table
+    calls.clear()
     traj = solve(small_data(), SolverConfig(p=2, sign=1, horizon=2.0))
-    assert len(traj.window_reports) == 3
-    # the probe's table (window 0 of the a-priori nine), then one table for all three sized windows
-    assert calls == [33, 33]
+    assert len(traj.window_reports) == 2
+    # the probe's table (window 0 of the a-priori nine, 9 nodes), then one per node count that
+    # window 0 of the two sized windows tries; both windows share the last
+    assert calls == [9, 9, 17]
 
 
 def test_halved_attempt_builds_a_new_flow_table(monkeypatch):
@@ -227,7 +251,34 @@ def test_halved_attempt_builds_a_new_flow_table(monkeypatch):
     calls = _count_flow_tables(monkeypatch)
     traj = solve(d, cfg)
     assert len(traj.window_reports) == 8
-    assert calls == [33, 33]
+    # window 0 of the first attempt doubles 9 -> 17 nodes; the halved attempt sizes afresh, at 9
+    assert calls == [9, 17, 9]
+
+
+def test_failed_attempt_holds_only_the_rows_of_the_windows_it_ran(monkeypatch):
+    # 2,000 set windows of 9 nodes on 512 nodes that fail at window 1: rows allocated up front for
+    # every window would take 2 (2000 * 8 + 1) 257 complex numbers, 132 MB
+    calls = []
+
+    def failing(d, window, *args, **kwargs):
+        calls.append(window)
+        if len(calls) == 2:
+            raise ConvergenceError("made to fail")
+        return picard_window(d, window, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "picard_window", failing)
+    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
+    d = small_data()
+    up_front = 2 * (2000 * 8 + 1) * (d.grid.node_count // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="window 1 .* made to fail") as exc:
+            solve(d, SolverConfig(p=2, sign=1, horizon=1.0, window_override=1 / 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.window_index == 1 and len(calls) == 2
+    assert peak < up_front / 20
 
 
 def test_march_refuses_more_windows_than_the_budget(monkeypatch):
@@ -239,9 +290,13 @@ def test_march_refuses_more_windows_than_the_budget(monkeypatch):
 
 
 def test_probe_refuses_to_size_past_the_budget(monkeypatch):
-    monkeypatch.setattr(solver_module, "QUADRATURE_TARGET", 1e-40)
-    with pytest.raises(ConvergenceError, match=f"limit {solver_module.MAX_SOLVE_WINDOWS}") as exc:
-        solve(small_data(), SolverConfig(p=2, sign=1, horizon=2.0))
+    # an a-priori window of 0.75 (four windows) on focusing data: the probe's ratio 0.054
+    # sizes ceil(4 sqrt(5.4)) = 10 windows, past a budget of eight
+    monkeypatch.setattr(solver_module, "_window_length", lambda d, cfg, forcing: 0.75)
+    monkeypatch.setattr(solver_module, "MAX_SOLVE_WINDOWS", 8)
+    d = gaussian_data(make_grid(16.0, 64), amplitude=3.0)
+    with pytest.raises(ConvergenceError, match="makes 9.3.* windows over .*; limit 8") as exc:
+        solve(d, SolverConfig(p=3, sign=-1, horizon=3.0))
     assert exc.value.window_index is None  # refused once sized, not halved
 
 
@@ -255,60 +310,82 @@ def test_march_refuses_to_halve_past_the_budget(monkeypatch):
 
 
 def test_picard_iteration_counts_on_quick_start_data():
-    # the probe sizes three windows of 2/3 from the a-priori nine; each converges in four iterations
+    # the probe's contraction sizes two windows of 1 from the a-priori nine; each converges in five iterations
     d = small_data()
     traj = solve(d, SolverConfig(p=2, sign=1, horizon=2.0))
     counts = [r.iterations for r in traj.window_reports]
-    assert (len(counts), sum(counts)) == (3, 12)
+    assert (len(counts), sum(counts)) == (2, 10)
 
 
-def test_sized_solve_matches_a_quarter_of_its_window():
-    # solve-long's data and horizon: the probe sizes 27 windows from the a-priori 85
+def test_sized_solve_matches_half_its_window():
+    # solve-long's data and horizon: the probe's contraction sizes 14 windows of 17 nodes from the
+    # a-priori 85
     d = small_data()
+    marched = solver_module._march(d, SolverConfig(p=2, sign=1, horizon=20.0), True, lambda *rows: None)
+    assert marched.probe[0] == 20.0 / 85 and marched.doubling[-1][0] == 17
     sized = solve(d, SolverConfig(p=2, sign=1, horizon=20.0))
-    assert len(sized.window_reports) == 27 and sized.halvings == 0
+    assert len(sized.window_reports) == 14 and sized.halvings == 0
     assert all(r.quadrature_estimate <= solver_module.QUADRATURE_TARGET for r in sized.window_reports)
-    quarter = sized.window_reports[0].window_length / 4
-    fine = solve(d, SolverConfig(p=2, sign=1, horizon=20.0, window_override=quarter))
-    assert len(fine.window_reports) == 4 * 27
+    half = sized.window_reports[0].window_length / 2
+    fine = solve(d, SolverConfig(p=2, sign=1, horizon=20.0, window_override=half))
+    assert len(fine.window_reports) == 2 * 14
     for a, b in zip(sized.final(), fine.final()):
         assert sobolev_norm(a - b, 0.0) <= 1e-9 * sobolev_norm(b, 0.0)
 
 
+def test_sample_inside_a_window_matches_a_window_edge():
+    # a requested t inside the one sized window of [0, 0.5] equals the end state of a solve set to
+    # windows of t, where t is a node: the Duhamel formula at t, not an interpolation
+    d = small_data(make_grid(8.0, 128))
+    cfg = SolverConfig(p=2, sign=1, horizon=0.5)
+    t = 0.5 * 3 / 7
+    marched = solver_module._march(d, cfg, True, lambda *rows: None, [0.0, t, 0.5])
+    assert marched.edges == (0.0, 0.5) and np.array_equal(marched.sampled.times, [0.0, t, 0.5])
+    assert not np.any(np.isclose(marched.times, t, rtol=1e-3))  # t is far from every node
+    edge = solve(d, SolverConfig(p=2, sign=1, horizon=t))
+    assert edge.window_edges == (0.0, t)
+    for got, want in zip(marched.sampled.state(1), edge.final()):
+        assert sobolev_norm(got - want, 0.0) <= 1e-12 * sobolev_norm(want, 0.0)
+    # at 0 the sample is the data, at the window end the converged end state
+    assert np.array_equal(marched.sampled.u[0], _half_spectrum(d.u0.amplitudes))
+    whole = solve(d, cfg)
+    for got, want in zip(marched.sampled.state(2), whole.final()):
+        assert sobolev_norm(got - want, 0.0) <= 1e-12 * sobolev_norm(want, 0.0)
+
+
 def test_sized_solve_agrees_with_rk4():
-    # criterion 6's tolerance, over three sized windows
+    # criterion 6's tolerance, over two sized windows
     d = small_data()
     cfg = SolverConfig(p=2, sign=1, horizon=2.0)
     picard = solve(d, cfg)
-    assert len(picard.window_reports) == 3
+    assert len(picard.window_reports) == 2
     rk = rk4_solve(d, cfg, dt=1e-3, store_stride=10**9)
     diff = picard.final()[0] - rk.final()[0]
     assert sobolev_norm(diff, 0.0) <= 1e-6 * sobolev_norm(rk.final()[0], 0.0)
 
 
 def test_window_missing_the_quadrature_target_is_halved(monkeypatch):
-    # focusing data whose estimate grows in time: of the two sized windows, window 1
-    # converges but misses the target, and the halved attempt's four windows meet it
-    monkeypatch.setattr(solver_module, "QUADRATURE_TARGET", 1e-6)
+    # focusing data whose estimate grows in time: of the ten sized windows of 9 nodes, window 6
+    # converges but misses the target, and the halved attempt's twenty windows meet it
     d = gaussian_data(make_grid(16.0, 64), amplitude=3.0)
     cfg = SolverConfig(p=3, sign=-1, horizon=3.0)
     marched = solver_module._march(d, cfg, True, lambda *rows: None)
-    assert [f[:2] for f in marched.failures] == [(2, 1)]
+    assert [f[:2] + (f.nodes,) for f in marched.failures] == [(10, 6, 9)]
     assert marched.failures[0].differences[-1] < solver_module.PICARD_TOL  # converged: rejected on its estimate
-    assert len(marched.reports) == 4
-    assert all(r.quadrature_estimate <= 1e-6 for r in marched.reports)
+    assert len(marched.reports) == 20
+    assert all(r.quadrature_estimate <= 1e-8 for r in marched.reports)
     assert solve(d, cfg).halvings == 1
     monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
-    with pytest.raises(ConvergenceError, match="quadrature estimate .* is above the target 1e-06") as exc:
+    with pytest.raises(ConvergenceError, match="quadrature estimate .* is above the target 1e-08") as exc:
         solve(d, cfg)
-    assert exc.value.window_index == 1
+    assert exc.value.window_index == 6
 
 
 @pytest.mark.parametrize(
     "constants, extent, data, cfg, windows",
     [
-        # the focusing case above: two sized windows, halved to four
-        (dict(QUADRATURE_TARGET=1e-6), 16.0, dict(amplitude=3.0), dict(p=3, sign=-1, horizon=3.0), 4),
+        # the focusing case above: ten sized windows, halved to twenty
+        (dict(), 16.0, dict(amplitude=3.0), dict(p=3, sign=-1, horizon=3.0), 20),
         # window 1 of four needs a fifth iteration, halved to eight
         (
             dict(MAX_ITERATIONS=4, MAX_WINDOW_HALVINGS=1),
@@ -334,12 +411,13 @@ def test_halved_solve_equals_a_solve_at_the_halved_window(monkeypatch, constants
         assert np.array_equal(getattr(halved, name), getattr(direct, name))
 
 
-def test_quadrature_estimate_falls_like_h4():
-    # the embedded estimate of one window at half the length is 16 times smaller
+def test_quadrature_estimate_falls_spectrally_in_the_node_count():
+    # one window of 2 on the quick-start data: each doubling of the nodes gains more than the last,
+    # 4.5e3 for 9 -> 17 and 1.9e8 for 17 -> 33, down to round-off (a fourth-order rule gains 16)
     d = small_data()
-    cfg = SolverConfig(p=2, sign=1, horizon=1.0)
-    estimates = [picard_window(d, w, cfg)[1].quadrature_estimate for w in (0.4, 0.2)]
-    assert estimates[0] / estimates[1] == pytest.approx(16.0, rel=0.05)
+    cfg = SolverConfig(p=2, sign=1, horizon=2.0)
+    est = [picard_window(d, 2.0, cfg, _shared=_rule(d.grid, 2.0, n))[1].quadrature_estimate for n in (9, 17, 33)]
+    assert est[0] / est[1] > 1e3 and est[1] / est[2] > 1e6 and est[2] < 1e-15
     assert picard_window(d, 0.2, cfg, forcing=False)[1].quadrature_estimate == 0.0
 
 
@@ -431,8 +509,9 @@ def test_duhamel_zero_trajectory_reduces_to_free():
     g = make_grid(8.0, 128)
     d = small_data(g)
     cfg = SolverConfig(p=2, sign=1, horizon=0.2)
-    times = np.linspace(0.0, 0.2, solver_module.QUADRATURE_NODES)
-    z = duhamel_rows(d, times, np.zeros((len(times), g.node_count)), cfg)
+    n = solver_module.MAX_QUADRATURE_NODES
+    times = _rule(g, 0.2, n).times
+    z = duhamel_rows(d, 0.2, n, np.zeros((n, g.node_count)), cfg)
     for i, t in enumerate(times):
         free = free_propagator(d, t)
         assert np.max(np.abs(z[i] - free.amplitudes)) < 1e-13
@@ -440,19 +519,19 @@ def test_duhamel_zero_trajectory_reduces_to_free():
 
 
 def test_duhamel_against_refined_quadrature():
-    # one application on the free trajectory vs the same with 10x nodes
+    # one application on the free trajectory, on 9 nodes vs 65
     g = make_grid(8.0, 128)
     d = small_data(g)
     t_end = 0.2
     cfg = SolverConfig(p=2, sign=1, horizon=t_end)
 
     def apply_with(nodes):
-        times = np.linspace(0.0, t_end, nodes)
+        times = _rule(g, t_end, nodes).times
         free = np.stack([free_propagator(d, t).amplitudes for t in times])
-        return SpectralField(g, duhamel_rows(d, times, free, cfg)[-1], real_valued=True)
+        return SpectralField(g, duhamel_rows(d, t_end, nodes, free, cfg)[-1], real_valued=True)
 
-    uc = apply_with(33)
-    uf = apply_with(321)
+    uc = apply_with(9)
+    uf = apply_with(65)
     assert sobolev_norm(uc - uf, 0.0) <= 1e-8 * sobolev_norm(uf, 0.0)
 
 
@@ -525,12 +604,20 @@ def test_solve_linear_single_mode_two_windows_exact():
     assert np.max(others) < 1e-12 * abs(expect)
 
 
-def test_linear_solve_without_a_window_marches_one_window():
-    # without forcing the probe's quadrature estimate is 0, so the sized march is one window of T
+def test_linear_solve_without_a_window_marches_one_window(monkeypatch):
+    # without forcing there is no probe: one Picard window of T, on 9 nodes (its estimate is 0)
+    windows = []
+
+    def counted(d, window, *args, **kwargs):
+        windows.append(window)
+        return picard_window(d, window, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "picard_window", counted)
     g = make_grid(4.0, 64)
     k, t_final = 1.0, 3.0
     d = single_mode_data(g, k)
     traj = solve(d, SolverConfig(p=2, sign=1, horizon=t_final), forcing=False)
+    assert windows == [t_final] and traj.times.shape == (9,)
     assert traj.window_edges == (0.0, t_final) and traj.halvings == 0
     idx = g.index_of(k)
     expect = np.cos(t_final * lambda_symbol(k)) * d.u0.amplitudes[idx]
@@ -555,7 +642,7 @@ def test_solve_fixed_point_is_stable_under_extra_application():
     d = small_data()
     cfg = SolverConfig(p=2, sign=1, horizon=0.2)
     traj, _ = picard_window(d, 0.2, cfg)
-    again = duhamel_rows(d, traj.times, _full_spectrum(traj.u), cfg)
+    again = duhamel_rows(d, 0.2, traj.times.shape[0], _full_spectrum(traj.u), cfg)
     diffs = [SpectralField(d.grid, a, real_valued=True) - traj.state(i)[0] for i, a in enumerate(again)]
     change = max(sobolev_norm(e, cfg.s) + sup_norm(e) for e in diffs)
     assert change < 10 * solver_module.PICARD_TOL
