@@ -384,7 +384,7 @@ def _embedded_error(stack, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig) 
 def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing: bool, at: _Rule | None = None):
     """:func:`picard_window` on half-layout data (a0, a1) and a given rule:
     returns the half-layout node states u, u_t, the window's report and, given
-    the rule's rows ``at`` other times (:func:`_rule`), the states there, else None.
+    ``at``, the rule's rows at other times (:func:`_rule`), the states there, else None.
 
     The report's quadrature estimate is :func:`_embedded_error` on the converged iterate over its
     largest node size.  It takes the products of the velocity pass, which has them anyway, so it
