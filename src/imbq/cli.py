@@ -440,7 +440,7 @@ def _run_solve(cfg: RunConfig) -> int:
     probe = marched.probe and f"probe window {marched.probe[0]:.6g} contraction {marched.probe[1] or 0.0:.3e}"
     print(
         f"solve window rule: window {marched.reports[0].window_length:.6g} ({probe or 'no probe'}), "
-        f"nodes {marched.doubling[-1][0]}, largest estimate "
+        f"nodes {marched.doubling[-1][1]}, largest estimate "
         f"{max(r.quadrature_estimate for r in marched.reports):.3e}, halvings {len(marched.failures)}"
     )
     final = sobolev_norm(marched.sampled.final()[0], 0.0)

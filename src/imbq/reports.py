@@ -143,7 +143,7 @@ def write_trajectory_csv(path: str, traj: Trajectory, sample_times: list[float])
 def trajectory_sidecar(marched, config: dict, energies=None, transform_lengths=None) -> dict:
     """Solver diagnostics of an ``imbq solve`` run from its ``solver._march`` result: its node times,
     window edges and reports, how the windows were sized (the probe's window and contraction ratio,
-    window 0's node doubling, the failed attempts and their node counts), and the padded transform
+    window 0's runs by window and node count, the failed attempts and their node counts), and the padded transform
     lengths it used (``transform_lengths``, name -> node count).
 
     The provenance names what that run executes: the window march, the
@@ -159,8 +159,8 @@ def trajectory_sidecar(marched, config: dict, energies=None, transform_lengths=N
         "quadrature_estimates": [r.quadrature_estimate for r in reports],
         "window_rule": {
             "window": reports[0].window_length,
-            "nodes": marched.doubling[-1][0],
-            "node_doubling": [{"nodes": n, "quadrature_estimate": e} for n, e in marched.doubling],
+            "nodes": marched.doubling[-1][1],
+            "node_doubling": [{"window": w, "nodes": n, "quadrature_estimate": e} for w, n, e in marched.doubling],
             "probe": None if probe is None else {"window": probe[0], "contraction_ratio": probe[1]},
             "contraction_target": None if probe is None else CONTRACTION_TARGET,
             "quadrature_target": QUADRATURE_TARGET,

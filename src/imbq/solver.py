@@ -381,10 +381,10 @@ def _embedded_error(stack, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig) 
     return float(np.max(_node_sizes(c, grid, cfg.s)))
 
 
-def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing: bool, at: _Rule | None = None):
-    """:func:`picard_window` on half-layout data (a0, a1) and a given rule:
-    returns the half-layout node states u, u_t, the window's report and, given
-    ``at``, the rule's rows at other times (:func:`_rule`), the states there, else None.
+def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing: bool, at=None):
+    """:func:`picard_window` on half-layout data (a0, a1) and a given rule: returns the half-layout node
+    states u, u_t and the window's report; given ``at``, the rule's rows at other times (:func:`_rule`)
+    and a list, appends the states u, u_t there to the list.
 
     The report's quadrature estimate is :func:`_embedded_error` on the converged iterate over its
     largest node size.  It takes the products of the velocity pass, which has them anyway, so it
@@ -403,31 +403,24 @@ def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing
             if diff < PICARD_TOL:
                 break
         else:
-            raise ConvergenceError(
-                f"Picard iteration did not reach {PICARD_TOL:g} within "
-                f"{MAX_ITERATIONS} iterations on a window of length {window:g}",
-                history=diffs,
-            )
+            message = f"within {MAX_ITERATIONS} iterations on a window of length {window:g}"
+            raise ConvergenceError(f"Picard iteration did not reach {PICARD_TOL:g} {message}", history=diffs)
         free = _free(a0, a1, rule.table, velocity=True)
         estimate, ut = 0.0, free
-        sampled = None if at is None else [_free(a0, a1, at.table, velocity=v) for v in (False, True)]
         if forcing:
             size = float(np.max(_node_sizes(current, grid, cfg.s)))
             stack, sums = _tau_integrals(current, rule, grid, cfg)
             estimate = _embedded_error(stack, rule, grid, cfg) / size if size > 0 else 0.0
             ut = _duhamel(current, free, rule, grid, cfg, velocity=True, sums=sums)
-            if at is not None:  # each call combines its own product rows in place
-                pairs = zip(sampled, (False, True))
-                sampled = [_duhamel(None, f, at, grid, cfg, v, _combined(at.weights, stack)) for f, v in pairs]
+        for v in () if at is None else (False, True):  # each call combines its own product rows in place
+            f = _free(a0, a1, at[0].table, velocity=v)
+            at[1].append(_duhamel(None, f, at[0], grid, cfg, v, _combined(at[0].weights, stack)) if forcing else f)
     except OverflowError as err:
-        raise ConvergenceError(
-            f"Picard iteration on a window of length {window:g} failed after "
-            f"{len(diffs)} iterations: {err}",
-            history=diffs,
-        ) from err
+        message = f"Picard iteration on a window of length {window:g} failed after {len(diffs)} iterations: {err}"
+        raise ConvergenceError(message, history=diffs) from err
     ratios = tuple(b / a for a, b in zip(diffs[:-1], diffs[1:]) if a > 0)
     report = ContractionReport(window, len(diffs), tuple(diffs), ratios, estimate)
-    return current, ut, report, sampled
+    return current, ut, report
 
 
 def picard_window(
@@ -443,15 +436,14 @@ def picard_window(
     long or data too large) or when the pointwise power overflows.
     The report carries the window's quadrature estimate, the trajectory the half-layout states at the
     rule's nodes, :data:`MAX_QUADRATURE_NODES` Chebyshev-Lobatto nodes by default.  ``_shared`` and
-    ``_at`` are :func:`_march`'s: its rule and that rule's rows at sample times, whose states come third.
+    ``_at`` are :func:`_march`'s rule and the ``at`` of :func:`_picard`.
     """
     if not window > 0:
         raise ValueError("window length must be positive")
     rule = _shared if _shared is not None else _rule(d.grid, window, MAX_QUADRATURE_NODES)
     a0, a1 = _half_spectrum(d.u0.amplitudes), _half_spectrum(d.u1.amplitudes)
-    u, ut, report, sampled = _picard(a0, a1, rule, d.grid, cfg, forcing, _at)
-    traj = Trajectory(rule.times, u, ut, d.grid, window_edges=(0.0, window), window_reports=(report,))
-    return (traj, report) if _at is None else (traj, report, sampled)
+    u, ut, report = _picard(a0, a1, rule, d.grid, cfg, forcing, _at)
+    return Trajectory(rule.times, u, ut, d.grid, window_edges=(0.0, window), window_reports=(report,)), report
 
 
 # work budget of the march: windows at its start, ceil(horizon/window), set or data-derived, and
@@ -504,15 +496,15 @@ class _Attempt(NamedTuple):
 
 
 class _Marched(NamedTuple):
-    """:func:`_march`'s result: ``probe`` (window, contraction ratio) or None, ``doubling`` (nodes, estimate)
-    of each run of the last attempt's window 0, ``sampled`` the states at the requested times or None."""
+    """:func:`_march`'s result: ``probe`` (window, contraction ratio) or None, ``doubling`` (window, nodes,
+    estimate) of each run of the last attempt's window 0, ``sampled`` the states at the requested times or None."""
 
     times: np.ndarray
     edges: tuple[float, ...]
     reports: tuple[ContractionReport, ...]
     probe: tuple[float, float | None] | None
     failures: tuple[_Attempt, ...]
-    doubling: tuple[tuple[int, float], ...]
+    doubling: tuple[tuple[float, int, float], ...]
     sampled: Trajectory | None
 
 
@@ -522,24 +514,24 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take, samples=()) ->
     Window 0 runs first, on 9 Chebyshev-Lobatto nodes.  Unless ``window_override`` is set or forcing
     is off (one window), that run is the probe of :class:`SolverConfig`, sizes the windows by its
     contraction and stays as window 0 if the count does not change.  Window 0 doubles its nodes (17,
-    33, 65) until its estimate meets :data:`QUADRATURE_TARGET`; all windows share that rule.  A window
-    fails when it does not converge or, when sized, when its estimate is above the target (window 0 at
-    :data:`MAX_QUADRATURE_NODES` only); an attempt failing before anything was sized probes again.
-    Window k of n spans [k horizon/n, (k+1) horizon/n], its last node stamped with that end, and calls
-    ``take(n, k, times, u, u_t)`` with the node rows it adds: all of window 0, then all but the first
-    (the previous window's last state); ``k == 0`` starts an attempt, and the consumer drops what it
-    kept of a failed one.  Each of the sorted, distinct ``samples`` in [0, horizon] is the Duhamel
-    formula of its window at that time (:func:`_picard`).  Continuation data at a window end is the
-    converged state and the velocity of the differentiated Duhamel formula.  More than
-    :data:`MAX_SOLVE_WINDOWS` windows, before any window runs, once sized or by a halving, or a window
-    that underflows to 0, raise :class:`ConvergenceError`.
+    33, 65) until its estimate meets :data:`QUADRATURE_TARGET`, and all windows share that rule; when
+    sized and still above the target at :data:`MAX_QUADRATURE_NODES`, it is too long for any rule, and
+    all windows halve without counting a halving.  A window fails when it does not converge or, when
+    sized, when its estimate misses the target; an attempt failing before anything was sized probes
+    again.  Window k of n spans [k horizon/n, (k+1) horizon/n], its last node stamped with that end,
+    and calls ``take(n, k, times, u, u_t)`` with the node rows it adds: all of window 0, then all but
+    the first; ``k == 0`` starts an attempt, and the consumer drops what it kept of a failed one.  Each
+    of the sorted, distinct ``samples`` in [0, horizon] is the Duhamel formula of its window at that
+    time (:func:`_picard`).  Continuation data at a window end is the converged state and the velocity
+    of the differentiated Duhamel formula.  More than :data:`MAX_SOLVE_WINDOWS` windows, at any point,
+    or a window that underflows to 0, raise :class:`ConvergenceError`.
     """
     base = _window_length(d, cfg, forcing)
     n_windows = _window_count(cfg.horizon / base if base > 0 else math.inf, cfg.horizon)
     sized = forcing and cfg.window_override is None
     target = QUADRATURE_TARGET if sized else None
     samples = np.asarray(samples, dtype=float)
-    probe, failures = None, []
+    probe, failures, doubling = None, [], []
     while True:
         w, nodes = cfg.horizon / n_windows, 9
         edges = [k * cfg.horizon / n_windows for k in range(n_windows + 1)]
@@ -554,13 +546,15 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take, samples=()) ->
                 if count != n_windows:
                     n_windows = count
                     continue
-            doubling = [(nodes, first[1].quadrature_estimate)]
-            while doubling[-1][1] > QUADRATURE_TARGET and nodes < MAX_QUADRATURE_NODES:
+            doubling.append((w, nodes, first[1].quadrature_estimate))
+            while doubling[-1][2] > QUADRATURE_TARGET and nodes < MAX_QUADRATURE_NODES:
                 nodes = 2 * nodes - 1
                 rule = _rule(d.grid, w, nodes)
-                last = target if nodes == MAX_QUADRATURE_NODES else None
-                first = _run_window(d, cfg, forcing, rule, 0, 0.0, last, samples[: cut[1]])
-                doubling.append((nodes, first[1].quadrature_estimate))
+                first = _run_window(d, cfg, forcing, rule, 0, 0.0, None, samples[: cut[1]])
+                doubling.append((w, nodes, first[1].quadrature_estimate))
+            if sized and doubling[-1][2] > QUADRATURE_TARGET:  # too long for the largest rule
+                n_windows = _window_count(2 * n_windows, cfg.horizon)
+                continue
             for k in range(n_windows):
                 at = samples[cut[k] : cut[k + 1]]
                 traj, report, rows = first if k == 0 else _run_window(data, cfg, forcing, rule, k, edges[k], target, at)
@@ -577,6 +571,7 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take, samples=()) ->
             if err.window_index is None:  # the sized count is over the budget
                 raise
             failures.append(_Attempt(n_windows, err.window_index, tuple(err.history), nodes))
+            doubling.clear()
             if len(failures) > MAX_WINDOW_HALVINGS:
                 raise
             if 2 * n_windows > MAX_SOLVE_WINDOWS:
@@ -593,34 +588,37 @@ def _run_window(data: CauchyData, cfg: SolverConfig, forcing: bool, rule: _Rule,
     """:func:`picard_window` with ``rule`` as window ``k`` of a march, from ``start``; a failure or an estimate
     above ``target`` raises naming it.  Returns its trajectory, report and (times, u, u_t) at ``at`` or None."""
     w = float(rule.times[-1])
-    rows = _rule(data.grid, w, rule.times.shape[0], at - start) if len(at) else None
+    rows = (_rule(data.grid, w, rule.times.shape[0], at - start), []) if len(at) else None
     try:
-        traj, report, *sampled = picard_window(data, w, cfg, forcing, _shared=rule, _at=rows)
+        traj, report = picard_window(data, w, cfg, forcing, _shared=rule, _at=rows)
         if target is not None and report.quadrature_estimate > target:
             message = f"its quadrature estimate {report.quadrature_estimate:.3g} is above the target {target:g}"
             raise ConvergenceError(message, history=report.differences)
     except ConvergenceError as err:
         message = f"window {k} ([{start:g}, {start + w:g}]) failed: {err}"
         raise ConvergenceError(message, history=err.history, window_index=k) from err
-    return traj, report, (at, *sampled[0]) if sampled else None
+    return traj, report, None if rows is None else (at, *rows[1])
 
 
 def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
     """March the Picard solver over [0, horizon] in windows, sized and halved as :func:`_march` says.
 
-    Each window's node rows are kept as it completes and stacked once at the end, so a failed attempt
-    holds only the windows it ran; a single window keeps its own rows, uncopied."""
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    Each window's node rows are copied as it completes, so its full arrays are freed, and stacked once
+    at the end; a failed attempt holds only the windows it ran, and a single window its rows, uncopied."""
+    rows: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
 
     def take(n_windows, k, times, u, ut):
-        if k == 0:  # a new attempt: drop the rows of a failed one
-            rows.clear()
-        rows.append((u, ut))
+        for part, new in zip(rows, (u, ut)):
+            if k == 0:  # a new attempt: drop the rows of a failed one
+                part.clear()
+            part.append(new if n_windows == 1 else new.copy())
 
     marched = _march(d, cfg, forcing, take)
-    # a single window is not copied: the copy lifts derivative-check's peak RSS
-    u, ut = rows[0] if len(rows) == 1 else (np.concatenate(part) for part in zip(*rows))
-    return Trajectory(marched.times, u, ut, d.grid, marched.edges, marched.reports, len(marched.failures))
+    stacked = []  # a single window is not copied: the copy lifts derivative-check's peak RSS
+    for part in rows:  # the u rows are freed before the u_t rows are stacked: the end holds 1.5x the result
+        stacked.append(part[0] if len(part) == 1 else np.concatenate(part))
+        part.clear()
+    return Trajectory(marched.times, *stacked, d.grid, marched.edges, marched.reports, len(marched.failures))
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from imbq.cli import (
     main,
     parse_config,
 )
-from imbq.grid import make_grid
+from imbq.grid import make_grid, sobolev_norm
 from imbq.inflation import InflationReport
 from imbq.reports import DispersionReport, DispersionRow, write_trajectory_csv
 from imbq.solver import ConvergenceError, SolverConfig, energy_series, gaussian_data, solve
@@ -561,6 +561,9 @@ def test_streamed_solve_matches_library_solve(tmp_path, monkeypatch, block):
     write_trajectory_csv(str(tmp_path / "lib.csv"), marched.sampled, times)
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
     assert [float(row.split(",")[0]) for row in (out / "trajectory.csv").read_text().splitlines()[1 :: p["nodes"]]] == times
+    # the printed states are library solve's: the data at t = 0 and its end state at T
+    for got, want in zip((*marched.sampled.state(0), *marched.sampled.final()), (data.u0, data.u1, *traj.final())):
+        assert sobolev_norm(got - want, 0.0) <= 1e-12 * sobolev_norm(want, 0.0)
     sidecar = json.loads((out / "solve.json").read_text())
     assert sidecar["sample_times"] == traj.times.tolist()
     assert sidecar["window_edges"] == list(traj.window_edges)
@@ -599,7 +602,7 @@ def test_solve_records_how_its_windows_were_sized(tmp_path, capsys):
     assert rule["probe"]["window"] == 3.0 / 66 and 0 < rule["probe"]["contraction_ratio"] < 1e-2
     assert rule["contraction_target"] == 1e-2 and rule["halvings"] == 1
     # window 0 of the halved attempt meets the target on 9 nodes, so no doubling
-    assert rule["nodes"] == 9 and [n["nodes"] for n in rule["node_doubling"]] == [9]
+    assert rule["nodes"] == 9 and [(n["window"], n["nodes"]) for n in rule["node_doubling"]] == [(3.0 / 20, 9)]
     assert rule["node_doubling"][0]["quadrature_estimate"] == sidecar["quadrature_estimates"][0] <= 1e-8
     [failed] = rule["failed_attempts"]
     assert (failed["windows"], failed["window_index"], failed["nodes"]) == (10, 6, 9)

@@ -322,7 +322,7 @@ def test_sized_solve_matches_half_its_window():
     # a-priori 85
     d = small_data()
     marched = solver_module._march(d, SolverConfig(p=2, sign=1, horizon=20.0), True, lambda *rows: None)
-    assert marched.probe[0] == 20.0 / 85 and marched.doubling[-1][0] == 17
+    assert marched.probe[0] == 20.0 / 85 and marched.doubling[-1][1] == 17
     sized = solve(d, SolverConfig(p=2, sign=1, horizon=20.0))
     assert len(sized.window_reports) == 14 and sized.halvings == 0
     assert all(r.quadrature_estimate <= solver_module.QUADRATURE_TARGET for r in sized.window_reports)
@@ -379,6 +379,27 @@ def test_window_missing_the_quadrature_target_is_halved(monkeypatch):
     with pytest.raises(ConvergenceError, match="quadrature estimate .* is above the target 1e-08") as exc:
         solve(d, cfg)
     assert exc.value.window_index == 6
+
+
+def test_window_too_long_for_the_largest_rule_is_cut_without_a_halving(monkeypatch):
+    # small data over a long horizon: the probe's contraction sizes one window of 600, which 65 nodes
+    # cannot integrate; window 0 is cut to 18.75 (33 nodes) without spending a halving, so the one
+    # halving allowed is left for window 1's miss, and 64 windows of 33 nodes meet the target
+    d = gaussian_data(make_grid(40.0, 64), amplitude=0.07)
+    cfg = SolverConfig(p=5, sign=1, horizon=600.0)
+    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 1)
+    marched = solver_module._march(d, cfg, True, lambda *rows: None)
+    assert [f[:2] + (f.nodes,) for f in marched.failures] == [(32, 1, 33)]
+    assert [run[:2] for run in marched.doubling] == [(9.375, 9), (9.375, 17), (9.375, 33)]
+    assert len(marched.reports) == 64
+    assert all(r.quadrature_estimate <= 1e-8 for r in marched.reports)
+    sized = solve(d, cfg)
+    fine = solve(d, SolverConfig(p=5, sign=1, horizon=600.0, window_override=600.0 / 128))
+    for a, b in zip(sized.final(), fine.final()):
+        assert sobolev_norm(a - b, 0.0) <= 1e-9 * sobolev_norm(b, 0.0)
+    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
+    with pytest.raises(ConvergenceError, match=r"window 1 \(\[18.75, 37.5\]\) failed: its quadrature estimate"):
+        solve(d, cfg)
 
 
 @pytest.mark.parametrize(
