@@ -400,6 +400,12 @@ def test_window_too_long_for_the_largest_rule_is_cut_without_a_halving(monkeypat
     monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
     with pytest.raises(ConvergenceError, match=r"window 1 \(\[18.75, 37.5\]\) failed: its quadrature estimate"):
         solve(d, cfg)
+    # the window budget bounds the cuts: the a-priori 17 windows pass it, the probe sizes one, window 0
+    # misses at 1, 2, 4, 8 and 16 windows, and the cut to 32 is refused
+    monkeypatch.setattr(solver_module, "MAX_SOLVE_WINDOWS", 24)
+    with pytest.raises(ConvergenceError, match=r"makes 32 windows over \[0, 600\]; limit 24") as exc:
+        solve(d, cfg)
+    assert exc.value.window_index is None
 
 
 @pytest.mark.parametrize(
