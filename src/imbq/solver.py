@@ -105,7 +105,8 @@ class SolverConfig:
     minus the nested (n+1)/2-node one) meets :data:`QUADRATURE_TARGET` of the largest node size.
     Without forcing one window covers [0, horizon]; a set ``window_override`` tiles by that window,
     without a probe.  A window that does not converge, or whose estimate misses the target, halves
-    all windows, up to :data:`MAX_WINDOW_HALVINGS` times.  Picard stops once the max over the window
+    all windows, up to :data:`MAX_WINDOW_HALVINGS` times; a sized window 0 that misses it on 65 nodes
+    halves them without counting (:func:`_march`).  Picard stops once the max over the window
     nodes of H^s + (dxi/2pi) sum |u_hat| of the iterate difference, an upper bound of its
     H^s-plus-sup size, is below :data:`PICARD_TOL`.  The power is dealiased by the factor (p+1)/2.
     """
