@@ -191,6 +191,9 @@ MAX_CORPUS_NODES = 10**7
 MAX_SOLVE_PADDED_NODES = 2**20
 # work budget of solve: Picard windows, ceil(T/window); solver._march checks it for every run
 MAX_SOLVE_WINDOWS = solver.MAX_SOLVE_WINDOWS
+# work budget of inflate and derivative-check: the tau nodes of compute_Ap, each a row of the box-power
+# transforms; at this limit a p = 3 call on grid_for_boxes(32, 3) peaks at 228 MB maxrss (p = 5: 302 MB)
+MAX_TAU_NODES = 2**13 + 1
 
 
 def _check_padded_row(command: str, nodes: int, p: int):
@@ -243,6 +246,8 @@ def _validate_block(command: str, block) -> dict:
             raise ConfigError(f"solve sample_times entry {late[0]!r} is above T = {out['T']!r}")
     if command == "inflate" and len(set(out["N"])) < len(out["N"]):
         raise ConfigError(f"inflate N values must be distinct, got {out['N']}")
+    if out.get("tau_nodes", 0) > MAX_TAU_NODES:
+        raise ConfigError(f"{command} tau_nodes {out['tau_nodes']} is above the limit {MAX_TAU_NODES}")
     if command == "derivative-check":  # the grid of inflation.grid_for_boxes, in exact arithmetic
         _check_padded_row(command, round(2 * (out["p"] * (out["N"] + 2) + 2) / Fraction(out["dxi"])), out["p"])
         if not _extraction_in_range(out["eps"], out["p"]):
@@ -449,10 +454,8 @@ def _run_solve(cfg: RunConfig) -> int:
 
 
 def _inflate_row(job) -> inflation.InflationRow:
-    n, p, sign, s, t, tau_nodes, dxi, n_max = job
-    grid = inflation.grid_for_boxes(n_max, p, dxi)
-    d = inflation.make_ip_data(n, grid)
-    q = QuadratureConfig(tau_nodes=tau_nodes, dxi=dxi)
+    n, p, sign, s, t, q, n_max = job
+    d = inflation.make_ip_data(n, inflation.grid_for_boxes(n_max, p, q.dxi))
     return inflation.inflation_ratio(d, p, sign, s, t, q)
 
 
@@ -461,9 +464,7 @@ def _run_inflate(cfg: RunConfig) -> int:
     with _from_params():
         q = QuadratureConfig(tau_nodes=p["tau_nodes"], dxi=p["dxi"])
     n_list = sorted(int(n) for n in p["N"])
-    jobs = [
-        (n, p["p"], p["sign"], p["s"], p["t"], p["tau_nodes"], p["dxi"], max(n_list)) for n in n_list
-    ]
+    jobs = [(n, p["p"], p["sign"], p["s"], p["t"], q, max(n_list)) for n in n_list]
     # degree defaults to the available cores, capped by the configured value
     workers = min(cfg.jobs or (os.cpu_count() or 1), len(jobs))
     if workers > 1:

@@ -238,22 +238,19 @@ def free_propagator(d: CauchyData, t: float) -> SpectralField:
 # quadrature over the window nodes
 
 
-def _simpson_row(i: int) -> np.ndarray:
-    w = np.ones(i + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
+def _lobatto_nodes(n: int, window: float) -> np.ndarray:
+    """The n Chebyshev-Lobatto nodes window (1 - cos(pi j/(n-1)))/2; the even ones are the (n+1)/2-node set."""
+    return 0.5 * window * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
 
 
 def _lobatto_weights(n: int, window: float, times) -> np.ndarray:
     """Rows W with  int_0^t f  ~=  sum_j W[., j] f(t_j)  at each of ``times`` in [0, window], on the n
-    Chebyshev-Lobatto nodes t_j = window (1 - cos(pi j/(n-1)))/2.  Each row integrates the degree n-1
-    interpolant exactly: a DCT-I maps the node values to Chebyshev coefficients in s = 2t/window - 1,
-    and T_k integrates to T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)).
+    nodes t_j of :func:`_lobatto_nodes`.  Each row integrates the degree n-1 interpolant exactly: its
+    Chebyshev coefficients in s = 2t/window - 1 are a DCT-I of the node values and T_k integrates to
+    T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)), so a row is the DCT-I of those integrals at t, one rfft of
+    their even extension; no (n, n) matrix is built.
     """
     m, k = n - 1, np.arange(n)
-    ends = np.where((k == 0) | (k == m), 0.5, 1.0)  # the DCT-I halves the end rows and columns
-    coef = np.cos(np.outer(k, np.pi - np.pi * k / m)) * np.outer(ends, ends) * (2.0 / m)  # T_k(s_j), s_j = -cos(pi j/m)
 
     def antiderivatives(theta):  # of T_0 .. T_m at s = cos(theta)
         c = np.cos(np.multiply.outer(theta, np.arange(n + 1.0)))
@@ -263,13 +260,22 @@ def _lobatto_weights(n: int, window: float, times) -> np.ndarray:
 
     theta = np.arccos(np.clip(2.0 * np.asarray(times, dtype=float) / window - 1.0, -1.0, 1.0))
     # at t = 0 (theta = pi) both terms are the same numbers, so that row is exactly 0
-    return 0.5 * window * (antiderivatives(theta) - antiderivatives(np.pi)) @ coef
+    b = 0.5 * window * (antiderivatives(theta) - antiderivatives(np.pi))
+    spectrum = np.fft.rfft(np.concatenate([b, b[..., -2:0:-1]], axis=-1), axis=-1).real
+    # the DCT-I halves the end terms; node j = m - l, as s_j = -cos(pi j/m)
+    return np.where((k == 0) | (k == m), 0.5, 1.0) / m * spectrum[..., ::-1]
+
+
+def _nested_difference(rows: np.ndarray, window: float, times) -> np.ndarray:
+    """The n-node ``rows`` at ``times`` minus those of the (n+1)/2-node rule on the even nodes, on the even columns."""
+    out = rows.copy()
+    out[..., ::2] -= _lobatto_weights((rows.shape[-1] + 1) // 2, window, times)
+    return out
 
 
 class _Rule(NamedTuple):
-    """Node times, prefix weights and half-layout flow table of one window.  ``embedded`` has the rows
-    W[2i] - V[i], i >= 1: the weights at the even nodes minus those V of the rule on the even nodes
-    alone (the (n+1)/2-node Lobatto set), spread onto the even columns."""
+    """Node times, prefix weights and half-layout flow table of one window.  ``embedded`` has the
+    :func:`_nested_difference` of the weights at the even nodes t_2, t_4, ..."""
 
     times: np.ndarray
     weights: np.ndarray
@@ -280,11 +286,9 @@ class _Rule(NamedTuple):
 def _rule(grid: FrequencyGrid, window: float, n: int, at=None) -> _Rule:
     """The n-node Chebyshev-Lobatto rule on [0, window] over the half layout of ``grid``; with ``at``,
     its rows and flow table at the times ``at`` instead of the nodes, and no embedded rows."""
-    times = 0.5 * window * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) if at is None else np.asarray(at, float)
-    weights, embedded = _lobatto_weights(n, window, times), None
-    if at is None:
-        embedded = weights[2::2].copy()
-        embedded[:, ::2] -= _lobatto_weights((n + 1) // 2, window, times[::2])[1:]
+    times = _lobatto_nodes(n, window) if at is None else np.asarray(at, float)
+    weights = _lobatto_weights(n, window, times)
+    embedded = None if at is not None else _nested_difference(weights[2::2], window, times[2::2])
     return _Rule(times, weights, _flow_table(_half_spectrum(grid.xi), times), embedded)
 
 

@@ -19,6 +19,7 @@ from imbq.cli import (
     MAX_DISPERSION_SAMPLES,
     MAX_SOLVE_PADDED_NODES,
     MAX_SOLVE_WINDOWS,
+    MAX_TAU_NODES,
     SCHEMAS,
     TOP_LEVEL_KEYS,
     ConfigError,
@@ -217,6 +218,22 @@ def test_solve_window_budget_exits_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "1e+09 windows" in err and f"limit is {MAX_SOLVE_WINDOWS}" in err
+
+
+@pytest.mark.parametrize(
+    "command, block", [("inflate", {"p": 2, "s": 0.0, "t": 0.5, "N": [8]}), ("derivative-check", {})]
+)
+def test_tau_nodes_budget_is_refused_at_parse_time(tmp_path, capsys, command, block):
+    # the limit itself parses; the next odd count exits 2 naming the limit, before any compute_Ap
+    at_limit = write_config(tmp_path, {command: {**block, "tau_nodes": MAX_TAU_NODES}})
+    assert parse_config([command, "--config", at_limit]).params["tau_nodes"] == MAX_TAU_NODES
+    over = write_config(tmp_path, {command: {**block, "tau_nodes": MAX_TAU_NODES + 2}}, "over.json")
+    message = f"{command} tau_nodes {MAX_TAU_NODES + 2} is above the limit {MAX_TAU_NODES}"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config([command, "--config", over])
+    assert main([command, "--config", over, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -160,6 +160,22 @@ def test_compute_ap_matches_brute_force():
     assert np.all(brute_force_Ap(d, 2, 1, 0.0).amplitudes == 0)
 
 
+def test_compute_ap_17_tau_nodes_match_brute_force():
+    # criterion 3's grid: the spectral tau-rule is exact to rounding at 17 nodes
+    d = make_ip_data(8, FrequencyGrid(1.0 / 16.0, 2 * 40 * 16))
+    for p in (2, 3):
+        a_fft = compute_Ap(d, p, 1, 0.5, QuadratureConfig(tau_nodes=17))
+        a_sum = brute_force_Ap(d, p, 1, 0.5)
+        assert sobolev_norm(a_fft - a_sum, 0.0) <= 1e-12 * sobolev_norm(a_sum, 0.0)
+
+
+@pytest.mark.parametrize("tau_nodes", [65.0, 33.5, "65", 4, 64, True])
+def test_quadrature_config_rejects_tau_nodes_by_name(tau_nodes):
+    with pytest.raises(ValueError, match="^tau_nodes must be an odd integer >= 5"):
+        QuadratureConfig(tau_nodes=tau_nodes)
+    assert QuadratureConfig(tau_nodes=np.int64(65)).tau_nodes == 65
+
+
 def test_compute_ap_matches_banded_brute_force_on_fine_grid():
     # p=2, N=16, dxi=1/64: direct double sum restricted to the even band
     n, t = 16, 0.5
@@ -207,7 +223,7 @@ def test_compute_ap_tau_refinement_stable():
 
 
 def test_compute_ap_coarse_tau_rule_raises():
-    # 5 Simpson nodes cannot resolve the oscillation over t = 20
+    # 5 Lobatto nodes, checked against the nested 3, cannot resolve the oscillation over t = 20
     with pytest.raises(QuadratureError):
         compute_Ap(coarse_setup(), 2, 1, 20.0, QuadratureConfig(tau_nodes=5))
 

@@ -43,6 +43,7 @@ from imbq.solver import (
     _flow_table,
     _free,
     _mode_amplitude_traces,
+    _lobatto_nodes,
     _lobatto_weights,
     _node_sizes,
     _rule,
@@ -107,12 +108,13 @@ def test_cauchy_data_validation():
         CauchyData(SpectralField.zero(g1), SpectralField.zero(g1, real_valued=False))
 
 
-@pytest.mark.parametrize("n", [5, 9, 17, 33, 65])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 17, 33, 65, 129, 257])
 def test_lobatto_weights_integrate_polynomials_exactly(n):
     # every degree <= n - 1, at each node and at off-node times: with s = 2t/w - 1,
-    # int_0^t s^d = (w/2)(s^{d+1} - (-1)^{d+1})/(d+1), and |s^d| <= 1 on [0, w]
+    # int_0^t s^d = (w/2)(s^{d+1} - (-1)^{d+1})/(d+1), and |s^d| <= 1 on [0, w];
+    # n = 3 is the nested rule of compute_Ap's smallest tau_nodes, 7 and 11 are not 2^k + 1
     window = 3.7
-    nodes = _rule(make_grid(4.0, 16), window, n).times
+    nodes = _lobatto_nodes(n, window)
     off = np.array([0.0, 1e-3, 0.123, 1.85, 3.0, window])
     for times in (nodes, off):
         rows = _lobatto_weights(n, window, times)
@@ -123,7 +125,7 @@ def test_lobatto_weights_integrate_polynomials_exactly(n):
         assert not np.any(rows[0])  # the row at t = 0 is exactly 0
 
 
-@pytest.mark.parametrize("n", [9, 17, 33, 65])
+@pytest.mark.parametrize("n", [7, 9, 11, 17, 33, 65, 129])
 def test_lobatto_even_nodes_are_the_nested_set(n):
     g = make_grid(4.0, 16)
     fine, coarse = _rule(g, 2.5, n), _rule(g, 2.5, (n + 1) // 2)
@@ -133,6 +135,20 @@ def test_lobatto_even_nodes_are_the_nested_set(n):
     expect = fine.weights[2::2].copy()
     expect[:, ::2] -= coarse.weights[1:]
     assert np.max(np.abs(fine.embedded - expect)) <= 1e-15 * 2.5
+
+
+def test_lobatto_row_builds_no_square_matrix():
+    # one row at n = 4097, the Clenshaw-Curtis weights of [0, 1]: an (n, n) construction alone
+    # would hold n^2 x 8 bytes = 134 MB
+    n = 4097
+    tracemalloc.start()
+    try:
+        row = _lobatto_weights(n, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * n * n * 8
+    assert row.shape == (n,) and np.all(row > 0) and abs(row.sum() - 1.0) <= 1e-13
 
 
 def test_flow_table_rows_equal_the_symbols():
