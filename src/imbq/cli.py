@@ -181,8 +181,9 @@ TOP_LEVEL_KEYS = {"command", "out", "jobs", "seed", "plot"} | set(SCHEMAS)
 # with n_steps, stride of solver._rk4_steps; the cost does not grow with the RK4 step count
 MAX_DISPERSION_SAMPLES = 10**6
 # work budgets of lemma-check: a run computes 1 + 2 len(t_values) seminorms in one batch, each
-# ~resolution^2 (on one core the nine default ones take 0.20 s at 160 and 58 s at 2560, one m3
-# alone 0.055 s and 17 s); the H^s corpus costs ~corpus_size * corpus_nodes (~0.5 ms per 256-node field)
+# ~resolution^2 (on one core of a 2-vCPU x86 container the nine default ones take 0.09 s at 160 and 35 s
+# at 2560, one m3 alone 0.026 s and 12 s); the H^s corpus costs ~corpus_size * corpus_nodes (~0.5 ms per
+# 256-node field)
 MAX_BESOV_RESOLUTION = 2560
 MAX_BESOV_WORK = 9 * MAX_BESOV_RESOLUTION**2  # the nine default seminorms at the largest resolution
 MAX_CORPUS_NODES = 10**7

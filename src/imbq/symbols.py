@@ -172,29 +172,42 @@ def _squared_difference(sym: Symbol, lam_shifted: np.ndarray, lam: np.ndarray, m
     return (_symbol_of_lambda(sym, lam_shifted) - m) ** 2
 
 
+def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of each row of ``nodes``: the rule on row i is sum_j f_ij w_ij."""
+    cells = np.diff(nodes, axis=-1, prepend=nodes[..., :1], append=nodes[..., -1:])  # 0 at both ends
+    return 0.5 * (cells[..., :-1] + cells[..., 1:])
+
+
 def _inner_l2_differences(
-    syms: list[Symbol], hs: np.ndarray, extent: float, n_panel: int, right: np.ndarray, lam_right: np.ndarray, m_right
+    syms: list[Symbol], hs: np.ndarray, extent: float, n: int, right: np.ndarray, lam_right, w_right, m_right
 ) -> np.ndarray:
     """|| m(.+h) - m(.) ||_{L^2([-extent, extent])} by graded panels, one row per symbol, one column per h.
 
     The integrand has kinks at xi = 0 and xi = -h (the |xi| corners of
-    lambda), so panels break at -extent, -h, 0 and extent and cluster
-    nodes at panel ends.  All h of ``hs`` (0 < h <= extent) are done in
-    one array pass; at h = extent the first panel is empty and adds 0.
-    The panels and the tables lambda(nodes), lambda(nodes + h) are built
-    once for all of ``syms``.  The h-independent panel ``right`` = [0, extent],
-    its table ``lam_right`` and each real symbol's values ``m_right`` on it
-    come from the caller, built once per resolution.
+    lambda), so panels break at -extent, -h, 0 and extent and cluster their
+    2n + 2 nodes at panel ends.  All h of ``hs`` (0 < h <= extent) are done
+    in one array pass; at h = extent the first panel is empty and adds 0.
+    Per panel the tables lambda(xi), lambda(xi + h) and the trapezoid weight
+    rows are built once for all of ``syms``, and each symbol's integral is
+    one weighted row sum.  The panel [-h, 0] is its own mirror: x_j + h =
+    -x_{2n+1-j} up to rounding and lambda is even, so its shifted table is
+    its lambda row reversed and the integrand is symmetric in j; its first
+    n + 1 nodes integrate against the folded weights w_j + w_{2n+1-j}.
+    ``right`` = [0, extent], its ``lam_right``, ``w_right`` and each real
+    symbol's values ``m_right`` on it are built once per resolution.
     """
-    left = [_graded_panel(a, b, n_panel) for a, b in ((np.full_like(hs, -extent), -hs), (-hs, np.zeros_like(hs)))]
+    outer = _graded_panel(np.full_like(hs, -extent), -hs, n)
+    mirrored = _graded_panel(-hs, np.zeros_like(hs), n)
+    lam_mir, w_mir = lambda_symbol(mirrored), _trapezoid_weights(mirrored)
+    panels = (  # lambda(xi + h), lambda(xi), weight rows, the real symbols' m(xi) if given
+        (lambda_symbol(outer + hs[:, None]), lambda_symbol(outer), _trapezoid_weights(outer), None),
+        (lam_mir[:, :n:-1], lam_mir[:, : n + 1], w_mir[:, : n + 1] + w_mir[:, :n:-1], None),
+        (lambda_symbol(right + hs[:, None]), lam_right, w_right, m_right),
+    )
     totals = np.zeros((len(syms), len(hs)))
-    for nodes in (*left, right):
-        # one panel's tables at a time, shared by every symbol
-        lam_shifted = lambda_symbol(nodes + hs[:, None])
-        lam = lam_right if nodes is right else lambda_symbol(nodes)
+    for lam_shifted, lam, w, m in panels:
         for i, sym in enumerate(syms):
-            m = m_right[i] if nodes is right else None
-            totals[i] = totals[i] + np.trapezoid(_squared_difference(sym, lam_shifted, lam, m), nodes)
+            totals[i] += np.einsum("ij,ij->i", _squared_difference(sym, lam_shifted, lam, None if m is None else m[i]), w)
     return np.sqrt(totals)
 
 
@@ -224,11 +237,11 @@ def _besov_values(syms: list[Symbol], h_min: float, h_max: float, resolution: in
     """Every symbol's seminorm quadrature with ``resolution`` h nodes and nodes per panel."""
     hs = np.geomspace(h_min, h_max, resolution)
     right = _graded_panel([0.0], [extent], resolution)
-    lam_right = lambda_symbol(right)
+    lam_right, w_right = lambda_symbol(right), _trapezoid_weights(right)
     m_right = [_symbol_of_lambda(sym, lam_right) if sym.is_real else None for sym in syms]
     inner = np.concatenate(
         [
-            _inner_l2_differences(syms, hs[i : i + _H_BLOCK], extent, resolution, right, lam_right, m_right)
+            _inner_l2_differences(syms, hs[i : i + _H_BLOCK], extent, resolution, right, lam_right, w_right, m_right)
             for i in range(0, resolution, _H_BLOCK)
         ],
         axis=1,
@@ -247,12 +260,16 @@ def besov_seminorms(syms: Iterable[Symbol], resolution: int = 160, strict: bool 
     the estimate is recomputed at double resolution and flagged unconverged
     if the two differ by more than :data:`STABILIZATION` relative (with
     ``strict=True`` the first unconverged symbol, in the order of ``syms``,
-    raises instead).  The inner L^2 integrals truncate at |xi| =
+    raises instead); a ``resolution`` that is not an integer >= 2 raises
+    ``ValueError``.  The inner L^2 integrals truncate at |xi| =
     :data:`XI_EXTENT`; the analytic bound on the discarded tail is recorded.
     They are evaluated for blocks of 16 h values per array pass, one row per
-    h, and every symbol's integrand is formed from the same panels and
-    lambda tables.
+    h; every symbol shares the panels, lambda tables and trapezoid weight
+    rows, and the mirrored panel [-h, 0] is integrated on half its nodes.
     """
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 2:
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    resolution = int(resolution)
     syms = list(syms)
     coarse = _besov_values(syms, H_MIN, H_MAX, resolution, XI_EXTENT)
     fine = _besov_values(syms, H_MIN, H_MAX, 2 * resolution, XI_EXTENT)

@@ -17,7 +17,8 @@ from imbq.symbols import (
     eval_symbol,
     kernel_ratio_sweep,
 )
-from imbq.symbols import _TIME_FREE, SYMBOL_NAMES, BesovConvergenceError, _besov_values
+from imbq.symbols import H_MAX, H_MIN, _TIME_FREE, SYMBOL_NAMES, BesovConvergenceError, _besov_values, _graded_panel
+from imbq.symbols import _inner_l2_differences, _symbol_of_lambda, _trapezoid_weights
 from imbq import symbols as symbols_module
 
 
@@ -153,19 +154,111 @@ def _per_h_besov_value(sym, h_min, h_max, n_h, n_panel, extent):
     return 2.0 * np.trapezoid(np.array(vals) * hs, np.log(hs))
 
 
-@pytest.mark.parametrize("resolution", [20, 40])
+@pytest.mark.parametrize("resolution", [20, 40, 17])
 @pytest.mark.parametrize(
-    "sym", [Symbol("m1"), Symbol("m2_plus", 0.5), Symbol("m2_plus", 4.0), Symbol("m3", 0.5), Symbol("m3", 4.0)],
+    "sym",
+    [
+        Symbol("m1"),
+        Symbol("m2_plus", 0.5),
+        Symbol("m2_plus", 4.0),
+        Symbol("m3", 0.5),
+        Symbol("m3", 4.0),
+        Symbol("Q_t", 1.3),
+        Symbol("lambda"),
+        Symbol("P"),
+        Symbol("m2_minus", 4.0),
+    ],
     ids=str,
 )
 def test_blocked_besov_value_matches_per_h_reference(sym, resolution):
-    # the 16-h blocks divide neither 20 nor 40, so the last block is short
+    # the 16-h blocks divide none of 20, 40 and 17, so the last block is short (one h at 17); 17 also
+    # has an odd panel count; every real family goes through the mirrored [-h, 0] panel (R_t, whose
+    # symbol is m3's, at t = 0.01 is checked below)
     got = _besov_values([sym], 1e-3, 1e3, resolution, 1e4)[0]
     want = _per_h_besov_value(sym, 1e-3, 1e3, resolution, resolution, 1e4)
     assert got == pytest.approx(want, rel=1e-14, abs=0)
     # h_max = extent: the last h has an empty first panel
     got = _besov_values([sym], 1e-2, 50.0, resolution, 50.0)[0]
     assert got == pytest.approx(_per_h_besov_value(sym, 1e-2, 50.0, resolution, resolution, 50.0), rel=1e-14, abs=0)
+
+
+def _r_t_reference_value_exactly(t, n, extent):
+    """_per_h_besov_value of R_t over [H_MIN, H_MAX] at n with its float nodes, in mpmath arithmetic."""
+    rel = 1e-7 * (1e7 ** (1.0 / n)) ** np.arange(n + 1)
+    rel[0], rel[-1] = 0.0, 1.0
+
+    def m(x):
+        lam = abs(x) / mpmath.sqrt(1 + x * x)
+        return t if lam == 0 else mpmath.sin(t * lam) / lam
+
+    hs = np.geomspace(H_MIN, H_MAX, n)
+    vals = []
+    for h in hs:
+        breaks = sorted({-extent, -h, 0.0, extent})
+        total = 0
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            half = 0.5 * (b - a)
+            x = [mpmath.mpf(v) for v in np.unique(np.concatenate([a + half * rel, b - half * rel[::-1]]))]
+            f = [(m(v + h) - m(v)) ** 2 for v in x]
+            total += sum((x[k + 1] - x[k]) * (f[k] + f[k + 1]) for k in range(len(x) - 1)) / 2
+        vals.append(mpmath.sqrt(total) / mpmath.mpf(h) ** 1.5)
+    y = [mpmath.log(h) for h in hs]
+    return sum((y[k + 1] - y[k]) * (vals[k] * hs[k] + vals[k + 1] * hs[k + 1]) for k in range(n - 1))
+
+
+@pytest.mark.parametrize("resolution", [17, 20])
+def test_blocked_besov_value_of_r_t_at_small_t_within_the_references_rounding(resolution):
+    # R_t at t = 0.01 takes the series branch of sin(t lambda)/lambda for |xi| up to ~0.01, and its
+    # differences m(xi+h) - m(xi) cancel the constant t: the float quadrature keeps only ~1e-11 of the
+    # value (the per-h reference reads 4.3e-11 and 3.3e-12 off the same rule in 40 digits), so it agrees
+    # with the blocked sum to 1e-14 only where both round alike, which the mirrored [-h, 0] panel does
+    # not; the blocked value must lie within the reference's own rounding of the exact rule
+    sym = Symbol("R_t", 0.01)
+    got = _besov_values([sym], H_MIN, H_MAX, resolution, 1e4)[0]
+    ref = _per_h_besov_value(sym, H_MIN, H_MAX, resolution, resolution, 1e4)
+    with mpmath.workdps(40):
+        exact = float(_r_t_reference_value_exactly(sym.t, resolution, 1e4))
+    assert abs(got - ref) <= abs(ref - exact)
+
+
+@pytest.mark.parametrize("resolution", [160, 320])
+def test_mirrored_panel_is_its_own_reflection(resolution):
+    # _inner_l2_differences takes lambda(x_j + h) on the panel [-h, 0] as lambda(x_{2n+1-j}), the
+    # reversed lambda row, and integrates half the symmetric integrand; that is exact up to rounding
+    # only while the panel's nodes satisfy x_j + h = -x_{2n+1-j}
+    hs = np.geomspace(H_MIN, H_MAX, resolution)
+    panel = _graded_panel(-hs, np.zeros_like(hs), resolution)
+    assert np.all(np.abs(panel + hs[:, None] + panel[:, ::-1]) <= 4 * np.spacing(hs)[:, None])
+
+
+def _mpmath_inner_l2(sym, h, extent):
+    """|| m(.+h) - m(.) ||_{L^2([-extent, extent])} by mpmath.quad, breaking at the kinks and the mirror point."""
+    lam = lambda x: abs(x) / mpmath.sqrt(1 + x * x)
+    if sym.name == "m2_plus":
+        f = lambda x: (2 * mpmath.sin(sym.t * (lam(x + h) - lam(x)) / 2)) ** 2
+    else:
+        m = {"m1": lambda x: lam(x) ** 2, "m3": lambda x: sym.t if x == 0 else mpmath.sin(sym.t * lam(x)) / lam(x)}
+        f = lambda x: (m[sym.name](x + h) - m[sym.name](x)) ** 2
+    return float(mpmath.sqrt(mpmath.quad(f, [-extent, -h, -h / 2, 0, extent])))
+
+
+def test_inner_l2_differences_against_mpmath():
+    # the trapezoid rule on graded nodes has cells ~ eps * d, d the distance to the nearest panel end and
+    # eps = ln g = ln(1e7)/n; its error sum_cells cell^3 f''/12 ~ (eps^2/12) int d^2 f'' integrates by
+    # parts to (eps^2/6) int f when the mass of f sits near the panel ends, so each L^2 norm (its square
+    # root) is eps^2/12 relative high; the STABILIZATION gate of 5% is far looser than this
+    extent, syms = 1e4, [Symbol("m1"), Symbol("m2_plus", 2.0), Symbol("m3", 2.0)]
+    with mpmath.workdps(20):
+        want = {h: [_mpmath_inner_l2(sym, h, extent) for sym in syms] for h in (1e-3, 0.5, 30.0)}
+    for n in (160, 320):
+        right = _graded_panel([0.0], [extent], n)
+        lam_right = lambda_symbol(right)
+        m_right = [_symbol_of_lambda(sym, lam_right) if sym.is_real else None for sym in syms]
+        bound = 1.1 * (math.log(1e7) / n) ** 2 / 12
+        for h, row in want.items():
+            got = _inner_l2_differences(syms, np.array([h]), extent, n, right, lam_right, _trapezoid_weights(right), m_right)
+            for sym, g, w in zip(syms, got[:, 0], row):
+                assert abs(g - w) <= bound * w, (n, h, str(sym))
 
 
 # every symbol name, the timed ones at one t, in one batch
@@ -203,6 +296,16 @@ def test_besov_seminorms_strict_raises_for_the_first_unconverged_symbol(monkeypa
     ):
         with pytest.raises(BesovConvergenceError, match=rf"^seminorm of {re.escape(first)} changed by"):
             besov_seminorms(syms, resolution=20, strict=True)
+
+
+def test_besov_seminorms_rejects_resolution_by_name():
+    for bad in (0, 1, -3, 2.5, 160.0, True, "160", None):
+        with pytest.raises(ValueError, match=r"^resolution must be an integer >= 2, got "):
+            besov_seminorms([Symbol("m1")], resolution=bad)
+    with pytest.raises(ValueError, match=r"^resolution must be an integer >= 2, got 0$"):
+        besov_seminorm(Symbol("m1"), resolution=0)
+    assert besov_seminorm(Symbol("m1"), resolution=np.int64(10)) == besov_seminorm(Symbol("m1"), resolution=10)
+    assert besov_seminorm(Symbol("m1"), resolution=2).resolution == 2
 
 
 def test_besov_seminorms_takes_only_the_symbols_resolution_and_strict():
