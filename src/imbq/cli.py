@@ -190,7 +190,8 @@ MAX_CORPUS_NODES = 10**7
 # work budget of the Picard solver (solve, derivative-check): the nodes of one dealiased row,
 # grid._dealiased_node_count(nodes, p)
 MAX_SOLVE_PADDED_NODES = 2**20
-# work budget of solve: Picard windows, ceil(T/window); solver._march checks it for every run
+# work budget of solve: Picard windows, ceil(T/window), refused here when set; solver._march also checks the
+# data-derived and sized counts and bounds its window runs, accepted or rejected, by it
 MAX_SOLVE_WINDOWS = solver.MAX_SOLVE_WINDOWS
 # work budget of inflate and derivative-check: the tau nodes of compute_Ap, each a row of the box-power
 # transforms; at this limit a p = 3 call on grid_for_boxes(32, 3) peaks at 228 MB maxrss (p = 5: 302 MB)
@@ -417,9 +418,7 @@ def _run_solve(cfg: RunConfig) -> int:
     times = p["sample_times"] or np.linspace(0.0, p["T"], 5).tolist()
     energies = []
 
-    def take(n_windows, k, t, u, ut):
-        if k == 0:  # a new attempt: drop the energies of a failed one
-            energies.clear()
+    def take(t, u, ut):
         # every data kind has mean-zero velocity; _energy_matrix raises ValueError (exit 3) otherwise
         energies.append(solver._energy_matrix(u, ut, grid, p["p"], p["sign"]))
 
@@ -446,8 +445,9 @@ def _run_solve(cfg: RunConfig) -> int:
     probe = marched.probe and f"probe window {marched.probe[0]:.6g} contraction {marched.probe[1] or 0.0:.3e}"
     print(
         f"solve window rule: window {marched.reports[0].window_length:.6g} ({probe or 'no probe'}), "
-        f"nodes {marched.doubling[-1][1]}, largest estimate "
-        f"{max(r.quadrature_estimate for r in marched.reports):.3e}, halvings {len(marched.failures)}"
+        f"nodes {marched.nodes[0]} to {marched.nodes[-1]}, largest estimate "
+        f"{max(r.quadrature_estimate for r in marched.reports):.3e}, rejected runs {len(marched.rejected)}, "
+        f"halvings {marched.halvings}"
     )
     final = sobolev_norm(marched.sampled.final()[0], 0.0)
     print(f"solve: final |u|_L2 = {final:.6e} over {len(marched.reports)} window(s)")

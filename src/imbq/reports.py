@@ -130,20 +130,22 @@ def inflation_summary(report: InflationReport, slope_tol: float = 0.2) -> dict:
 
 
 def write_trajectory_csv(path: str, traj: Trajectory, sample_times: list[float]):
-    """Position samples u(t, x_j) at the trajectory times nearest each request."""
-    rows = []
+    """Position samples u(t, x_j) at the trajectory times nearest each request: the bytes of
+    :func:`write_csv`, formatted from Python floats with ``repr`` in one pass."""
+    lines, x = ["t,x,u"], traj.grid.x.tolist()
     for t_req in sample_times:
         i = int(np.argmin(np.abs(traj.times - t_req)))
-        t = float(traj.times[i])
-        samples = to_position(traj.state(i)[0]).real
-        rows.extend((t, float(x), float(v)) for x, v in zip(traj.grid.x, samples))
-    write_csv(path, ["t", "x", "u"], rows)
+        t = repr(float(traj.times[i]))
+        samples = to_position(traj.state(i)[0]).real.tolist()
+        lines.extend(f"{t},{xj!r},{v!r}" for xj, v in zip(x, samples))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def trajectory_sidecar(marched, config: dict, energies=None, transform_lengths=None) -> dict:
     """Solver diagnostics of an ``imbq solve`` run from its ``solver._march`` result: its node times,
-    window edges and reports, how the windows were sized (the probe's window and contraction ratio,
-    window 0's runs by window and node count, the failed attempts and their node counts), and the padded transform
+    window edges, each window's report and node count, the rejected runs (start, window, nodes, estimate,
+    null on a Picard failure, and difference norms), how the windows were sized (window 0's length, the
+    probe's window and contraction ratio, the targets, the halved windows), and the padded transform
     lengths it used (``transform_lengths``, name -> node count).
 
     The provenance names what that run executes: the window march, the
@@ -154,22 +156,20 @@ def trajectory_sidecar(marched, config: dict, energies=None, transform_lengths=N
         "config": config,
         "window_edges": list(marched.edges),
         "iterations": [r.iterations for r in reports],
+        "nodes": list(marched.nodes),
         "contraction_ratios": [list(r.ratios) for r in reports],
         "difference_norms": [list(r.differences) for r in reports],
         "quadrature_estimates": [r.quadrature_estimate for r in reports],
+        "rejected": [
+            {"start": t, "window": w, "nodes": n, "quadrature_estimate": e, "difference_norms": list(h)}
+            for t, w, n, e, h in marched.rejected
+        ],
         "window_rule": {
             "window": reports[0].window_length,
-            "nodes": marched.doubling[-1][1],
-            "node_doubling": [{"window": w, "nodes": n, "quadrature_estimate": e} for w, n, e in marched.doubling],
             "probe": None if probe is None else {"window": probe[0], "contraction_ratio": probe[1]},
             "contraction_target": None if probe is None else CONTRACTION_TARGET,
             "quadrature_target": QUADRATURE_TARGET,
-            "halvings": len(marched.failures),
-            "failed_attempts": [
-                {"windows": f.windows, "window_index": f.window_index, "nodes": f.nodes,
-                 "difference_norms": list(f.differences)}
-                for f in marched.failures
-            ],
+            "halvings": marched.halvings,
         },
         "energy": None if energies is None else [float(e) for e in energies],
         "sample_times": [float(t) for t in marched.times],

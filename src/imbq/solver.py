@@ -100,15 +100,15 @@ class SolverConfig:
     first window of the a-priori tiling, windows of sqrt(:data:`CONTRACTION_TARGET`) * R^{-(p-1)/2}
     with R the summed H^s-plus-sup size of the data, on 9 Chebyshev-Lobatto nodes.  Its contraction
     ratio, scaled like the window squared, reaches :data:`CONTRACTION_TARGET` at the window length,
-    and ceil(horizon/window) equal windows tile [0, horizon].  Window 0 doubles its nodes, up to
-    :data:`MAX_QUADRATURE_NODES`, until its embedded quadrature estimate (the n-node tau-integral
-    minus the nested (n+1)/2-node one) meets :data:`QUADRATURE_TARGET` of the largest node size.
-    Without forcing one window covers [0, horizon]; a set ``window_override`` tiles by that window,
-    without a probe.  A window that does not converge, or whose estimate misses the target, halves
-    all windows, up to :data:`MAX_WINDOW_HALVINGS` times; a sized window 0 that misses it on 65 nodes
-    halves them without counting (:func:`_march`).  Picard stops once the max over the window
-    nodes of H^s + (dxi/2pi) sum |u_hat| of the iterate difference, an upper bound of its
-    H^s-plus-sup size, is below :data:`PICARD_TOL`.  The power is dealiased by the factor (p+1)/2.
+    and ceil(horizon/window) equal windows tile [0, horizon].  Each window starts on its
+    predecessor's node count and doubles it, up to :data:`MAX_QUADRATURE_NODES`, until its embedded
+    quadrature estimate (the n-node tau-integral minus the nested (n+1)/2-node one) meets
+    :data:`QUADRATURE_TARGET` of the largest node size.  Without forcing one window covers
+    [0, horizon]; a set ``window_override`` tiles by that window, without a probe.  A window that does
+    not converge, or that misses the target on 65 nodes when sized, halves, and the march goes on
+    from there (:func:`_march`).  Picard stops once the max over the window nodes of
+    H^s + (dxi/2pi) sum |u_hat| of the iterate difference, an upper bound of its H^s-plus-sup size,
+    is below :data:`PICARD_TOL`.  The power is dealiased by the factor (p+1)/2.
     """
 
     p: int
@@ -156,8 +156,8 @@ class Trajectory:
     """Sampled states u(t_i), u_t(t_i) plus per-window solver diagnostics.
 
     ``u`` and ``u_t`` are (n, M/2 + 1) half-layout matrices, row i the real
-    state at ``times[i]``.  ``halvings`` counts the failed march attempts
-    before the one that produced the windows.  Every row is checked finite,
+    state at ``times[i]``.  ``halvings`` counts the windows the march halved
+    on its way (:func:`_march`).  Every row is checked finite,
     and real at xi = 0 (the one Hermitian condition a half row can break),
     on construction; the matrices are taken over read-only, not copied.
     """
@@ -452,7 +452,7 @@ def picard_window(
 
 
 # work budget of the march: windows at its start, ceil(horizon/window), set or data-derived, and
-# again once the probe has sized them and before a halving.  The count ignores nodes and
+# once the probe has sized them; and window runs, accepted or rejected.  The count ignores nodes and
 # iterations, so it does not bound run time.
 MAX_SOLVE_WINDOWS = 10**4
 # accuracy target of the node count: every window's quadrature estimate, relative to its largest
@@ -461,13 +461,11 @@ QUADRATURE_TARGET = 1e-8
 # Picard stops once the stopping norm of the iterate difference is below PICARD_TOL and fails
 # after MAX_ITERATIONS; a window's Chebyshev-Lobatto node count doubles from 9 (9, 17, 33, 65) to at
 # most MAX_QUADRATURE_NODES; windows are as long as the contraction ratio, modelled a priori as
-# (R^{(p-1)/2} w)^2 and scaled like w^2 from the probe's measured one, reads CONTRACTION_TARGET; a
-# march halves its windows at most MAX_WINDOW_HALVINGS times
+# (R^{(p-1)/2} w)^2 and scaled like w^2 from the probe's measured one, reads CONTRACTION_TARGET
 PICARD_TOL = 1e-12
 MAX_ITERATIONS = 50
 MAX_QUADRATURE_NODES = 65
 CONTRACTION_TARGET = 0.01
-MAX_WINDOW_HALVINGS = 5
 
 
 def _window_length(d: CauchyData, cfg: SolverConfig, forcing: bool) -> float:
@@ -491,139 +489,129 @@ def _window_count(count: float, horizon: float) -> int:
     return max(1, math.ceil(count - 1e-12))
 
 
-class _Attempt(NamedTuple):
-    """A failed march attempt: its window count, failing window, that window's history and node count."""
-
-    windows: int
-    window_index: int
-    differences: tuple[float, ...]
-    nodes: int
-
-
 class _Marched(NamedTuple):
-    """:func:`_march`'s result: ``probe`` (window, contraction ratio) or None, ``doubling`` (window, nodes,
-    estimate) of each run of the last attempt's window 0, ``sampled`` the states at the requested times or None."""
+    """:func:`_march`'s result: ``probe`` (window, contraction ratio) or None, ``nodes`` each window's node count,
+    ``rejected`` (start, window, nodes, estimate or None on a Picard failure, differences) of each rejected run,
+    ``halvings`` the halved windows among them, ``sampled`` the states at the requested times or None."""
 
     times: np.ndarray
     edges: tuple[float, ...]
     reports: tuple[ContractionReport, ...]
     probe: tuple[float, float | None] | None
-    failures: tuple[_Attempt, ...]
-    doubling: tuple[tuple[float, int, float], ...]
+    nodes: tuple[int, ...]
+    rejected: tuple[tuple, ...]
+    halvings: int
     sampled: Trajectory | None
 
 
 def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take, samples=()) -> _Marched:
-    """March Picard windows of one length over [0, horizon], halving them on a failure.
+    """March Picard windows forward over [0, horizon], each sized where it runs; the march never goes back.
 
-    Window 0 runs first, on 9 Chebyshev-Lobatto nodes.  Unless ``window_override`` is set or forcing
-    is off (one window), that run is the probe of :class:`SolverConfig`, sizes the windows by its
-    contraction and stays as window 0 if the count does not change.  Window 0 doubles its nodes (17,
-    33, 65) until its estimate meets :data:`QUADRATURE_TARGET`, and all windows share that rule; when
-    sized and still above the target at :data:`MAX_QUADRATURE_NODES`, it is too long for any rule, and
-    all windows halve without counting a halving.  A window fails when it does not converge or, when
-    sized, when its estimate misses the target; an attempt failing before anything was sized probes
-    again.  Window k of n spans [k horizon/n, (k+1) horizon/n], its last node stamped with that end,
-    and calls ``take(n, k, times, u, u_t)`` with the node rows it adds: all of window 0, then all but
-    the first; ``k == 0`` starts an attempt, and the consumer drops what it kept of a failed one.  Each
-    of the sorted, distinct ``samples`` in [0, horizon] is the Duhamel formula of its window at that
-    time (:func:`_picard`).  Continuation data at a window end is the converged state and the velocity
-    of the differentiated Duhamel formula.  More than :data:`MAX_SOLVE_WINDOWS` windows, at any point,
-    or a window that underflows to 0, raise :class:`ConvergenceError`.
+    Window 0 of the a-priori tiling runs first, on 9 Chebyshev-Lobatto nodes.  Unless ``window_override`` is
+    set or forcing is off (one window), that run is the probe of :class:`SolverConfig`: it sizes the windows
+    by its contraction and stays as window 0 if their count does not change.  Each window starts on its
+    predecessor's node count and doubles it (17, 33, 65) while its estimate is above :data:`QUADRATURE_TARGET`.
+    A window that does not converge, or, when sized, still misses the target on :data:`MAX_QUADRATURE_NODES`,
+    halves, and the rest of [t, horizon] is tiled at the halved length: from the last halving at t_0 into n
+    windows, window j spans [t_0 + j (horizon - t_0)/n, t_0 + (j+1) (horizon - t_0)/n].  Nodes never
+    decrease and windows never lengthen after the probe.  Each accepted window stamps its last node with
+    its end and calls ``take(times, u, u_t)`` with the node rows it adds: all of window 0, then all but the
+    first.  Each of the sorted, distinct ``samples`` in [0, horizon] is the Duhamel formula of its window at
+    that time (:func:`_picard`).  Continuation data at a window end is the converged state and the velocity
+    of the differentiated Duhamel formula.  :class:`ConvergenceError` ends a march whose tiling passes
+    :data:`MAX_SOLVE_WINDOWS` windows at its start or once sized, and, naming the window and the t reached,
+    one whose window runs, accepted or rejected, would pass it, or whose halved window would be shorter than
+    sqrt(eps) t (at t = 0, than the smallest normal float).
     """
+    horizon = cfg.horizon
     base = _window_length(d, cfg, forcing)
-    n_windows = _window_count(cfg.horizon / base if base > 0 else math.inf, cfg.horizon)
+    n = _window_count(horizon / base if base > 0 else math.inf, horizon)
     sized = forcing and cfg.window_override is None
-    target = QUADRATURE_TARGET if sized else None
     samples = np.asarray(samples, dtype=float)
-    probe, failures, doubling = None, [], []
-    while True:
-        w, nodes = cfg.horizon / n_windows, 9
-        edges = [k * cfg.horizon / n_windows for k in range(n_windows + 1)]
-        # window k holds the samples in (edges[k], edges[k + 1]] (and 0 for k = 0): samples[cut[k]:cut[k + 1]]
-        cut = [0, *np.searchsorted(samples, edges[1:-1], side="right").tolist(), samples.size]
-        times, reports, sampled, data, rule = [], [], [], d, _rule(d.grid, w, nodes)
+    floats = np.finfo(float)
+    # the tiling is (t0, n) from the last halving and j the next window of it; a new node count or
+    # window length drops the shared rule
+    t0, j, nodes, rule, data, probe, halvings, reason, history = 0.0, 0, 9, None, d, None, 0, None, ()
+    edges, times, reports, counts, rejected, sampled = [0.0], [], [], [], [], []
+    while j < n:
+        k, start, w = len(reports), edges[-1], (horizon - t0) / n
+        end = t0 + (j + 1) * (horizon - t0) / n
+        where = f"window {k} ([{start:g}, {end:g}])"
+        if k + len(rejected) == MAX_SOLVE_WINDOWS:
+            message = f"{where} would pass the limit of {MAX_SOLVE_WINDOWS} window runs (the last rejected: {reason})"
+            raise ConvergenceError(f"{message}; the march reached t = {start:.6g}", history, k)
+        rule = rule or _rule(d.grid, w, nodes)
+        # the window holds the samples in (start, end] (and 0 for window 0), the last one all that are left
+        lo = 0 if k == 0 else np.searchsorted(samples, start, side="right")
+        hi = samples.size if j + 1 == n else np.searchsorted(samples, end, side="right")
         try:
-            first = _run_window(d, cfg, forcing, rule, 0, 0.0, None, samples[: cut[1]])
+            traj, report, rows = _run_window(data, cfg, forcing, rule, start, samples[lo:hi])
+        except ConvergenceError as err:
+            report, reason, history = None, f"{where} failed: {err}", err.history
+        else:
             if sized and probe is None:
-                probe = (w, first[1].contraction_ratio)
-                count = _window_count(n_windows * math.sqrt((probe[1] or 0.0) / CONTRACTION_TARGET), cfg.horizon)
-                if count != n_windows:
-                    n_windows = count
+                probe = (w, report.contraction_ratio)
+                count = _window_count(n * math.sqrt((probe[1] or 0.0) / CONTRACTION_TARGET), horizon)
+                if count != n:
+                    n, rule = count, None
                     continue
-            doubling.append((w, nodes, first[1].quadrature_estimate))
-            while doubling[-1][2] > QUADRATURE_TARGET and nodes < MAX_QUADRATURE_NODES:
-                nodes = 2 * nodes - 1
-                rule = _rule(d.grid, w, nodes)
-                first = _run_window(d, cfg, forcing, rule, 0, 0.0, None, samples[: cut[1]])
-                doubling.append((w, nodes, first[1].quadrature_estimate))
-            if sized and doubling[-1][2] > QUADRATURE_TARGET:  # too long for the largest rule
-                n_windows = _window_count(2 * n_windows, cfg.horizon)
-                continue
-            for k in range(n_windows):
-                at = samples[cut[k] : cut[k + 1]]
-                traj, report, rows = first if k == 0 else _run_window(data, cfg, forcing, rule, k, edges[k], target, at)
-                t = edges[k] + rule.times
-                t[-1] = edges[k + 1]
+            estimate = report.quadrature_estimate
+            if estimate <= QUADRATURE_TARGET or nodes == MAX_QUADRATURE_NODES and not sized:
+                t = start + rule.times
+                t[-1] = end
                 new = slice(0 if k == 0 else 1, None)
                 times.append(t[new])
-                take(n_windows, k, times[-1], traj.u[new], traj.u_t[new])
+                take(times[-1], traj.u[new], traj.u_t[new])
+                edges.append(end)
                 reports.append(report)
+                counts.append(nodes)
                 if rows is not None:
                     sampled.append(rows)
-                data = CauchyData(*traj.final())
-        except ConvergenceError as err:
-            if err.window_index is None:  # the sized count is over the budget
-                raise
-            failures.append(_Attempt(n_windows, err.window_index, tuple(err.history), nodes))
-            doubling.clear()
-            if len(failures) > MAX_WINDOW_HALVINGS:
-                raise
-            if 2 * n_windows > MAX_SOLVE_WINDOWS:
-                message = f"{err}; halved, {2 * n_windows} windows would pass the limit {MAX_SOLVE_WINDOWS}"
-                raise ConvergenceError(message, history=err.history, window_index=err.window_index) from err
-            n_windows *= 2
+                data, j = CauchyData(*traj.final()), j + 1
+                continue
+            above = f"its quadrature estimate {estimate:.3g} is above the target {QUADRATURE_TARGET:g}"
+            reason, history = f"{where} on {nodes} nodes: {above}", report.differences
+        rejected.append((start, w, nodes, None if report is None else report.quadrature_estimate, tuple(history)))
+        if report is not None and nodes < MAX_QUADRATURE_NODES:
+            nodes, rule = 2 * nodes - 1, None
             continue
-        states = Trajectory(*(np.concatenate(part) for part in zip(*sampled)), d.grid) if sampled else None
-        marched = (np.concatenate(times), tuple(edges), tuple(reports), probe, tuple(failures), tuple(doubling))
-        return _Marched(*marched, states)
+        if not w / 2 > max(math.sqrt(floats.eps) * start, floats.tiny):
+            message = f"{reason}; halved, it would be shorter than max(sqrt(eps) t, {floats.tiny:.3g})"
+            raise ConvergenceError(f"{message}; the march reached t = {start:.6g}", history, k)
+        # a float count, as halvings at t = 0 go on to the smallest normal window
+        t0, n, j, rule, halvings = start, 2.0 * (n - j), 0, None, halvings + 1
+    states = Trajectory(*(np.concatenate(part) for part in zip(*sampled)), d.grid) if sampled else None
+    marched = (np.concatenate(times), tuple(edges), tuple(reports), probe, tuple(counts), tuple(rejected), halvings)
+    return _Marched(*marched, states)
 
 
-def _run_window(data: CauchyData, cfg: SolverConfig, forcing: bool, rule: _Rule, k: int, start, target=None, at=()):
-    """:func:`picard_window` with ``rule`` as window ``k`` of a march, from ``start``; a failure or an estimate
-    above ``target`` raises naming it.  Returns its trajectory, report and (times, u, u_t) at ``at`` or None."""
+def _run_window(data: CauchyData, cfg: SolverConfig, forcing: bool, rule: _Rule, start, at=()):
+    """:func:`picard_window` on ``rule`` from ``start``: its trajectory, report and (times, u, u_t) at ``at`` or None."""
     w = float(rule.times[-1])
     rows = (_rule(data.grid, w, rule.times.shape[0], at - start), []) if len(at) else None
-    try:
-        traj, report = picard_window(data, w, cfg, forcing, _shared=rule, _at=rows)
-        if target is not None and report.quadrature_estimate > target:
-            message = f"its quadrature estimate {report.quadrature_estimate:.3g} is above the target {target:g}"
-            raise ConvergenceError(message, history=report.differences)
-    except ConvergenceError as err:
-        message = f"window {k} ([{start:g}, {start + w:g}]) failed: {err}"
-        raise ConvergenceError(message, history=err.history, window_index=k) from err
+    traj, report = picard_window(data, w, cfg, forcing, _shared=rule, _at=rows)
     return traj, report, None if rows is None else (at, *rows[1])
 
 
 def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:
     """March the Picard solver over [0, horizon] in windows, sized and halved as :func:`_march` says.
 
-    Each window's node rows are copied as it completes, so its full arrays are freed, and stacked once
-    at the end; a failed attempt holds only the windows it ran, and a single window its rows, uncopied."""
+    Each window's node rows are copied once the next window arrives, so its full arrays are freed, and
+    stacked once at the end; a single window keeps its rows uncopied."""
     rows: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
 
-    def take(n_windows, k, times, u, ut):
+    def take(times, u, ut):
         for part, new in zip(rows, (u, ut)):
-            if k == 0:  # a new attempt: drop the rows of a failed one
-                part.clear()
-            part.append(new if n_windows == 1 else new.copy())
+            if part:
+                part[-1] = part[-1].copy()
+            part.append(new)
 
     marched = _march(d, cfg, forcing, take)
     stacked = []  # a single window is not copied: the copy lifts derivative-check's peak RSS
     for part in rows:  # the u rows are freed before the u_t rows are stacked: the end holds 1.5x the result
         stacked.append(part[0] if len(part) == 1 else np.concatenate(part))
         part.clear()
-    return Trajectory(marched.times, *stacked, d.grid, marched.edges, marched.reports, len(marched.failures))
+    return Trajectory(marched.times, *stacked, d.grid, marched.edges, marched.reports, marched.halvings)
 
 
 # ----------------------------------------------------------------------

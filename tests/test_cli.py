@@ -533,8 +533,8 @@ def test_solve_outputs_and_summary(tmp_path, capsys):
 
 
 _HALVING_SOLVE = {
-    # window 0 converges in 4 iterations, window 1 needs 5: the first attempt fails
-    # at k = 1 and the halved one (eight windows of 0.25) succeeds
+    # window 0 converges in 4 iterations, window 1 needs 5: window 1 is halved, and
+    # six windows of 0.25 tile the rest of [0, 2]
     "p": 2,
     "T": 2.0,
     "extent": 8.0,
@@ -554,9 +554,8 @@ _HALVING_SOLVE = {
     ids=["plain", "halving"],
 )
 def test_streamed_solve_matches_library_solve(tmp_path, monkeypatch, block):
-    if block is _HALVING_SOLVE:  # at most four Picard iterations and one halving
+    if block is _HALVING_SOLVE:  # at most four Picard iterations
         monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 4)
-        monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 1)
     cfg_path = write_config(tmp_path, {"solve": block})
     out = tmp_path / "cli"
     assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
@@ -568,9 +567,11 @@ def test_streamed_solve_matches_library_solve(tmp_path, monkeypatch, block):
     scfg = SolverConfig(p=p["p"], sign=p["sign"], horizon=p["T"], window_override=p["window"])
     if block is _HALVING_SOLVE:
         with monkeypatch.context() as no_halving, pytest.raises(ConvergenceError) as exc:
-            no_halving.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
+            # window 0 runs on 9 and 17 nodes and window 1 fails, so a budget of four runs stops the
+            # march after the first halved window
+            no_halving.setattr(solver_module, "MAX_SOLVE_WINDOWS", 4)
             solve(data, scfg)
-        assert exc.value.window_index == 1
+        assert exc.value.window_index == 2 and "(the last rejected: window 1 ([0.5, 1]) failed: " in str(exc.value)
     traj = solve(data, scfg)
     times = p["sample_times"] or np.linspace(0.0, p["T"], 5).tolist()
     # the rows at the requested times are the march's Duhamel evaluations there, as in the library
@@ -604,8 +605,8 @@ def test_solve_prints_the_requested_times_exactly(tmp_path, n):
 
 
 def test_solve_records_how_its_windows_were_sized(tmp_path, capsys):
-    # focusing data: the probe's contraction sizes ten windows of 9 nodes, window 6
-    # misses the quadrature target, and the halved attempt's twenty windows meet it
+    # focusing data: the probe's contraction sizes ten windows of 9 nodes, window 6 misses the
+    # quadrature target and reruns itself on 17, and windows 7-9 start on 17
     block = {"p": 3, "sign": -1, "T": 3.0, "nodes": 64, "data": {"kind": "gaussian", "amplitude": 3.0}}
     cfg_path = write_config(tmp_path, {"solve": block})
     outputs = []
@@ -615,39 +616,50 @@ def test_solve_records_how_its_windows_were_sized(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     sidecar = json.loads(outputs[0][0])
     rule = sidecar["window_rule"]
-    assert rule["window"] == 3.0 / 20 and rule["quadrature_target"] == 1e-8
+    assert rule["window"] == 3.0 / 10 and rule["quadrature_target"] == 1e-8
     assert rule["probe"]["window"] == 3.0 / 66 and 0 < rule["probe"]["contraction_ratio"] < 1e-2
-    assert rule["contraction_target"] == 1e-2 and rule["halvings"] == 1
-    # window 0 of the halved attempt meets the target on 9 nodes, so no doubling
-    assert rule["nodes"] == 9 and [(n["window"], n["nodes"]) for n in rule["node_doubling"]] == [(3.0 / 20, 9)]
-    assert rule["node_doubling"][0]["quadrature_estimate"] == sidecar["quadrature_estimates"][0] <= 1e-8
-    [failed] = rule["failed_attempts"]
-    assert (failed["windows"], failed["window_index"], failed["nodes"]) == (10, 6, 9)
-    assert failed["difference_norms"][-1] < 1e-12
-    assert len(sidecar["quadrature_estimates"]) == 20 and max(sidecar["quadrature_estimates"]) <= 1e-8
-    assert len(sidecar["energy"]) == len(sidecar["sample_times"]) == 20 * 8 + 1
+    assert rule["contraction_target"] == 1e-2 and rule["halvings"] == 0
+    assert sidecar["nodes"] == [9] * 6 + [17] * 4
+    [rejected] = sidecar["rejected"]
+    assert (rejected["start"], rejected["window"], rejected["nodes"]) == (sidecar["window_edges"][6], 3.0 / 10, 9)
+    assert rejected["quadrature_estimate"] > 1e-8 and rejected["difference_norms"][-1] < 1e-12
+    assert len(sidecar["quadrature_estimates"]) == 10 and max(sidecar["quadrature_estimates"]) <= 1e-8
+    assert len(sidecar["energy"]) == len(sidecar["sample_times"]) == 6 * 8 + 4 * 16 + 1
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("solve window rule: ")]
-    assert lines[-1].startswith("solve window rule: window 0.15 (probe window 0.0454545 contraction ")
-    assert lines[-1].endswith(f"nodes 9, largest estimate {max(sidecar['quadrature_estimates']):.3e}, halvings 1")
+    assert lines[-1].startswith("solve window rule: window 0.3 (probe window 0.0454545 contraction ")
+    estimate = max(sidecar["quadrature_estimates"])
+    assert lines[-1].endswith(f"nodes 9 to 17, largest estimate {estimate:.3e}, rejected runs 1, halvings 0")
 
 
-def test_halved_solve_keeps_only_the_rows_of_its_last_attempt(tmp_path):
-    # the sized march of these data halves 10 -> 20 windows; what the failed attempt
-    # streamed is dropped, so the outputs equal those of the run set to 20 windows
+def test_rejected_run_leaves_no_rows_in_the_outputs(tmp_path):
+    # the sized march of these data reruns window 6 of ten on 17 nodes; the rejected run on 9 nodes
+    # streams nothing, so the outputs equal those of the run set to the same ten windows, which reruns
+    # window 6 the same way
     block = {"p": 3, "sign": -1, "T": 3.0, "nodes": 64, "data": {"kind": "gaussian", "amplitude": 3.0}}
     outputs = []
-    for run, extra in (("sized", {}), ("set", {"window": 3.0 / 20})):
+    for run, extra in (("sized", {}), ("set", {"window": 3.0 / 10})):
         cfg_path = write_config(tmp_path, {"solve": {**block, **extra}}, name=f"{run}.json")
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / run)]) == 0
         sidecar = json.loads((tmp_path / run / "solve.json").read_text())
-        assert len(sidecar["iterations"]) == 20
+        assert len(sidecar["iterations"]) == 10 and len(sidecar["rejected"]) == 1
         outputs.append(((tmp_path / run / "trajectory.csv").read_bytes(), sidecar["energy"], sidecar["window_rule"]))
-    assert outputs[0][2]["halvings"] == 1 and outputs[1][2]["halvings"] == 0
+    assert outputs[0][2]["probe"] is not None and outputs[1][2]["probe"] is None
     assert outputs[0][:2] == outputs[1][:2]
 
 
+def test_focusing_march_exits_3_naming_the_t_it_reached(tmp_path, capsys):
+    # the focusing reproducer: windows shrink towards the blow-up near t = 4.579 until a halved one
+    # would be shorter than sqrt(eps) t
+    block = {"p": 3, "sign": -1, "T": 50.0, "nodes": 64, "data": {"kind": "gaussian", "amplitude": 3.0}}
+    cfg_path = write_config(tmp_path, {"solve": block})
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: window ") and "Traceback" not in err
+    assert err.rstrip().endswith("halved, it would be shorter than max(sqrt(eps) t, 2.23e-308); the march reached t = 4.57746")
+
+
 def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
+    monkeypatch.setattr(solver_module, "MAX_SOLVE_WINDOWS", 1)  # no run after window 0 fails
     monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 6)
     cfg_path = write_config(
         tmp_path,
@@ -666,29 +678,27 @@ def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys, monkeypatc
     assert "window 0" in capsys.readouterr().err
 
 
-def test_solve_power_overflow_exits_3(tmp_path, capsys, monkeypatch):
-    # the pointwise power overflows inside a Picard window; without halvings
-    # that is a non-convergence (exit 3), not a traceback.  The window is the
-    # a-priori one of these data: sized windows miss the quadrature target first
-    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
+def test_solve_power_overflow_exits_3(tmp_path, capsys):
+    # the pointwise power overflows inside every Picard window of these data, so window 0 halves until
+    # it would be shorter than the smallest normal float: a non-convergence (exit 3), not a traceback
     cfg_path = write_config(
         tmp_path,
         {
             "solve": {
                 "p": 3,
                 "sign": -1,
-                "T": 50.0,
+                "T": 1.0,
                 "nodes": 64,
-                "data": {"kind": "gaussian", "amplitude": 3.0},
-                "window": 0.0457,
+                "data": {"kind": "gaussian", "amplitude": 1e120},
+                "window": 0.5,
             }
         },
     )
     code = main(["solve", "--config", cfg_path, "--out", str(tmp_path / "x")])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: window ")
-    assert "overflowed" in err
+    assert err.startswith("error: window 0 ")
+    assert "overflowed" in err and err.rstrip().endswith("the march reached t = 0")
 
 
 def test_dispersion_command(tmp_path, capsys):

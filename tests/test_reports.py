@@ -82,6 +82,7 @@ def test_trajectory_csv_and_sidecar(tmp_path):
     assert sidecar["sample_times"] == traj.times.tolist()
     assert sidecar["transform_lengths"] == lengths
     assert len(sidecar["iterations"]) == len(traj.window_reports)
+    assert sidecar["nodes"] == list(marched.nodes) and sidecar["rejected"] == []
     # what `imbq solve` runs: the streamed march and the batched energy, not solve or energy
     assert sidecar["provenance"] == {
         "states": "imbq.solver._march",
@@ -92,6 +93,25 @@ def test_trajectory_csv_and_sidecar(tmp_path):
         "transform_lengths": "imbq.grid._padded_node_count",
     }
     json.dumps(sidecar)  # serializable
+
+
+def test_trajectory_csv_has_the_bytes_of_write_csv(tmp_path):
+    # the one-pass formatting against write_csv's per-cell path, over a sized march of several windows,
+    # requests between nodes and a repeated one
+    from imbq.grid import to_position
+    from imbq.reports import write_csv
+
+    traj = solve(gaussian_data(make_grid(8.0, 64), 0.1, 1.0, 0.05), SolverConfig(p=2, sign=1, horizon=3.0))
+    assert len(traj.window_reports) > 1
+    requests = [0.0, 0.7, 1.3, 1.3, 3.0]
+    rows = []
+    for t_req in requests:
+        i = int(np.argmin(np.abs(traj.times - t_req)))
+        samples = to_position(traj.state(i)[0]).real
+        rows.extend((float(traj.times[i]), float(x), float(v)) for x, v in zip(traj.grid.x, samples))
+    write_csv(str(tmp_path / "cells.csv"), ["t", "x", "u"], rows)
+    write_trajectory_csv(str(tmp_path / "lines.csv"), traj, requests)
+    assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def test_float_round_trip_in_csv(tmp_path):

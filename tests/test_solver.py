@@ -258,42 +258,53 @@ def test_one_flow_table_per_march_attempt(monkeypatch):
     assert calls == [9, 9, 17]
 
 
+def test_node_counts_carry_over_from_window_to_window(monkeypatch):
+    # focusing data: the probe sizes ten windows of 9 nodes and window 6 reruns itself on 17; windows
+    # 7-9 start on 17 nodes and share that run's table, so the march builds one table per node count
+    # and window length: the probe's, the sized windows' on 9 nodes and window 6's on 17
+    calls = _count_flow_tables(monkeypatch)
+    d = gaussian_data(make_grid(16.0, 64), amplitude=3.0)
+    marched = solver_module._march(d, SolverConfig(p=3, sign=-1, horizon=3.0), True, lambda *rows: None)
+    assert marched.nodes == (9,) * 6 + (17,) * 4
+    assert calls == [9, 9, 17]
+
+
 def test_halved_attempt_builds_a_new_flow_table(monkeypatch):
-    # the first attempt fails in window 1, the halved one marches eight windows
+    # window 0 doubles 9 -> 17 nodes and window 1 needs a fifth iteration on them: the halved window
+    # keeps its 17 nodes on a new table, which the six windows of 0.25 over [0.5, 2] share
     d = gaussian_data(make_grid(8.0, 64), amplitude=0.05, width=1.0, velocity_amplitude=1.0)
     monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 4)
-    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 1)
     cfg = SolverConfig(p=2, sign=1, horizon=2.0, window_override=0.5)
     calls = _count_flow_tables(monkeypatch)
     traj = solve(d, cfg)
-    assert len(traj.window_reports) == 8
-    # window 0 of the first attempt doubles 9 -> 17 nodes; the halved attempt sizes afresh, at 9
-    assert calls == [9, 17, 9]
+    assert (len(traj.window_reports), traj.halvings) == (7, 1)
+    assert traj.window_edges == (0.0, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+    assert calls == [9, 17, 17]
 
 
 def test_failed_attempt_holds_only_the_rows_of_the_windows_it_ran(monkeypatch):
-    # 2,000 set windows of 9 nodes on 512 nodes that fail at window 1: rows allocated up front for
-    # every window would take 2 (2000 * 8 + 1) 257 complex numbers, 132 MB
+    # 2,000 set windows of 9 nodes on 512 nodes whose window 1 always fails: rows allocated up front for
+    # every window would take 2 (2000 * 8 + 1) 257 complex numbers, 132 MB.  Window 1 halves down to
+    # the sqrt(eps) t floor, and the march holds only the rows of window 0
     calls = []
 
     def failing(d, window, *args, **kwargs):
         calls.append(window)
-        if len(calls) == 2:
+        if len(calls) >= 2:
             raise ConvergenceError("made to fail")
         return picard_window(d, window, *args, **kwargs)
 
     monkeypatch.setattr(solver_module, "picard_window", failing)
-    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
     d = small_data()
     up_front = 2 * (2000 * 8 + 1) * (d.grid.node_count // 2 + 1) * 16
     tracemalloc.start()
     try:
-        with pytest.raises(ConvergenceError, match="window 1 .* made to fail") as exc:
+        with pytest.raises(ConvergenceError, match=r"window 1 .* made to fail; halved") as exc:
             solve(d, SolverConfig(p=2, sign=1, horizon=1.0, window_override=1 / 2000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert exc.value.window_index == 1 and len(calls) == 2
+    assert exc.value.window_index == 1 and len(calls) > 2
     assert peak < up_front / 20
 
 
@@ -317,12 +328,57 @@ def test_probe_refuses_to_size_past_the_budget(monkeypatch):
 
 
 def test_march_refuses_to_halve_past_the_budget(monkeypatch):
-    # 6,000 windows fail in window 0; halved, 12,000 would pass the limit
+    # one Picard iteration allowed: window 0 of eight fails and halves at every run, and the eighth
+    # rejected run spends a budget of eight runs at t = 0
     monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 1)
-    cfg = SolverConfig(p=2, sign=1, horizon=1.0, window_override=1 / 6000)
-    with pytest.raises(ConvergenceError, match="12000 windows would pass the limit") as exc:
+    monkeypatch.setattr(solver_module, "MAX_SOLVE_WINDOWS", 8)
+    cfg = SolverConfig(p=2, sign=1, horizon=1.0, window_override=1 / 8)
+    message = r"^window 0 \(\[0, 0.000488281\]\) would pass the limit of 8 window runs .*; the march reached t = 0$"
+    with pytest.raises(ConvergenceError, match=message) as exc:
         solve(gaussian_data(make_grid(8.0, 64), 0.1, 1.0, 0.0), cfg)
     assert exc.value.window_index == 0 and len(exc.value.history) == 1
+
+
+def test_run_budget_counts_rejected_runs(monkeypatch):
+    # window 1 of four set windows of 0.25 is rejected twice; its third run, on 0.0625, is accepted, and
+    # the sixth run spends a budget of six, with three windows of 0.0625 accepted after window 0
+    calls = []
+
+    def failing(d, window, *args, **kwargs):
+        calls.append(window)
+        if len(calls) in (2, 3):
+            raise ConvergenceError("made to fail")
+        return picard_window(d, window, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "MAX_SOLVE_WINDOWS", 6)
+    cfg = SolverConfig(p=2, sign=1, horizon=1.0, window_override=0.25)
+    assert len(solve(small_data(), cfg).window_reports) == 4  # four runs without rejections
+    monkeypatch.setattr(solver_module, "picard_window", failing)
+    message = r"limit of 6 window runs .* made to fail\); the march reached t = 0.4375$"
+    with pytest.raises(ConvergenceError, match=message) as exc:
+        solve(small_data(), cfg)
+    assert calls == [0.25, 0.25, 0.125, 0.0625, 0.0625, 0.0625] and exc.value.window_index == 4
+
+
+def test_halved_window_below_the_floor_ends_the_march_naming_t(monkeypatch):
+    # window 2 of four set windows of 0.25 always fails: it halves from 2^-2 to 2^-26 = sqrt(eps) t at
+    # t = 0.5, where a further halving would be shorter than sqrt(eps) t, and the march ends there
+    calls = []
+
+    def failing(d, window, *args, **kwargs):
+        calls.append(window)
+        if len(calls) >= 3:
+            raise ConvergenceError("made to fail")
+        return picard_window(d, window, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "picard_window", failing)
+    message = r"made to fail; halved, it would be shorter than max\(sqrt\(eps\) t, 2.23e-308\); "
+    message += r"the march reached t = 0.5$"
+    with pytest.raises(ConvergenceError, match=message) as exc:
+        solve(small_data(), SolverConfig(p=2, sign=1, horizon=1.0, window_override=0.25))
+    assert exc.value.window_index == 2
+    assert calls == [0.25, 0.25] + [2.0**-h for h in range(2, 27)]
+    assert calls[-1] == math.sqrt(np.finfo(float).eps) * 0.5 * 2
 
 
 def test_picard_iteration_counts_on_quick_start_data():
@@ -338,7 +394,7 @@ def test_sized_solve_matches_half_its_window():
     # a-priori 85
     d = small_data()
     marched = solver_module._march(d, SolverConfig(p=2, sign=1, horizon=20.0), True, lambda *rows: None)
-    assert marched.probe[0] == 20.0 / 85 and marched.doubling[-1][1] == 17
+    assert marched.probe[0] == 20.0 / 85 and marched.nodes == (17,) * 14
     sized = solve(d, SolverConfig(p=2, sign=1, horizon=20.0))
     assert len(sized.window_reports) == 14 and sized.halvings == 0
     assert all(r.quadrature_estimate <= solver_module.QUADRATURE_TARGET for r in sized.window_reports)
@@ -381,77 +437,89 @@ def test_sized_solve_agrees_with_rk4():
 
 
 def test_window_missing_the_quadrature_target_is_halved(monkeypatch):
-    # focusing data whose estimate grows in time: of the ten sized windows of 9 nodes, window 6
-    # converges but misses the target, and the halved attempt's twenty windows meet it
-    d = gaussian_data(make_grid(16.0, 64), amplitude=3.0)
-    cfg = SolverConfig(p=3, sign=-1, horizon=3.0)
-    marched = solver_module._march(d, cfg, True, lambda *rows: None)
-    assert [f[:2] + (f.nodes,) for f in marched.failures] == [(10, 6, 9)]
-    assert marched.failures[0].differences[-1] < solver_module.PICARD_TOL  # converged: rejected on its estimate
-    assert len(marched.reports) == 20
-    assert all(r.quadrature_estimate <= 1e-8 for r in marched.reports)
-    assert solve(d, cfg).halvings == 1
-    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
-    with pytest.raises(ConvergenceError, match="quadrature estimate .* is above the target 1e-08") as exc:
-        solve(d, cfg)
-    assert exc.value.window_index == 6
-
-
-def test_window_too_long_for_the_largest_rule_is_cut_without_a_halving(monkeypatch):
     # small data over a long horizon: the probe's contraction sizes one window of 600, which 65 nodes
-    # cannot integrate; window 0 is cut to 18.75 (33 nodes) without spending a halving, so the one
-    # halving allowed is left for window 1's miss, and 64 windows of 33 nodes meet the target
+    # cannot integrate.  Window 0 doubles to 65 nodes and halves, keeping them, at 600, 300, 150, 75 and
+    # 37.5; it meets the target at 18.75, and so do the 31 windows of 18.75 that tile the rest of [0, 600]
     d = gaussian_data(make_grid(40.0, 64), amplitude=0.07)
     cfg = SolverConfig(p=5, sign=1, horizon=600.0)
-    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 1)
     marched = solver_module._march(d, cfg, True, lambda *rows: None)
-    assert [f[:2] + (f.nodes,) for f in marched.failures] == [(32, 1, 33)]
-    assert [run[:2] for run in marched.doubling] == [(9.375, 9), (9.375, 17), (9.375, 33)]
-    assert len(marched.reports) == 64
+    runs = [(600.0, 9), (600.0, 17), (600.0, 33), (600.0, 65), (300.0, 65), (150.0, 65), (75.0, 65), (37.5, 65)]
+    assert [(w, n) for _, w, n, _, _ in marched.rejected] == runs
+    # each run converged and was rejected on its estimate
+    assert all(t == 0.0 and e > 1e-8 and h[-1] < solver_module.PICARD_TOL for t, _, _, e, h in marched.rejected)
+    assert marched.halvings == 5 and marched.nodes == (65,) * 32
     assert all(r.quadrature_estimate <= 1e-8 for r in marched.reports)
     sized = solve(d, cfg)
     fine = solve(d, SolverConfig(p=5, sign=1, horizon=600.0, window_override=600.0 / 128))
     for a, b in zip(sized.final(), fine.final()):
         assert sobolev_norm(a - b, 0.0) <= 1e-9 * sobolev_norm(b, 0.0)
-    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
-    with pytest.raises(ConvergenceError, match=r"window 1 \(\[18.75, 37.5\]\) failed: its quadrature estimate"):
-        solve(d, cfg)
-    # the window budget bounds the cuts: the a-priori 17 windows pass it, the probe sizes one, window 0
-    # misses at 1, 2, 4, 8 and 16 windows, and the cut to 32 is refused
+    # the run budget bounds the halvings: the a-priori 17 windows pass a budget of 24, the 40 runs do not
     monkeypatch.setattr(solver_module, "MAX_SOLVE_WINDOWS", 24)
-    with pytest.raises(ConvergenceError, match=r"makes 32 windows over \[0, 600\]; limit 24") as exc:
+    with pytest.raises(ConvergenceError, match=r"limit of 24 window runs .*; the march reached t = 300$") as exc:
         solve(d, cfg)
-    assert exc.value.window_index is None
+    assert exc.value.window_index == 16
 
 
 @pytest.mark.parametrize(
-    "constants, extent, data, cfg, windows",
+    "extent, amplitude, cfg, windows, rejected",
     [
-        # the focusing case above: ten sized windows, halved to twenty
-        (dict(), 16.0, dict(amplitude=3.0), dict(p=3, sign=-1, horizon=3.0), 20),
-        # window 1 of four needs a fifth iteration, halved to eight
+        # window 1 of 24 misses the target on 9 nodes; a restart at t = 0 made 48 windows
+        (100.0, 0.2, dict(p=3, sign=1, horizon=50.0), 24, [(50.0 / 24, 9)]),
+        # window 6 of ten misses it on 9 nodes; a restart at t = 0 made 20 windows
+        (16.0, 3.0, dict(p=3, sign=-1, horizon=3.0), 10, [(1.8, 9)]),
+    ],
+    ids=["coarse", "focusing"],
+)
+def test_window_missing_the_quadrature_target_doubles_its_nodes(extent, amplitude, cfg, windows, rejected):
+    # a window that misses the target on fewer than 65 nodes reruns itself on twice the nodes, and the
+    # windows after it start there; nothing is halved
+    d = gaussian_data(make_grid(extent, 64), amplitude=amplitude)
+    cfg = SolverConfig(**cfg)
+    marched = solver_module._march(d, cfg, True, lambda *rows: None)
+    assert (len(marched.reports), marched.halvings) == (windows, 0)
+    assert [(t, n) for t, _, n, _, _ in marched.rejected] == rejected
+    assert all(r.quadrature_estimate <= 1e-8 for r in marched.reports)
+    sized = solve(d, cfg)
+    fine = solve(d, replace(cfg, window_override=cfg.horizon / (2 * windows)))
+    for a, b in zip(sized.final(), fine.final()):
+        assert sobolev_norm(a - b, 0.0) <= 1e-9 * sobolev_norm(b, 0.0)
+
+
+@pytest.mark.parametrize(
+    "rejecting, accepting, extent, data, cfg, k",
+    [
+        # window 6 misses the target on 9 nodes; a looser target accepts that run
+        (dict(), dict(QUADRATURE_TARGET=2e-8), 16.0, dict(amplitude=3.0), dict(p=3, sign=-1, horizon=3.0), 6),
+        # window 1 needs a fifth iteration and is halved; fifty iterations accept it
         (
-            dict(MAX_ITERATIONS=4, MAX_WINDOW_HALVINGS=1),
+            dict(MAX_ITERATIONS=4),
+            dict(),
             8.0,
             dict(amplitude=0.05, velocity_amplitude=1.0),
             dict(p=2, sign=1, horizon=2.0, window_override=0.5),
-            8,
+            1,
         ),
     ],
     ids=["focusing", "max_iterations"],
 )
-def test_halved_solve_equals_a_solve_at_the_halved_window(monkeypatch, constants, extent, data, cfg, windows):
-    # the failed attempt's rows are dropped: the halved march is bit-equal to one set to its window
-    for name, value in constants.items():
-        monkeypatch.setattr(solver_module, name, value)
+def test_windows_before_a_rejected_one_are_unchanged(monkeypatch, rejecting, accepting, extent, data, cfg, k):
+    # the march never goes back: windows 0 .. k-1 of a run that rejects window k are bit-equal to those
+    # of a run that accepts it
     d = gaussian_data(make_grid(extent, 64), **data)
     cfg = SolverConfig(**cfg)
-    halved = solve(d, cfg)
-    assert (halved.halvings, len(halved.window_reports)) == (1, windows)
-    direct = solve(d, replace(cfg, window_override=cfg.horizon / windows))
-    assert (direct.halvings, len(direct.window_reports)) == (0, windows)
+    runs = []
+    for constants in (rejecting, accepting):
+        with monkeypatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(solver_module, name, value)
+            runs.append((solve(d, cfg), solver_module._march(d, cfg, True, lambda *rows: None).rejected))
+    (first, rejected), (second, accepted) = runs
+    assert rejected[-1][0] == first.window_edges[k] and all(r[0] != first.window_edges[k] for r in accepted)
+    assert first.window_edges[: k + 1] == second.window_edges[: k + 1]
+    assert first.window_reports[:k] == second.window_reports[:k]
+    rows = np.searchsorted(first.times, first.window_edges[k], side="right")
     for name in ("times", "u", "u_t"):
-        assert np.array_equal(getattr(halved, name), getattr(direct, name))
+        assert np.array_equal(getattr(first, name)[:rows], getattr(second, name)[:rows])
 
 
 def test_quadrature_estimate_falls_spectrally_in_the_node_count():
@@ -726,7 +794,7 @@ def test_picard_power_overflow_is_a_convergence_error():
 def test_solve_propagates_window_index_on_failure(monkeypatch):
     g = make_grid(16.0, 256)
     d = gaussian_data(g, amplitude=5.0, width=2.0)
-    monkeypatch.setattr(solver_module, "MAX_WINDOW_HALVINGS", 0)
+    monkeypatch.setattr(solver_module, "MAX_SOLVE_WINDOWS", 1)  # no run after window 0 fails
     monkeypatch.setattr(solver_module, "MAX_ITERATIONS", 6)
     cfg = SolverConfig(p=2, sign=1, horizon=1.0, window_override=1.0)
     with pytest.raises(ConvergenceError) as exc:
