@@ -460,6 +460,30 @@ def test_window_missing_the_quadrature_target_is_halved(monkeypatch):
     assert exc.value.window_index == 16
 
 
+def test_window_too_long_for_the_largest_rule_is_cut_without_a_halving(monkeypatch):
+    # an a-priori window of 60, whose estimate on 65 nodes is 3.5e-3: the probe, converged on 9 nodes at
+    # ratio 0.217, cuts it to ceil(sqrt(21.7)) = 5 windows of 12, which double to 65 nodes and meet the target
+    d = gaussian_data(make_grid(40.0, 64), amplitude=0.3)
+    cfg = SolverConfig(p=3, sign=1, horizon=60.0)
+    fine = solve(d, replace(cfg, window_override=6.0))
+    monkeypatch.setattr(solver_module, "_window_length", lambda d, cfg, forcing: 60.0)
+    marched = solver_module._march(d, cfg, True, lambda *rows: None)
+    assert marched.probe[0] == 60.0 and marched.edges == (0.0, 12.0, 24.0, 36.0, 48.0, 60.0)
+    assert [(t, w, n) for t, w, n, _, _ in marched.rejected] == [(0.0, 12.0, 9), (0.0, 12.0, 17), (0.0, 12.0, 33)]
+    assert marched.halvings == 0 and marched.nodes == (65,) * 5
+    assert all(r.quadrature_estimate <= 1e-8 for r in marched.reports)
+    sized = solve(d, cfg)
+    for a, b in zip(sized.final(), fine.final()):
+        assert sobolev_norm(a - b, 0.0) <= 1e-9 * sobolev_norm(b, 0.0)
+    # the cut spends no run: three rejected and five accepted runs pass a budget of eight, not of seven
+    monkeypatch.setattr(solver_module, "MAX_SOLVE_WINDOWS", 8)
+    assert solve(d, cfg).window_edges == marched.edges
+    monkeypatch.setattr(solver_module, "MAX_SOLVE_WINDOWS", 7)
+    with pytest.raises(ConvergenceError, match=r"limit of 7 window runs .*; the march reached t = 48$") as exc:
+        solve(d, cfg)
+    assert exc.value.window_index == 4
+
+
 @pytest.mark.parametrize(
     "extent, amplitude, cfg, windows, rejected",
     [
