@@ -190,9 +190,6 @@ MAX_CORPUS_NODES = 10**7
 # work budget of the Picard solver (solve, derivative-check): the nodes of one dealiased row,
 # grid._dealiased_node_count(nodes, p)
 MAX_SOLVE_PADDED_NODES = 2**20
-# work budget of solve: Picard windows, ceil(T/window), refused here when set; solver._march also checks the
-# data-derived and sized counts and bounds its window runs, accepted or rejected, by it
-MAX_SOLVE_WINDOWS = solver.MAX_SOLVE_WINDOWS
 # work budget of inflate and derivative-check: the tau nodes of compute_Ap, each a row of the box-power
 # transforms; at this limit a p = 3 call on grid_for_boxes(32, 3) peaks at 228 MB maxrss (p = 5: 302 MB)
 MAX_TAU_NODES = 2**13 + 1
@@ -241,8 +238,8 @@ def _validate_block(command: str, block) -> dict:
         out["data"] = _validate_data(out["data"])
         _check_padded_row(command, out["nodes"], out["p"])
         windows = 1.0 if out["window"] is None else out["T"] / out["window"]  # may be inf
-        if windows - 1e-12 > MAX_SOLVE_WINDOWS:
-            raise ConfigError(f"solve T/window asks for {windows:.6g} windows; the limit is {MAX_SOLVE_WINDOWS}")
+        if windows - 1e-12 > solver.MAX_SOLVE_WINDOWS:  # set windows; solver._march checks the rest
+            raise ConfigError(f"solve T/window asks for {windows:.6g} windows; the limit is {solver.MAX_SOLVE_WINDOWS}")
         late = [t for t in out["sample_times"] or () if t > out["T"]]
         if late:
             raise ConfigError(f"solve sample_times entry {late[0]!r} is above T = {out['T']!r}")

@@ -409,7 +409,7 @@ def _solver_residual(
 ) -> float:
     scaled = d.data.scaled(eps)
     traj = solve(scaled, cfg)
-    u_final, _ = traj.state(traj.index_at(t))
+    u_final, _ = traj.final()  # the solve ends at its horizon t
     free = free_propagator(scaled, t)
     extracted = (u_final - free).scaled(math.factorial(p) / eps**p)
     return sobolev_norm(extracted - ap, 0.0) / sobolev_norm(ap, 0.0)

@@ -195,12 +195,6 @@ class Trajectory:
     def final(self) -> tuple[SpectralField, SpectralField]:
         return self.state(-1)
 
-    def index_at(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"no sample at t = {t}")
-        return i
-
 
 # ----------------------------------------------------------------------
 # linear propagator
@@ -295,8 +289,11 @@ def _rule(grid: FrequencyGrid, window: float, n: int, at=None) -> _Rule:
 # ----------------------------------------------------------------------
 # Duhamel functional and Picard iteration
 #
-# The Picard iterates are real fields, so everything below works on the
-# half layout of grid._half_spectrum: M/2 + 1 columns instead of M.
+# The Picard iterates are real fields, so everything below works on the half layout of
+# grid._half_spectrum: M/2 + 1 columns instead of M.  With g = u^p at the window nodes t_j,
+# _tau_integrals forms the products cos(t_j lam) g, sin(t_j lam) g and their prefix tau-integrals (one
+# real GEMM, _weighted), and _forcing turns prefix integrals at any times into the forcing term or its
+# time derivative.  The iteration, the velocity pass, the embedded estimate and the sample rows use them.
 
 
 def _free(a0, a1, table: _FlowTable, velocity=False) -> np.ndarray:
@@ -305,21 +302,18 @@ def _free(a0, a1, table: _FlowTable, velocity=False) -> np.ndarray:
     return -lam * sin_t * a0 + cos_t * a1 if velocity else cos_t * a0 + sin_over * a1
 
 
-def _reals(stack: np.ndarray) -> np.ndarray:
-    """The float64 view of (n, 2, k) complex products, one row per node."""
-    return stack.reshape(stack.shape[0], -1).view(np.float64)
-
-
-def _combined(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``weights`` times the (n, 2, k) products ``stack``: (m, 2, k), one real GEMM."""
-    return np.matmul(weights, _reals(stack)).view(np.complex128).reshape(-1, *stack.shape[1:])
+def _weighted(weights: np.ndarray, stack: np.ndarray, out=None) -> np.ndarray:
+    """``weights`` (m, n) times the (n, 2, k) complex products ``stack``: (m, 2, k), one real GEMM over
+    the float64 views, written into ``out`` if given."""
+    m, n = weights.shape
+    out = np.empty((m, *stack.shape[1:]), dtype=np.complex128) if out is None else out
+    np.matmul(weights, stack.reshape(n, -1).view(np.float64), out=out.reshape(m, -1).view(np.float64))
+    return out
 
 
 def _tau_integrals(u, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig):
-    """With g = u^p at half-layout node states ``u``: the (n, 2, k) products
-    cos(t_j lam) g, sin(t_j lam) g and their prefix tau-integrals, the
-    latter one real GEMM over the float64 view of the former.
-    """
+    """With g = u^p at half-layout node states ``u``: the (n, 2, k) products cos(t_j lam) g,
+    sin(t_j lam) g and their prefix tau-integrals by the rule's weights (:func:`_weighted`)."""
     g = _power_matrix(u, grid, cfg.p)
     n, k = g.shape
     # the GEMM's operand and result share one allocation and the result is combined in place,
@@ -328,31 +322,29 @@ def _tau_integrals(u, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig):
     np.multiply(rule.table.cos, g, out=stack[:, 0])
     np.multiply(rule.table.sin, g, out=stack[:, 1])
     del g
-    np.matmul(rule.weights, _reals(stack), out=_reals(sums))
+    _weighted(rule.weights, stack, out=sums)
     return stack, sums
 
 
-def _duhamel(u, free, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, velocity=False, sums=None) -> np.ndarray:
-    """``free`` plus the forcing term of the Duhamel map (with ``velocity``, of its
-    time derivative) at half-layout node states ``u``, or from their given
-    :func:`_tau_integrals` ``sums``, which it combines in place.
-    """
-    if sums is None:
-        sums = _tau_integrals(u, rule, grid, cfg)[1]
-    lam, cos_t, sin_t, _ = rule.table
+def _forcing(sums: np.ndarray, table: _FlowTable, sign: int, velocity=False, rows=slice(None)) -> np.ndarray:
+    """The forcing term sign lam int_0^t sin((t - tau) lam) g dtau of the Duhamel map, or with ``velocity``
+    its time derivative sign lam^2 int_0^t cos((t - tau) lam) g dtau, at the times of the table's ``rows``,
+    from the (m, 2, k) prefix tau-integrals ``sums`` of cos(tau lam) g, sin(tau lam) g; in place in ``sums``."""
+    lam, cos_t, sin_t, _ = table
     c, s = sums[:, 0], sums[:, 1]
     if velocity:
-        c *= cos_t
-        s *= sin_t
+        # cos((t - tau) lam) = cos(t lam) cos(tau lam) + sin(t lam) sin(tau lam)
+        c *= cos_t[rows]
+        s *= sin_t[rows]
         c += s
-        c *= cfg.sign * lam**2
+        c *= sign * lam**2
     else:
-        # sin((t_i - t_j) lam) = sin(t_i lam) cos(t_j lam) - cos(t_i lam) sin(t_j lam)
-        c *= sin_t
-        s *= cos_t
+        # sin((t - tau) lam) = sin(t lam) cos(tau lam) - cos(t lam) sin(tau lam)
+        c *= sin_t[rows]
+        s *= cos_t[rows]
         c -= s
-        c *= cfg.sign * lam
-    return free - c
+        c *= sign * lam
+    return c
 
 
 def _node_sizes(half: np.ndarray, grid: FrequencyGrid, s: float) -> np.ndarray:
@@ -371,29 +363,15 @@ def _node_sizes(half: np.ndarray, grid: FrequencyGrid, s: float) -> np.ndarray:
         return np.sqrt(mag**2 @ weights * c) + c * (mag @ count)
 
 
-def _embedded_error(stack, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig) -> float:
-    """Largest node size, over the even nodes, of the difference between the
-    forcing terms from the window's n-node rule and from the (n+1)/2-node rule
-    on its even nodes, with the (n, 2, k) products ``stack``.
-    """
-    lam, cos_t, sin_t, _ = rule.table
-    diff = _combined(rule.embedded, stack)
-    c, s = diff[:, 0], diff[:, 1]
-    c *= sin_t[2::2]
-    s *= cos_t[2::2]
-    c -= s
-    c *= lam
-    return float(np.max(_node_sizes(c, grid, cfg.s)))
-
-
 def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing: bool, at=None):
     """:func:`picard_window` on half-layout data (a0, a1) and a given rule: returns the half-layout node
     states u, u_t and the window's report; given ``at``, the rule's rows at other times (:func:`_rule`)
     and a list, appends the states u, u_t there to the list.
 
-    The report's quadrature estimate is :func:`_embedded_error` on the converged iterate over its
-    largest node size.  It takes the products of the velocity pass, which has them anyway, so it
-    costs no transform; so do the states at ``at``, the Duhamel formula there (no interpolation).
+    Each iterate is the free flow minus the :func:`_forcing` of the previous one's :func:`_tau_integrals`.
+    The velocity pass forms the converged iterate's products once.  The report's quadrature estimate (the
+    :func:`_forcing` of the rule's ``embedded`` rows at the even nodes, over the largest node size) and the
+    states at ``at`` (the Duhamel formula there, no interpolation) reuse them, so they cost no transform.
     """
     window = float(rule.times[-1])
     free = _free(a0, a1, rule.table)
@@ -401,7 +379,9 @@ def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing
     diffs: list[float] = []
     try:
         for _ in range(MAX_ITERATIONS):
-            new = _duhamel(current, free, rule, grid, cfg) if forcing else free
+            new = (
+                free - _forcing(_tau_integrals(current, rule, grid, cfg)[1], rule.table, cfg.sign) if forcing else free
+            )
             diff = float(np.max(_node_sizes(new - current, grid, cfg.s)))
             diffs.append(diff)
             current = new
@@ -415,11 +395,13 @@ def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing
         if forcing:
             size = float(np.max(_node_sizes(current, grid, cfg.s)))
             stack, sums = _tau_integrals(current, rule, grid, cfg)
-            estimate = _embedded_error(stack, rule, grid, cfg) / size if size > 0 else 0.0
-            ut = _duhamel(current, free, rule, grid, cfg, velocity=True, sums=sums)
-        for v in () if at is None else (False, True):  # each call combines its own product rows in place
+            error = _forcing(_weighted(rule.embedded, stack), rule.table, cfg.sign, rows=slice(2, None, 2))
+            estimate = float(np.max(_node_sizes(error, grid, cfg.s))) / size if size > 0 else 0.0
+            del error  # freed before the velocity pass allocates its result
+            ut = free - _forcing(sums, rule.table, cfg.sign, velocity=True)
+        for v in () if at is None else (False, True):  # each pass combines its own prefix integrals in place
             f = _free(a0, a1, at[0].table, velocity=v)
-            at[1].append(_duhamel(None, f, at[0], grid, cfg, v, _combined(at[0].weights, stack)) if forcing else f)
+            at[1].append(f - _forcing(_weighted(at[0].weights, stack), at[0].table, cfg.sign, v) if forcing else f)
     except OverflowError as err:
         message = f"Picard iteration on a window of length {window:g} failed after {len(diffs)} iterations: {err}"
         raise ConvergenceError(message, history=diffs) from err
@@ -431,9 +413,10 @@ def _picard(a0, a1, rule: _Rule, grid: FrequencyGrid, cfg: SolverConfig, forcing
 def picard_window(
     d: CauchyData, window: float, cfg: SolverConfig, forcing: bool = True, *, _shared: _Rule | None = None, _at=None
 ) -> tuple[Trajectory, ContractionReport]:
-    """Iterate the Duhamel map to its fixed point on [0, window].
+    """Iterate the Duhamel map to its fixed point on [0, window] (:func:`_picard`).
 
-    Starts from the free evolution and stops when the max over the nodes of
+    Starts from the free evolution, subtracts from it the :func:`_forcing` of each iterate's
+    :func:`_tau_integrals` for the next, and stops when the max over the nodes of
     H^s + (dxi/2pi) sum |u_hat| of the iterate difference, the report's
     ``differences``, drops below :data:`PICARD_TOL`; the second term bounds the
     sup norm from above.  Raises :class:`ConvergenceError` with the
@@ -517,18 +500,18 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take, samples=()) ->
     decrease and windows never lengthen after the probe.  Each accepted window stamps its last node with
     its end and calls ``take(times, u, u_t)`` with the node rows it adds: all of window 0, then all but the
     first.  Each of the sorted, distinct ``samples`` in [0, horizon] is the Duhamel formula of its window at
-    that time (:func:`_picard`).  Continuation data at a window end is the converged state and the velocity
-    of the differentiated Duhamel formula.  :class:`ConvergenceError` ends a march whose tiling passes
-    :data:`MAX_SOLVE_WINDOWS` windows at its start or once sized, and, naming the window and the t reached,
-    one whose window runs, accepted or rejected, would pass it, or whose halved window would be shorter than
-    sqrt(eps) t (at t = 0, than the smallest normal float).
+    that time: the window's :func:`picard_window` run takes the rule's rows there (``_at``).  Continuation
+    data at a window end is the converged state and the velocity of the differentiated Duhamel formula.
+    :class:`ConvergenceError` ends a march whose tiling passes :data:`MAX_SOLVE_WINDOWS` windows at its start
+    or once sized, and, naming the window and the t reached, one whose window runs, accepted or rejected,
+    would pass it, or whose halved window would be shorter than max(sqrt(eps) t, eps horizon).
     """
     horizon = cfg.horizon
     base = _window_length(d, cfg, forcing)
     n = _window_count(horizon / base if base > 0 else math.inf, horizon)
     sized = forcing and cfg.window_override is None
     samples = np.asarray(samples, dtype=float)
-    floats = np.finfo(float)
+    eps = float(np.finfo(float).eps)
     # the tiling is (t0, n) from the last halving and j the next window of it; a new node count or
     # window length drops the shared rule
     t0, j, nodes, rule, data, probe, halvings, reason, history = 0.0, 0, 9, None, d, None, 0, None, ()
@@ -543,9 +526,10 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take, samples=()) ->
         rule = rule or _rule(d.grid, w, nodes)
         # the window holds the samples in (start, end] (and 0 for window 0), the last one all that are left
         lo = 0 if k == 0 else np.searchsorted(samples, start, side="right")
-        hi = samples.size if j + 1 == n else np.searchsorted(samples, end, side="right")
+        at = samples[lo:] if j + 1 == n else samples[lo : np.searchsorted(samples, end, side="right")]
+        rows = (_rule(d.grid, w, nodes, at - start), []) if at.size else None
         try:
-            traj, report, rows = _run_window(data, cfg, forcing, rule, start, samples[lo:hi])
+            traj, report = picard_window(data, w, cfg, forcing, _shared=rule, _at=rows)
         except ConvergenceError as err:
             report, reason, history = None, f"{where} failed: {err}", err.history
         else:
@@ -566,7 +550,7 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take, samples=()) ->
                 reports.append(report)
                 counts.append(nodes)
                 if rows is not None:
-                    sampled.append(rows)
+                    sampled.append((at, *rows[1]))
                 data, j = CauchyData(*traj.final()), j + 1
                 continue
             above = f"its quadrature estimate {estimate:.3g} is above the target {QUADRATURE_TARGET:g}"
@@ -575,22 +559,14 @@ def _march(d: CauchyData, cfg: SolverConfig, forcing: bool, take, samples=()) ->
         if report is not None and nodes < MAX_QUADRATURE_NODES:
             nodes, rule = 2 * nodes - 1, None
             continue
-        if not w / 2 > max(math.sqrt(floats.eps) * start, floats.tiny):
-            message = f"{reason}; halved, it would be shorter than max(sqrt(eps) t, {floats.tiny:.3g})"
+        if not w / 2 > max(math.sqrt(eps) * start, eps * horizon):
+            message = f"{reason}; halved, it would be shorter than max(sqrt(eps) t, eps T = {eps * horizon:.3g})"
             raise ConvergenceError(f"{message}; the march reached t = {start:.6g}", history, k)
-        # a float count, as halvings at t = 0 go on to the smallest normal window
-        t0, n, j, rule, halvings = start, 2.0 * (n - j), 0, None, halvings + 1
+        # the floor keeps the count below 1/eps = 2^52, so it converts to a float exactly
+        t0, n, j, rule, halvings = start, 2 * (n - j), 0, None, halvings + 1
     states = Trajectory(*(np.concatenate(part) for part in zip(*sampled)), d.grid) if sampled else None
     marched = (np.concatenate(times), tuple(edges), tuple(reports), probe, tuple(counts), tuple(rejected), halvings)
     return _Marched(*marched, states)
-
-
-def _run_window(data: CauchyData, cfg: SolverConfig, forcing: bool, rule: _Rule, start, at=()):
-    """:func:`picard_window` on ``rule`` from ``start``: its trajectory, report and (times, u, u_t) at ``at`` or None."""
-    w = float(rule.times[-1])
-    rows = (_rule(data.grid, w, rule.times.shape[0], at - start), []) if len(at) else None
-    traj, report = picard_window(data, w, cfg, forcing, _shared=rule, _at=rows)
-    return traj, report, None if rows is None else (at, *rows[1])
 
 
 def solve(d: CauchyData, cfg: SolverConfig, forcing: bool = True) -> Trajectory:

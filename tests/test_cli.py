@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -18,7 +19,6 @@ from imbq.cli import (
     MAX_BESOV_RESOLUTION,
     MAX_DISPERSION_SAMPLES,
     MAX_SOLVE_PADDED_NODES,
-    MAX_SOLVE_WINDOWS,
     MAX_TAU_NODES,
     SCHEMAS,
     TOP_LEVEL_KEYS,
@@ -31,7 +31,15 @@ from imbq.cli import (
 from imbq.grid import make_grid, sobolev_norm
 from imbq.inflation import InflationReport
 from imbq.reports import DispersionReport, DispersionRow, write_trajectory_csv
-from imbq.solver import ConvergenceError, SolverConfig, energy_series, gaussian_data, solve
+from imbq.solver import (
+    MAX_SOLVE_WINDOWS,
+    ConvergenceError,
+    SolverConfig,
+    energy_series,
+    gaussian_data,
+    picard_window,
+    solve,
+)
 from imbq import solver as solver_module
 
 
@@ -649,13 +657,13 @@ def test_rejected_run_leaves_no_rows_in_the_outputs(tmp_path):
 
 def test_focusing_march_exits_3_naming_the_t_it_reached(tmp_path, capsys):
     # the focusing reproducer: windows shrink towards the blow-up near t = 4.579 until a halved one
-    # would be shorter than sqrt(eps) t
+    # would be shorter than max(sqrt(eps) t, eps T)
     block = {"p": 3, "sign": -1, "T": 50.0, "nodes": 64, "data": {"kind": "gaussian", "amplitude": 3.0}}
     cfg_path = write_config(tmp_path, {"solve": block})
     assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: window ") and "Traceback" not in err
-    assert err.rstrip().endswith("halved, it would be shorter than max(sqrt(eps) t, 2.23e-308); the march reached t = 4.57746")
+    assert err.rstrip().endswith("halved, it would be shorter than max(sqrt(eps) t, eps T = 1.11e-14); the march reached t = 4.57746")
 
 
 def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys, monkeypatch):
@@ -678,9 +686,17 @@ def test_solve_nonconvergence_exits_3_naming_window(tmp_path, capsys, monkeypatc
     assert "window 0" in capsys.readouterr().err
 
 
-def test_solve_power_overflow_exits_3(tmp_path, capsys):
+def test_solve_power_overflow_exits_3(tmp_path, capsys, monkeypatch):
     # the pointwise power overflows inside every Picard window of these data, so window 0 halves until
-    # it would be shorter than the smallest normal float: a non-convergence (exit 3), not a traceback
+    # it would be shorter than eps T: a non-convergence (exit 3), not a traceback, after 51 window runs
+    # from 2^-1 down to 2^-51 (with the smallest normal float as the floor it took 1,021)
+    windows = []
+
+    def counted(d, window, *args, **kwargs):
+        windows.append(window)
+        return picard_window(d, window, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "picard_window", counted)
     cfg_path = write_config(
         tmp_path,
         {
@@ -699,6 +715,7 @@ def test_solve_power_overflow_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: window 0 ")
     assert "overflowed" in err and err.rstrip().endswith("the march reached t = 0")
+    assert len(windows) <= 60 and windows[-1] > np.finfo(float).eps
 
 
 def test_dispersion_command(tmp_path, capsys):
@@ -777,11 +794,13 @@ def test_emit_plot_dispersion_markers(tmp_path):
 
 
 def test_console_entry_point_runs():
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]  # the checkout's package, installed or not
     proc = subprocess.run(
         [sys.executable, "-m", "imbq", "dispersion", "--out", "/tmp/imbq_cli_smoke"],
         capture_output=True,
         text=True,
         timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
     )
     assert proc.returncode == 0
     assert "dispersion k=100" in proc.stdout
