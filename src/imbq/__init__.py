@@ -30,7 +30,6 @@ from .inflation import (
     brute_force_Ap,
     compute_Ap,
     flowmap_derivative_check,
-    free_evolution_hat,
     generic_term_complex,
     generic_term_real,
     grid_for_boxes,

@@ -26,7 +26,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -193,6 +192,8 @@ MAX_SOLVE_PADDED_NODES = 2**20
 # work budget of inflate and derivative-check: the tau nodes of compute_Ap, each a row of the box-power
 # transforms; at this limit a p = 3 call on grid_for_boxes(32, 3) peaks at 228 MB maxrss (p = 5: 302 MB)
 MAX_TAU_NODES = 2**13 + 1
+# work budget of inflate: the nodes of its grid_for_boxes grid; N = 16384 at p = 3 needs 6,292,480
+MAX_BOX_GRID_NODES = 2**23
 
 
 def _check_padded_row(command: str, nodes: int, p: int):
@@ -243,12 +244,16 @@ def _validate_block(command: str, block) -> dict:
         late = [t for t in out["sample_times"] or () if t > out["T"]]
         if late:
             raise ConfigError(f"solve sample_times entry {late[0]!r} is above T = {out['T']!r}")
-    if command == "inflate" and len(set(out["N"])) < len(out["N"]):
-        raise ConfigError(f"inflate N values must be distinct, got {out['N']}")
+    if command == "inflate":
+        if len(set(out["N"])) < len(out["N"]):
+            raise ConfigError(f"inflate N values must be distinct, got {out['N']}")
+        nodes = inflation._box_grid_nodes(int(max(out["N"])), out["p"], out["dxi"])
+        if nodes > MAX_BOX_GRID_NODES:
+            raise ConfigError(f"inflate asks for a box grid of {nodes} nodes; limit {MAX_BOX_GRID_NODES}")
     if out.get("tau_nodes", 0) > MAX_TAU_NODES:
         raise ConfigError(f"{command} tau_nodes {out['tau_nodes']} is above the limit {MAX_TAU_NODES}")
-    if command == "derivative-check":  # the grid of inflation.grid_for_boxes, in exact arithmetic
-        _check_padded_row(command, round(2 * (out["p"] * (out["N"] + 2) + 2) / Fraction(out["dxi"])), out["p"])
+    if command == "derivative-check":
+        _check_padded_row(command, inflation._box_grid_nodes(out["N"], out["p"], out["dxi"]), out["p"])
         if not _extraction_in_range(out["eps"], out["p"]):
             raise ConfigError(
                 f"derivative-check eps {out['eps']!r}: eps**p or p!/eps**p (p = {out['p']}, at eps and eps/2) "

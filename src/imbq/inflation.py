@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .grid import (
     sobolev_norm,
 )
 from .solver import CauchyData, SolverConfig, free_propagator, solve
-from .solver import _lobatto_nodes, _lobatto_weights, _nested_difference
+from .solver import _flow_table, _free, _lobatto_nodes, _lobatto_weights, _nested_difference
 
 __all__ = [
     "IPData",
@@ -47,7 +47,6 @@ __all__ = [
     "EVEN_BAND",
     "make_ip_data",
     "grid_for_boxes",
-    "free_evolution_hat",
     "generic_term_real",
     "generic_term_complex",
     "compute_Ap",
@@ -85,28 +84,35 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class IPData:
-    """Realized box data on a grid: masks of the two boxes plus the CauchyData."""
+    """Realized box data on a grid: the node ranges of the plus box [N, N+1) and its mirror, plus the CauchyData."""
 
     N: int
     grid: FrequencyGrid
     data: CauchyData
-    plus_mask: np.ndarray = field(repr=False)
-    minus_mask: np.ndarray = field(repr=False)
+    plus: slice
+    minus: slice
+
+
+def _box_grid_nodes(n_max: int, p: int, dxi: float) -> int:
+    """Node count of :func:`grid_for_boxes`: 2 (p (n_max + 2) + 2) / dxi rounded half to even, made even;
+    in exact arithmetic, so a budget can check it for any p and n_max before a grid exists."""
+    num, den = float(dxi).as_integer_ratio()
+    count, rest = divmod(2 * (p * (n_max + 2) + 2) * den, num)
+    count += 2 * rest > num  # a tie rounds to the even count, as the evening below does
+    return count + count % 2
 
 
 def grid_for_boxes(n_max: int, p: int, dxi: float = 1.0 / 64.0) -> FrequencyGrid:
     """Default experiment grid: extent p*(n_max + 2) + 2 at spacing dxi."""
-    extent = p * (n_max + 2) + 2
-    node_count = int(round(2 * extent / dxi))
-    return FrequencyGrid(dxi=dxi, node_count=node_count + node_count % 2)
+    return FrequencyGrid(dxi=dxi, node_count=_box_grid_nodes(n_max, p, dxi))
 
 
 def make_ip_data(N: int, grid: FrequencyGrid) -> IPData:
     """Box data with u0_hat the indicator of [N, N+1) union its mirror.
 
-    Bins are left-closed on the positive side and mirrored exactly on the
-    negative side (so Hermitian symmetry is exact and the box mass is
-    exactly 1 per box).  Requires 1/dxi integer and the box inside the grid.
+    The plus box is the node range [index_of(N), index_of(N+1)): bins are left-closed on the
+    positive side.  The minus box mirrors it node for node, k -> M - k, so Hermitian symmetry is
+    exact and the box mass is exactly 1 per box.  Requires 1/dxi integer and the box inside the grid.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -115,26 +121,18 @@ def make_ip_data(N: int, grid: FrequencyGrid) -> IPData:
         raise ValueError(f"grid spacing {grid.dxi} does not divide 1")
     if N + 1 >= grid.extent:
         raise ValueError(f"box [{N}, {N + 1}] falls outside the grid extent {grid.extent}")
-    xi = grid.xi
-    plus = (xi >= N) & (xi < N + 1)
-    # mirror node of index k is M - k; the leftmost node (k = 0) has no partner
-    minus = np.zeros_like(plus)
-    minus[1:] = plus[1:][::-1]
-    lam = lambda_symbol(xi)
-    amp0 = plus.astype(np.complex128) + minus.astype(np.complex128)
-    amp1 = -1j * lam * (plus.astype(np.complex128) - minus.astype(np.complex128))
+    m = grid.node_count
+    lo, hi = grid.index_of(N), grid.index_of(N + 1)
+    plus, minus = slice(lo, hi), slice(m - hi + 1, m - lo + 1)
+    lam = lambda_symbol(grid.xi)
+    amp0, amp1 = np.zeros((2, m), dtype=np.complex128)
+    amp0[plus] = amp0[minus] = 1.0
+    amp1[plus], amp1[minus] = -1j * lam[plus], 1j * lam[minus]
     data = CauchyData(
         SpectralField(grid, amp0, real_valued=True),
         SpectralField(grid, amp1, real_valued=True),
     )
-    return IPData(N=N, grid=grid, data=data, plus_mask=plus, minus_mask=minus)
-
-
-def free_evolution_hat(d: IPData, t: float) -> SpectralField:
-    """Closed form of the free flow on box data: pure phases on the boxes."""
-    lam = lambda_symbol(d.grid.xi)
-    amp = np.exp(-1j * t * lam) * d.plus_mask + np.exp(1j * t * lam) * d.minus_mask
-    return SpectralField(d.grid, amp, real_valued=True)
+    return IPData(N=N, grid=grid, data=data, plus=plus, minus=minus)
 
 
 # ----------------------------------------------------------------------
@@ -178,11 +176,6 @@ def generic_term_complex(alpha, beta, t):
 # the p-th derivative, FFT route
 
 
-def _box_slice(mask: np.ndarray) -> slice:
-    idx = np.flatnonzero(mask)
-    return slice(int(idx[0]), int(idx[-1]) + 1)
-
-
 def _box_power_terms(d: IPData, g_plus: np.ndarray, g_minus: np.ndarray, p: int):
     """p-fold convolution power of a spectrum supported on the two boxes.
 
@@ -198,7 +191,7 @@ def _box_power_terms(d: IPData, g_plus: np.ndarray, g_minus: np.ndarray, p: int)
     solver extraction in :func:`flowmap_derivative_check`.
     """
     m = d.grid.node_count
-    i_plus, i_minus = _box_slice(d.plus_mask).start, _box_slice(d.minus_mask).start
+    i_plus, i_minus = d.plus.start, d.minus.start
     L = g_plus.shape[-1]  # the minus box mirrors the plus box node for node
     width = p * (L - 1) + 1
     n_fft = _fast_length(width)
@@ -218,8 +211,9 @@ def compute_Ap(
 ) -> SpectralField:
     """p-th derivative of the flow map at zero along the box data, at time t.
 
-    At each of ``q.tau_nodes`` Chebyshev-Lobatto nodes tau of [0, t] the free evolution's spectrum,
-    supported on the two boxes, is raised to the p-th convolution power box by box, and weighted by
+    At each of ``q.tau_nodes`` Chebyshev-Lobatto nodes tau of [0, t] the free evolution of the data,
+    the solver's ``_free`` on a flow table of the box nodes (pure phases e^{-+i tau lambda} on the two
+    boxes), is raised to the p-th convolution power box by box, and weighted by
     -sign * p! * lambda * sin((t - tau) lambda); the part of the power beyond the grid is dropped.
     The solver's Lobatto rule integrates over tau; its change from the nested (n+1)/2-node rule on
     the even nodes, which needs no further transform, must be at most 1e-6 relative, else
@@ -237,10 +231,12 @@ def compute_Ap(
     taus = _lobatto_nodes(q.tau_nodes, t)
     row = _lobatto_weights(q.tau_nodes, t, t)
     weights = np.stack([row, _nested_difference(row, t, t)])
-    lam = lambda_symbol(d.grid.xi)
-    g_plus = np.exp(-1j * np.outer(taus, lam[_box_slice(d.plus_mask)]))
-    g_minus = np.exp(1j * np.outer(taus, lam[_box_slice(d.minus_mask)]))
+    xi, u0, u1 = d.grid.xi, d.data.u0.amplitudes, d.data.u1.amplitudes
+    g_plus, g_minus = (_free(u0[box], u1[box], _flow_table(xi[box], taus)) for box in (d.plus, d.minus))
+    lam = lambda_symbol(xi)
     accum = np.zeros((2, d.grid.node_count), dtype=np.complex128)
+    # sin((t - tau) lam) at the one output time t, directly: solver._forcing's addition identity serves
+    # prefix integrals at every node, and routed through it this loop measured about 2x slower
     for lo, hi, term in _box_power_terms(d, g_plus, g_minus, p):
         accum[:, lo:hi] += weights @ (np.sin(np.outer(t - taus, lam[lo:hi])) * term)
     value, change = -sign * math.factorial(p) * lam * accum
@@ -271,10 +267,11 @@ def brute_force_Ap(d: IPData, p: int, sign: int, t: float) -> SpectralField:
     m = grid.node_count
     xi = grid.xi
     lam = lambda_symbol(xi)
-    signed_lam = np.where(d.plus_mask, lam, -lam)
+    signed_lam = -lam
+    signed_lam[d.plus] = lam[d.plus]
     out = np.zeros(m, dtype=np.complex128)
     scale = (grid.dxi / (2.0 * np.pi)) ** (p - 1)
-    for cell in itertools.product(np.flatnonzero(d.plus_mask | d.minus_mask), repeat=p):
+    for cell in itertools.product([*range(m)[d.minus], *range(m)[d.plus]], repeat=p):
         k = sum(cell) - (p - 1) * (m // 2)
         if 0 <= k < m:
             alpha = lambda_symbol(sum(xi[i] for i in cell))
@@ -316,10 +313,6 @@ class InflationReport:
         return self.slope is not None and abs(self.slope - self.expected_slope) <= slope_tol
 
 
-def _band_for(p: int, N: int) -> BandWindow:
-    return EVEN_BAND if p % 2 == 0 else BandWindow(float(N), float(N + 1))
-
-
 def inflation_ratio(
     d: IPData, p: int, sign: int, s: float, t: float, q: QuadratureConfig | None = None
 ) -> InflationRow:
@@ -328,7 +321,7 @@ def inflation_ratio(
     The restriction band is [1/4, 1/2] for even p (where only balanced sign
     patterns land) and [N, N+1] for odd p.
     """
-    band = _band_for(p, d.N)
+    band = EVEN_BAND if p % 2 == 0 else BandWindow(float(d.N), float(d.N + 1))
     ap = compute_Ap(d, p, sign, t, q)
     numerator = restricted_norm(ap, band, s)
     denominator = (sobolev_norm(d.data.u0, s) + sobolev_norm(d.data.u1, s)) ** p

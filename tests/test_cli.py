@@ -17,6 +17,7 @@ from imbq.cli import (
     COMMANDS,
     DATA_SCHEMAS,
     MAX_BESOV_RESOLUTION,
+    MAX_BOX_GRID_NODES,
     MAX_DISPERSION_SAMPLES,
     MAX_SOLVE_PADDED_NODES,
     MAX_TAU_NODES,
@@ -242,6 +243,27 @@ def test_tau_nodes_budget_is_refused_at_parse_time(tmp_path, capsys, command, bl
     assert main([command, "--config", over, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n, nodes", [(10**9, 384000001024), (10**5, 38401024), (21843, 8388736)])
+def test_inflate_box_grid_budget_exits_2_at_parse_time(tmp_path, capsys, n, nodes):
+    # the grid_for_boxes grid of the largest N, 2 (3 (N + 2) + 2) * 64 nodes at p = 3, is never allocated
+    cfg_path = write_config(tmp_path, {"inflate": {"p": 3, "s": -0.5, "t": 0.5, "N": [8, n]}})
+    message = f"inflate asks for a box grid of {nodes} nodes; limit {MAX_BOX_GRID_NODES}"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config(["inflate", "--config", cfg_path])
+    start = time.perf_counter()
+    assert main(["inflate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_inflate_box_grid_budget_admits_n_16384_at_p_3(tmp_path):
+    # 6,292,480 nodes; N = 21842 is the largest N at p = 3 within the limit
+    for n in (16384, 21842):
+        cfg_path = write_config(tmp_path, {"inflate": {"p": 3, "s": -0.5, "t": 0.5, "N": [n]}})
+        assert parse_config(["inflate", "--config", cfg_path]).params["N"] == [n]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
-"""Smoke tests: every demo runs to exit 0, and every module's ``__all__`` imports."""
+"""Smoke tests: every demo runs to exit 0, every module's ``__all__`` imports, and the package
+has no unused import and no unreferenced private module-level name."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
+SRC = os.path.join(ROOT, "src", "imbq")
 MODULES = ["imbq", "imbq.cli", "imbq.grid", "imbq.inflation", "imbq.reports", "imbq.solver", "imbq.svgplot", "imbq.symbols"]
 
 
@@ -35,3 +38,59 @@ def test_star_import_of_every_export(module):
     exec(f"from {module} import *", {})
     if names is not None:
         assert len(set(names)) == len(names)
+
+
+def _package_trees():
+    trees = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as handle:
+                trees[name] = ast.parse(handle.read())
+    return trees
+
+
+def _references(tree) -> set:
+    """Names a module reads: loaded names, attribute names (``solver._march``) and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_no_unused_import_in_the_package():
+    # __init__ imports only to re-export
+    unused = []
+    for name, tree in _package_trees().items():
+        if name == "__init__.py":
+            continue
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{name}: {bound}")
+    assert not unused
+
+
+def test_every_private_module_level_name_is_referenced():
+    trees = _package_trees()
+    referenced = set().union(*map(_references, trees.values()))
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private = (d for d in defined if d.startswith("_") and not d.startswith("__"))
+            unreferenced += [f"{name}: {d}" for d in private if d not in referenced]
+    assert not unreferenced

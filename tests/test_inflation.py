@@ -8,11 +8,10 @@ from imbq.grid import BandWindow, FrequencyGrid, lambda_symbol, restricted_norm,
 from imbq.inflation import (
     QuadratureConfig,
     QuadratureError,
+    _box_grid_nodes,
     _box_power_terms,
-    _box_slice,
     brute_force_Ap,
     compute_Ap,
-    free_evolution_hat,
     generic_term_complex,
     generic_term_real,
     grid_for_boxes,
@@ -26,6 +25,13 @@ from imbq.solver import free_propagator
 def coarse_setup(N=8):
     grid = FrequencyGrid(1.0 / 16.0, 2 * 4 * (N + 2) * 16)
     return make_ip_data(N, grid)
+
+
+def box_masks(d):
+    # the node ranges of the two boxes as masks over the grid
+    plus, minus = np.zeros((2, d.grid.node_count), dtype=bool)
+    plus[d.plus] = minus[d.minus] = True
+    return plus, minus
 
 
 def padded_fft_power(amp, grid, p):
@@ -57,8 +63,41 @@ def test_make_ip_data_box_mass_and_symmetry():
     assert d.data.u1.hermitian_defect() == 0.0
     # |u0_hat| is exactly the indicator of the two boxes
     mag = np.abs(d.data.u0.amplitudes)
-    assert np.array_equal(mag != 0, d.plus_mask | d.minus_mask)
-    assert np.all(mag[d.plus_mask] == 1.0)
+    plus, minus = box_masks(d)
+    assert np.array_equal(mag != 0, plus | minus)
+    assert np.all(mag[d.plus] == 1.0)
+
+
+@pytest.mark.parametrize("dxi", [1 / 16, 1 / 64])
+def test_box_ranges_are_the_unit_box_and_its_mirror(dxi):
+    # the ranges hold exactly the nodes N <= xi < N+1 and their mirrors k -> M - k; the second grid
+    # ends one bin above the box, so the plus range stops at node M - 1
+    n = 8
+    for grid in (grid_for_boxes(n, 2, dxi), FrequencyGrid(dxi, 2 * round((n + 1) / dxi) + 2)):
+        d = make_ip_data(n, grid)
+        m, xi = grid.node_count, grid.xi
+        plus = np.flatnonzero((xi >= n) & (xi < n + 1))
+        minus = np.sort(m - plus)
+        assert np.array_equal(np.arange(m)[d.plus], plus)
+        assert np.array_equal(np.arange(m)[d.minus], minus)
+    assert d.plus.stop == m - 1 and d.minus.start == 2
+
+
+def test_box_ranges_hold_one_unit_of_bins():
+    # at dxi = 1/49 the floating-point nodes of [4, 5) do not give 49 bins; the ranges do
+    d = make_ip_data(4, grid_for_boxes(4, 2, 1 / 49))
+    assert len(range(d.grid.node_count)[d.plus]) == len(range(d.grid.node_count)[d.minus]) == 49
+    assert d.grid.xi[d.plus.start] == pytest.approx(4.0, abs=1e-12)
+    assert d.grid.xi[d.minus.stop - 1] == -d.grid.xi[d.plus.start]
+
+
+def test_box_grid_nodes_is_the_float_formula_in_exact_arithmetic():
+    # extent p*(N+2)+2 at spacing dxi, 2*extent/dxi rounded and made even
+    for k, p, n in product(range(1, 129), (2, 3, 5), (1, 7, 64, 1000, 16384)):
+        count = int(round(2 * (p * (n + 2) + 2) / (1.0 / k)))
+        assert _box_grid_nodes(n, p, 1.0 / k) == count + count % 2 == grid_for_boxes(n, p, 1.0 / k).node_count
+    # beyond the float range of p the count stays exact
+    assert _box_grid_nodes(8, 10**20, 1 / 64) == 2 * (10**20 * 10 + 2) * 64
 
 
 def test_make_ip_data_rejections():
@@ -89,21 +128,19 @@ def test_ip_data_position_samples_real():
     assert np.max(np.abs(pos.imag)) < 1e-10 * np.max(np.abs(pos))
 
 
-def test_free_evolution_hat_matches_propagator():
+def test_free_propagator_on_box_data_is_a_pure_phase():
+    # closed form: e^{-i t lambda} on the plus box, e^{i t lambda} on the minus box, 0 elsewhere
     d = coarse_setup()
-    for t in (0.0, 0.3, 0.9):
-        fe = free_evolution_hat(d, t)
-        fp = free_propagator(d.data, t)
-        assert np.max(np.abs(fe.amplitudes - fp.amplitudes)) <= 1e-12
-    assert np.array_equal(free_evolution_hat(d, 0.0).amplitudes, d.data.u0.amplitudes)
-
-
-def test_free_evolution_unit_modulus_on_boxes():
-    d = coarse_setup()
-    fe = free_evolution_hat(d, 0.7)
-    support = d.plus_mask | d.minus_mask
-    assert np.max(np.abs(np.abs(fe.amplitudes[support]) - 1.0)) < 1e-14
-    assert np.all(fe.amplitudes[~support] == 0)
+    lam = lambda_symbol(d.grid.xi)
+    support = np.logical_or(*box_masks(d))
+    for t in (0.0, 0.3, 0.7, 0.9):
+        phase = np.zeros(d.grid.node_count, dtype=complex)
+        phase[d.plus], phase[d.minus] = np.exp(-1j * t * lam[d.plus]), np.exp(1j * t * lam[d.minus])
+        fp = free_propagator(d.data, t).amplitudes
+        assert np.max(np.abs(fp - phase)) <= 1e-12
+        assert np.max(np.abs(np.abs(fp[support]) - 1.0)) < 1e-14
+        assert np.all(fp[~support] == 0)
+    assert np.array_equal(free_propagator(d.data, 0.0).amplitudes, d.data.u0.amplitudes)
 
 
 def test_generic_term_point_values():
@@ -185,16 +222,17 @@ def test_compute_ap_matches_banded_brute_force_on_fine_grid():
     xi = grid.xi
     lam = lambda_symbol(xi)
     band_idx = np.flatnonzero((xi >= 0.25) & (xi <= 0.5))
-    support = np.flatnonzero(d.plus_mask | d.minus_mask)
+    plus_mask, minus_mask = box_masks(d)
+    support = np.flatnonzero(plus_mask | minus_mask)
     half = grid.node_count // 2
     direct = np.zeros(grid.node_count, dtype=complex)
-    sgn = np.where(d.plus_mask, 1, -1)
+    sgn = np.where(plus_mask, 1, -1)
     for i1 in support:
         i2 = band_idx - (i1 - half)
         ok = (i2 >= 0) & (i2 < grid.node_count)
         i2 = i2[ok]
         tgt = band_idx[ok]
-        in_support = d.plus_mask[i2] | d.minus_mask[i2]
+        in_support = plus_mask[i2] | minus_mask[i2]
         i2, tgt = i2[in_support], tgt[in_support]
         beta = -(sgn[i1] * lam[i1] + sgn[i2] * lam[i2])
         direct[tgt] += (grid.dxi / (2 * np.pi)) * generic_term_complex(lam[tgt], beta, t)
@@ -234,7 +272,7 @@ def test_box_power_matches_padded_fft_power(p):
     # on one (extent 18) that truncates it
     rng = np.random.default_rng(p)
     for d in (coarse_setup(), make_ip_data(8, FrequencyGrid(1.0 / 16.0, 2 * 18 * 16))):
-        plus, minus = _box_slice(d.plus_mask), _box_slice(d.minus_mask)
+        plus, minus = d.plus, d.minus
         g_plus, g_minus = (rng.normal(size=(16, 2)) @ np.array([1, 1j]) for _ in range(2))
         amp = np.zeros(d.grid.node_count, dtype=complex)
         amp[plus], amp[minus] = g_plus, g_minus
