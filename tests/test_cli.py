@@ -260,7 +260,7 @@ def test_inflate_box_grid_budget_exits_2_at_parse_time(tmp_path, capsys, n, node
 
 
 def test_inflate_box_grid_budget_admits_n_16384_at_p_3(tmp_path):
-    # 6,292,480 nodes; N = 21842 is the largest N at p = 3 within the limit
+    # N = 16384 needs 6,292,480 nodes; N = 21842 is the largest N at p = 3 within the limit
     for n in (16384, 21842):
         cfg_path = write_config(tmp_path, {"inflate": {"p": 3, "s": -0.5, "t": 0.5, "N": [n]}})
         assert parse_config(["inflate", "--config", cfg_path]).params["N"] == [n]

@@ -49,13 +49,15 @@ def _package_trees():
     return trees
 
 
+def _loaded(tree) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
 def _references(tree) -> set:
     """Names a module reads: loaded names, attribute names (``solver._march``) and imported names."""
-    out = set()
+    out = _loaded(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
@@ -68,7 +70,7 @@ def test_no_unused_import_in_the_package():
     for name, tree in _package_trees().items():
         if name == "__init__.py":
             continue
-        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        loaded = _loaded(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
                 for alias in node.names:

@@ -272,10 +272,9 @@ def test_box_power_matches_padded_fft_power(p):
     # on one (extent 18) that truncates it
     rng = np.random.default_rng(p)
     for d in (coarse_setup(), make_ip_data(8, FrequencyGrid(1.0 / 16.0, 2 * 18 * 16))):
-        plus, minus = d.plus, d.minus
         g_plus, g_minus = (rng.normal(size=(16, 2)) @ np.array([1, 1j]) for _ in range(2))
         amp = np.zeros(d.grid.node_count, dtype=complex)
-        amp[plus], amp[minus] = g_plus, g_minus
+        amp[d.plus], amp[d.minus] = g_plus, g_minus
         got = np.zeros_like(amp)
         for lo, hi, term in _box_power_terms(d, g_plus, g_minus, p):
             got[lo:hi] += term
