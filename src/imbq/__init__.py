@@ -14,7 +14,6 @@ from .grid import (
     SpectralField,
     lambda_symbol,
     make_grid,
-    pointwise_power,
     random_real_field,
     restricted_norm,
     sobolev_norm,
@@ -31,7 +30,6 @@ from .inflation import (
     compute_Ap,
     flowmap_derivative_check,
     generic_term_complex,
-    generic_term_real,
     grid_for_boxes,
     inflation_ratio,
     make_ip_data,

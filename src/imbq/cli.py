@@ -8,10 +8,11 @@ lemma-check       Multiplier certification: seminorms, kernel sweep, H^s corpus.
 dispersion        Fitted mode frequencies against the linear relation.
 derivative-check  Solver-vs-derivative cross validation at small amplitude.
 
-Flags: --config <path> (JSON, flags override file), --out <dir>, --jobs <n>,
---plot.  Exit codes: 0 success, 2 config error (a ConfigError), 3 numerical
-failure (non-convergence, or any other ArithmeticError, ValueError or
-RuntimeError of a run).
+Flags: --config <path> (JSON, flags override file), --out <dir>, --jobs <n>
+(accepted, with no effect: every command runs in one process), --plot.  Exit
+codes: 0 success, 2 config error (a ConfigError), 3 numerical failure
+(non-convergence, or any other ArithmeticError, ValueError or RuntimeError of
+a run).
 
 The runner performs no mathematics itself: every number in its outputs is
 produced by one library operation, named in the JSON provenance fields.
@@ -33,6 +34,7 @@ from . import inflation, reports, solver, svgplot, symbols
 from .grid import (
     SUP_NORM_OVERSAMPLE,
     _dealiased_node_count,
+    _fast_length,
     _padded_node_count,
     lambda_symbol,
     make_grid,
@@ -190,10 +192,13 @@ MAX_CORPUS_NODES = 10**7
 # grid._dealiased_node_count(nodes, p)
 MAX_SOLVE_PADDED_NODES = 2**20
 # work budget of inflate and derivative-check: the tau nodes of compute_Ap, each a row of the box-power
-# transforms; at this limit a p = 3 call on grid_for_boxes(32, 3) peaks at 228 MB maxrss (p = 5: 302 MB)
+# transforms; at this limit a p = 3 call at N = 32, dxi = 1/64 peaks at 192 MB maxrss (p = 5: 321 MB), on
+# its grid_for_boxes grid or on the term ranges of an inflate row alike
 MAX_TAU_NODES = 2**13 + 1
-# work budget of inflate: the nodes of its grid_for_boxes grid; N = 16384 at p = 3 needs 6,292,480
-MAX_BOX_GRID_NODES = 2**23
+# work budget of an inflate row, which needs no grid: its box-power terms, tau_nodes x _fast_length(p (1/dxi
+# - 1) + 1) entries each; at this limit a row peaks at 353 MB maxrss at p = 3 (tau_nodes 1023, dxi = 1/1024)
+# and 404 MB at p = 2 (767, 1/2048), and MAX_TAU_NODES at dxi = 1/64 fits up to p = 5
+MAX_TERM_ENTRIES = 3 * 2**20
 
 
 def _check_padded_row(command: str, nodes: int, p: int):
@@ -205,6 +210,28 @@ def _check_padded_row(command: str, nodes: int, p: int):
     padded = _dealiased_node_count(nodes, p)  # the row the solver allocates
     if padded > MAX_SOLVE_PADDED_NODES:
         raise ConfigError(f"{command} asks for {padded} dealiased nodes per row; limit {MAX_SOLVE_PADDED_NODES}")
+
+
+def _check_inflate_row(p: int, tau_nodes: int, dxi: float, n_max: int):
+    """The budgets of an inflate row, in integers (p may exceed any float): its term arrays, its node
+    offsets, which a float must hold exactly, and p!, a factor of A_p."""
+    num, den = dxi.as_integer_ratio()
+    bins = (2 * den + num) // (2 * num)  # 1/dxi to the nearest integer
+    entries = tau_nodes * (p * (bins - 1) + 1)  # a lower bound: no 5-smooth length of a width past the limit
+    if entries <= MAX_TERM_ENTRIES:
+        entries = tau_nodes * _fast_length(p * (bins - 1) + 1)
+    if entries > MAX_TERM_ENTRIES:
+        raise ConfigError(
+            f"inflate asks for at least {entries} term entries, tau_nodes x _fast_length(p (1/dxi - 1) + 1); "
+            f"limit {MAX_TERM_ENTRIES}"
+        )
+    if p * (n_max + 1) * bins >= 2**53:
+        raise ConfigError(
+            f"inflate node offsets reach p (max N + 1)/dxi = {p * (n_max + 1) * bins} >= 2^53, "
+            "where a float no longer holds every integer"
+        )
+    if p > 170:
+        raise ConfigError(f"inflate p = {p}: A_p carries the factor p!, which is above the largest float from p = 171")
 
 
 def _extraction_in_range(eps: float, p: int) -> bool:
@@ -235,6 +262,8 @@ def _validate_block(command: str, block) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"'{command}' block must be a JSON object, got {block!r}")
     out = _fill(SCHEMAS[command], block, f"'{command}' block")
+    if out.get("tau_nodes", 0) > MAX_TAU_NODES:
+        raise ConfigError(f"{command} tau_nodes {out['tau_nodes']} is above the limit {MAX_TAU_NODES}")
     if command == "solve":
         out["data"] = _validate_data(out["data"])
         _check_padded_row(command, out["nodes"], out["p"])
@@ -247,11 +276,7 @@ def _validate_block(command: str, block) -> dict:
     if command == "inflate":
         if len(set(out["N"])) < len(out["N"]):
             raise ConfigError(f"inflate N values must be distinct, got {out['N']}")
-        nodes = inflation._box_grid_nodes(int(max(out["N"])), out["p"], out["dxi"])
-        if nodes > MAX_BOX_GRID_NODES:
-            raise ConfigError(f"inflate asks for a box grid of {nodes} nodes; limit {MAX_BOX_GRID_NODES}")
-    if out.get("tau_nodes", 0) > MAX_TAU_NODES:
-        raise ConfigError(f"{command} tau_nodes {out['tau_nodes']} is above the limit {MAX_TAU_NODES}")
+        _check_inflate_row(out["p"], out["tau_nodes"], out["dxi"], int(max(out["N"])))
     if command == "derivative-check":
         _check_padded_row(command, inflation._box_grid_nodes(out["N"], out["p"], out["dxi"]), out["p"])
         if not _extraction_in_range(out["eps"], out["p"]):
@@ -313,7 +338,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="JSON config file")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--jobs", type=int, default=None, help="worker processes")
+        cmd.add_argument("--jobs", type=int, default=None, help="accepted for old configs; no effect")
         cmd.add_argument("--plot", action="store_true", default=None, help="emit SVG plots")
     args = parser.parse_args(argv)
 
@@ -349,7 +374,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise ConfigError(f"'{name}' must be {kind.__name__}, got {value!r}")
     if jobs < 0:
-        raise ConfigError("jobs must be >= 0 (0 means all available cores)")
+        raise ConfigError("jobs must be >= 0 (it has no effect)")
     params = _validate_block(args.command, file_cfg.get(args.command, {}))
     return RunConfig(
         command=args.command, out=out, jobs=jobs, seed=seed, plot=plot, params=params
@@ -456,36 +481,11 @@ def _run_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _inflate_row(job) -> inflation.InflationRow:
-    n, p, sign, s, t, q, n_max = job
-    d = inflation.make_ip_data(n, inflation.grid_for_boxes(n_max, p, q.dxi))
-    return inflation.inflation_ratio(d, p, sign, s, t, q)
-
-
 def _run_inflate(cfg: RunConfig) -> int:
     p = cfg.params
     with _from_params():
         q = QuadratureConfig(tau_nodes=p["tau_nodes"], dxi=p["dxi"])
-    n_list = sorted(int(n) for n in p["N"])
-    jobs = [(n, p["p"], p["sign"], p["s"], p["t"], q, max(n_list)) for n in n_list]
-    # degree defaults to the available cores, capped by the configured value
-    workers = min(cfg.jobs or (os.cpu_count() or 1), len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only here: keeps `import imbq.cli` light
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_inflate_row, jobs))
-    else:
-        rows = [_inflate_row(j) for j in jobs]
-    report = inflation.ratio_sweep(
-        n_list,
-        p["p"],
-        p["sign"],
-        p["s"],
-        p["t"],
-        q,
-        rows=rows,
-    )
+    report = inflation.ratio_sweep(sorted(int(n) for n in p["N"]), p["p"], p["sign"], p["s"], p["t"], q)
     reports.write_inflation_csv(os.path.join(cfg.out, "inflate.csv"), report)
     reports.write_json(
         os.path.join(cfg.out, "inflate.json"), reports.inflation_summary(report, p["slope_tol"])

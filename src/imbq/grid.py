@@ -37,7 +37,6 @@ __all__ = [
     "sobolev_norm",
     "sup_norm",
     "restricted_norm",
-    "pointwise_power",
     "random_real_field",
     "EmptyWindowWarning",
 ]
@@ -381,8 +380,7 @@ def _power_matrix(half: np.ndarray, grid: FrequencyGrid, p: int) -> np.ndarray:
 
     The samples come from :func:`_position_matrix` on the grid of
     :func:`_dealiased_node_count` nodes; the unpaired node k = 0
-    is read back as the conjugate of the +M/2 bin.  Only
-    :func:`pointwise_power` goes through full rows around it.
+    is read back as the conjugate of the +M/2 bin.
     """
     h = half.shape[1] - 1
     samples, dx_fine = _position_matrix(half, grid, _dealiased_node_count(grid.node_count, p))
@@ -393,26 +391,6 @@ def _power_matrix(half: np.ndarray, grid: FrequencyGrid, p: int) -> np.ndarray:
     out = dx_fine * np.fft.rfft(samples, axis=1)[:, : h + 1]
     np.conjugate(out[:, h], out=out[:, h])
     return out
-
-
-def pointwise_power(f: SpectralField, p: int, sign: int) -> SpectralField:
-    """Spectral representation of sign * u^p, dealiased by zero padding.
-
-    The field is transformed to position space on a grid of
-    :func:`_dealiased_node_count` nodes, the smallest even 5-smooth count
-    strictly above M (p+1)/2 (the smallest factor for which the degree-p
-    product is alias-free on every node, k = 0 included), raised to the
-    p-th power pointwise, transformed back, and truncated to the original
-    grid.
-    """
-    if not f.real_valued:
-        raise ValueError("pointwise_power requires a real_valued field")
-    if p < 1:
-        raise ValueError("power must be a positive integer")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = sign * _full_spectrum(_power_matrix(_half_spectrum(f.amplitudes[None]), f.grid, p))[0]
-    return SpectralField(f.grid, out, real_valued=True)
 
 
 # ----------------------------------------------------------------------

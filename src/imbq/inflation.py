@@ -20,9 +20,12 @@ closed form (:func:`brute_force_Ap`).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from .grid import (
     sobolev_norm,
 )
 from .solver import CauchyData, SolverConfig, free_propagator, solve
-from .solver import _flow_table, _free, _lobatto_nodes, _lobatto_weights, _nested_difference
+from .solver import _flow_table, _FlowTable, _free, _lobatto_nodes, _lobatto_weights, _nested_difference
 
 __all__ = [
     "IPData",
@@ -47,7 +50,6 @@ __all__ = [
     "EVEN_BAND",
     "make_ip_data",
     "grid_for_boxes",
-    "generic_term_real",
     "generic_term_complex",
     "compute_Ap",
     "brute_force_Ap",
@@ -78,7 +80,7 @@ class QuadratureConfig:
     def __post_init__(self):
         if not isinstance(self.tau_nodes, (int, np.integer)) or self.tau_nodes % 2 == 0 or self.tau_nodes < 5:
             raise ValueError(f"tau_nodes must be an odd integer >= 5, got {self.tau_nodes!r}")
-        if abs(1.0 / self.dxi - round(1.0 / self.dxi)) > 1e-9:
+        if round(1.0 / self.dxi) < 1 or abs(1.0 / self.dxi - round(1.0 / self.dxi)) > 1e-9:
             raise ValueError(f"dxi must divide 1 exactly, got {self.dxi}")
 
 
@@ -91,6 +93,34 @@ class IPData:
     data: CauchyData
     plus: slice
     minus: slice
+
+
+class _Nodes(NamedTuple):
+    """The nodes o * dxi at increasing integer offsets o, with no grid around them; what :class:`SpectralField`
+    and the norms read of a grid.  Offset o is node o + M/2 of a grid of M nodes, the same xi bit for bit."""
+
+    dxi: float
+    offsets: np.ndarray
+    node_count = property(lambda self: self.offsets.size)
+    xi = property(lambda self: self.offsets * self.dxi)
+
+
+class _GridFreeBoxes(NamedTuple):
+    """Box data at height N for :func:`compute_Ap`, which fills only the nodes of ``grid``."""
+
+    N: int
+    grid: _Nodes
+
+
+def _box_data(N: int, dxi: float) -> tuple[_Nodes, np.ndarray, np.ndarray]:
+    """The box data on its 2/dxi nodes, u0 = 1 and u1 = +-i lambda: the minus box, then the plus box [N, N+1)
+    at the offsets N/dxi + j, j < 1/dxi (bins are left-closed on the positive side), mirrored node for node."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    L = round(1.0 / dxi)
+    nodes = _Nodes(dxi, np.concatenate([np.arange(1 - (N + 1) * L, 1 - N * L), np.arange(N * L, (N + 1) * L)]))
+    lam = lambda_symbol(nodes.xi)
+    return nodes, np.ones(2 * L, dtype=np.complex128), np.concatenate([1j * lam[:L], -1j * lam[L:]])
 
 
 def _box_grid_nodes(n_max: int, p: int, dxi: float) -> int:
@@ -108,30 +138,22 @@ def grid_for_boxes(n_max: int, p: int, dxi: float = 1.0 / 64.0) -> FrequencyGrid
 
 
 def make_ip_data(N: int, grid: FrequencyGrid) -> IPData:
-    """Box data with u0_hat the indicator of [N, N+1) union its mirror.
+    """Box data with u0_hat the indicator of [N, N+1) union its mirror, on ``grid`` (:func:`_box_data`).
 
-    The plus box is the node range [index_of(N), index_of(N+1)): bins are left-closed on the
-    positive side.  The minus box mirrors it node for node, k -> M - k, so Hermitian symmetry is
-    exact and the box mass is exactly 1 per box.  Requires 1/dxi integer and the box inside the grid.
+    The plus box is the node range [index_of(N), index_of(N+1)) and the minus box its mirror k -> M - k, so
+    Hermitian symmetry is exact and each box has mass exactly 1.  Requires 1/dxi integer and the box inside.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     bins_per_unit = 1.0 / grid.dxi
     if abs(bins_per_unit - round(bins_per_unit)) > 1e-9:
         raise ValueError(f"grid spacing {grid.dxi} does not divide 1")
+    boxes, u0, u1 = _box_data(N, grid.dxi)
     if N + 1 >= grid.extent:
         raise ValueError(f"box [{N}, {N + 1}] falls outside the grid extent {grid.extent}")
-    m = grid.node_count
-    lo, hi = grid.index_of(N), grid.index_of(N + 1)
-    plus, minus = slice(lo, hi), slice(m - hi + 1, m - lo + 1)
-    amp0 = np.zeros(m, dtype=np.complex128)
-    amp1 = np.zeros(m, dtype=np.complex128)
-    amp0[plus] = amp0[minus] = 1.0
-    amp1[plus], amp1[minus] = -1j * lambda_symbol(grid.xi[plus]), 1j * lambda_symbol(grid.xi[minus])
-    data = CauchyData(
-        SpectralField(grid, amp0, real_valued=True),
-        SpectralField(grid, amp1, real_valued=True),
-    )
+    nodes, L = (boxes.offsets + grid.node_count // 2).tolist(), u0.shape[0] // 2
+    amp0, amp1 = np.zeros((2, grid.node_count), dtype=np.complex128)
+    amp0[nodes], amp1[nodes] = u0, u1
+    data = CauchyData(SpectralField(grid, amp0, real_valued=True), SpectralField(grid, amp1, real_valued=True))
+    plus, minus = slice(nodes[L], nodes[-1] + 1), slice(nodes[0], nodes[L - 1] + 1)
     return IPData(N=N, grid=grid, data=data, plus=plus, minus=minus)
 
 
@@ -141,19 +163,6 @@ def make_ip_data(N: int, grid: FrequencyGrid) -> IPData:
 
 def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
-
-
-def generic_term_real(alpha, beta, t):
-    """Re of int_0^t sin(alpha (t - tau)) e^{i beta tau} dtau: the real part
-    (alpha t^2/2) sinc((alpha+beta) t/2) sinc((alpha-beta) t/2) of
-    :func:`generic_term_complex`, which equals
-    alpha (cos(beta t) - cos(alpha t)) / (alpha^2 - beta^2) away from
-    |alpha| = |beta| and t sin(alpha t)/2 on it, with no cancellation near it.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    return generic_term_complex(alpha, beta, t).real
 
 
 def generic_term_complex(alpha, beta, t):
@@ -176,48 +185,51 @@ def generic_term_complex(alpha, beta, t):
 # the p-th derivative, FFT route
 
 
-def _box_power_terms(d: IPData, g_plus: np.ndarray, g_minus: np.ndarray, p: int):
-    """p-fold convolution power of a spectrum supported on the two boxes.
+def _term_starts(N: int, p: int, L: int) -> list[int]:
+    """The first offset of each term P^{*k} * M^{*(p-k)} of the box power, k = 0..p: k plus-box and p - k
+    minus-box first offsets summed.  Each term is p (L - 1) + 1 nodes wide; they overlap when 2N + 1 < p."""
+    return [k * N * L + (p - k) * (1 - (N + 1) * L) for k in range(p + 1)]
 
-    ``g_plus`` and ``g_minus`` hold the values on the plus and minus box
-    (last axis; leading axes are batched).  The power is the binomial sum
-    over k of P^{*k} * M^{*(p-k)}; each term is one transform product of
-    the smallest 5-smooth length that holds its p*(L-1)+1 nodes
-    (:func:`_fast_length`), so the cost does not depend on the grid.  Yields
-    ``(lo, hi, values)``: each term clipped to the grid nodes [lo, hi).
-    Equals the nested dxi^{p-1}-weighted node sum times (1/2pi)^{p-1}: the
-    normalization the flow map itself produces for the transform of a
-    pointwise p-th power, which keeps the derivative comparable to the
-    solver extraction in :func:`flowmap_derivative_check`.
+
+def _box_power_terms(N, g_plus, g_minus, p, dxi, lag, weights, lo, hi):
+    """The terms P^{*k} * M^{*(p-k)} of the p-fold convolution power of the box values ``g_plus`` and ``g_minus``
+    (last axis; one row per tau), each one transform product of the 5-smooth length holding its p*(L-1)+1
+    nodes (:func:`_fast_length`), so the cost does not depend on N.  Each term, clipped to the offsets
+    [lo, hi), is weighted by sin(lag lambda) at each tau's ``lag`` and summed over tau by the rows of
+    ``weights``; yields its first offset and those rows.  The power is the nested dxi^{p-1}-weighted node sum
+    times (1/2pi)^{p-1}, the normalization the flow map gives the transform of a pointwise p-th power.
     """
-    m = d.grid.node_count
-    i_plus, i_minus = d.plus.start, d.minus.start
     L = g_plus.shape[-1]  # the minus box mirrors the plus box node for node
     width = p * (L - 1) + 1
     n_fft = _fast_length(width)
     f_plus = np.fft.fft(g_plus, n_fft, axis=-1)
     f_minus = np.fft.fft(g_minus, n_fft, axis=-1)
-    scale = (d.grid.dxi / (2.0 * np.pi)) ** (p - 1)
-    for k in range(p + 1):
-        start = k * i_plus + (p - k) * i_minus - (p - 1) * (m // 2)
-        lo, hi = max(start, 0), min(start + width, m)
-        if lo < hi:
-            term = np.fft.ifft(f_plus**k * f_minus ** (p - k), axis=-1)[..., lo - start : hi - start]
-            yield lo, hi, (math.comb(p, k) * scale) * term
+    scale = (dxi / (2.0 * np.pi)) ** (p - 1)
+
+    def term(k, start, a, b):  # a function, so that no (tau, n_fft) array outlives its block
+        # f**0 and f**1 run numpy's generic complex power; leaving them out gives the same floats
+        powers = (f if n == 1 else f**n for f, n in ((f_plus, k), (f_minus, p - k)) if n)
+        return np.fft.ifft(functools.reduce(np.multiply, powers), axis=-1)[..., a - start : b - start]
+
+    for k, start in enumerate(_term_starts(N, p, L)):
+        a, b = max(start, lo), min(start + width, hi)
+        if a < b:
+            # sin((t - tau) lam) at the one output time t, directly (through solver._forcing about 2x slower)
+            kernel = np.sin(np.outer(lag, lambda_symbol(np.arange(a, b) * dxi)))
+            yield a, weights @ (kernel * ((math.comb(p, k) * scale) * term(k, start, a, b)))
 
 
-def compute_Ap(
-    d: IPData, p: int, sign: int, t: float, q: QuadratureConfig | None = None
-) -> SpectralField:
-    """p-th derivative of the flow map at zero along the box data, at time t.
+def compute_Ap(d, p: int, sign: int, t: float, q: QuadratureConfig | None = None) -> SpectralField:
+    """p-th derivative of the flow map at zero along the box data, at time t, on the nodes of ``d.grid``.
 
+    ``d`` is an :class:`IPData` or the grid-free box data of :func:`inflation_ratio` (the term ranges only).
     At each of ``q.tau_nodes`` Chebyshev-Lobatto nodes tau of [0, t] the free evolution of the data,
     the solver's ``_free`` on a flow table of the box nodes (pure phases e^{-+i tau lambda} on the two
     boxes), is raised to the p-th convolution power box by box, and weighted by
     -sign * p! * lambda * sin((t - tau) lambda); the part of the power beyond the grid is dropped.
     The solver's Lobatto rule integrates over tau; its change from the nested (n+1)/2-node rule on
-    the even nodes, which needs no further transform, must be at most 1e-6 relative, else
-    :class:`QuadratureError`.
+    the even nodes, which needs no further transform, must be at most 1e-6 relative over all the nodes,
+    else :class:`QuadratureError`.
     """
     q = q or QuadratureConfig()
     if p < 2:
@@ -226,27 +238,32 @@ def compute_Ap(
         raise ValueError("sign must be +1 or -1")
     if t < 0:
         raise ValueError("t must be >= 0")
+    nodes = d.grid
+    full = isinstance(nodes, FrequencyGrid)
     if t == 0.0:
-        return SpectralField.zero(d.grid)
+        return SpectralField(nodes, np.zeros(nodes.node_count, dtype=np.complex128), real_valued=full)
+    offsets = range(-(nodes.node_count // 2), nodes.node_count // 2) if full else nodes.offsets
     taus = _lobatto_nodes(q.tau_nodes, t)
     row = _lobatto_weights(q.tau_nodes, t, t)
     weights = np.stack([row, _nested_difference(row, t, t)])
-    xi, u0, u1 = d.grid.xi, d.data.u0.amplitudes, d.data.u1.amplitudes
-    lam = lambda_symbol(xi)
-    g_plus, g_minus = (_free(u0[box], u1[box], _flow_table(xi[box], taus)) for box in (d.plus, d.minus))
-    accum = np.zeros((2, d.grid.node_count), dtype=np.complex128)
-    # sin((t - tau) lam) at the one output time t, directly: solver._forcing's addition identity serves
-    # prefix integrals at every node, and routed through it this loop measured about 2x slower
-    for lo, hi, term in _box_power_terms(d, g_plus, g_minus, p):
-        accum[:, lo:hi] += weights @ (np.sin(np.outer(t - taus, lam[lo:hi])) * term)
-    accum *= -sign * math.factorial(p) * lam
+    boxes, u0, u1 = _box_data(d.N, nodes.dxi)
+    L = u0.shape[0] // 2
+    table = _flow_table(boxes.xi[L:], taus)  # lambda is even: the minus box's table is the plus box's, reversed
+    g_minus = _free(u0[:L], u1[:L], _FlowTable(*(column[..., ::-1] for column in table)))
+    g_plus = _free(u0[L:], u1[L:], table)
+    accum = np.zeros((2, nodes.node_count), dtype=np.complex128)
+    lo, hi = int(offsets[0]), int(offsets[-1]) + 1
+    for start, block in _box_power_terms(d.N, g_plus, g_minus, p, nodes.dxi, t - taus, weights, lo, hi):
+        j = bisect.bisect_left(offsets, start)  # a block's offsets follow each other
+        accum[:, j : j + block.shape[-1]] += block
+    accum *= -sign * math.factorial(p) * lambda_symbol(nodes.xi)
     value, change = accum
     if np.linalg.norm(change) > 1e-6 * np.linalg.norm(value):
         raise QuadratureError(
             f"time quadrature changed by more than 1e-6 relative from the nested "
             f"{(q.tau_nodes + 1) // 2}-node rule (tau_nodes={q.tau_nodes})"
         )
-    return SpectralField(d.grid, value, real_valued=True)
+    return SpectralField(nodes, value, real_valued=full)
 
 
 # ----------------------------------------------------------------------
@@ -315,19 +332,26 @@ class InflationReport:
 
 
 def inflation_ratio(
-    d: IPData, p: int, sign: int, s: float, t: float, q: QuadratureConfig | None = None
+    N: int, p: int, sign: int, s: float, t: float, q: QuadratureConfig | None = None
 ) -> InflationRow:
-    """Restricted H^s size of the derivative over the p-th power of the data size.
+    """Restricted H^s size of the derivative over the p-th power of the data size, with no grid.
 
     The restriction band is [1/4, 1/2] for even p (where only balanced sign
-    patterns land) and [N, N+1] for odd p.
+    patterns land) and [N, N+1] for odd p.  :func:`compute_Ap` fills only the
+    term ranges of the power (:func:`_term_starts`), and the data size is summed
+    over the 2/dxi box nodes, so the cost does not depend on N.
     """
-    band = EVEN_BAND if p % 2 == 0 else BandWindow(float(d.N), float(d.N + 1))
-    ap = compute_Ap(d, p, sign, t, q)
-    numerator = restricted_norm(ap, band, s)
-    denominator = (sobolev_norm(d.data.u0, s) + sobolev_norm(d.data.u1, s)) ** p
+    q = q or QuadratureConfig()
+    band = EVEN_BAND if p % 2 == 0 else BandWindow(float(N), float(N + 1))
+    boxes, u0, u1 = _box_data(N, q.dxi)
+    L = u0.shape[0] // 2
+    starts, w = _term_starts(N, p, L), p * (L - 1) + 1
+    # the starts increase with k, so each range, w nodes wide, adds its nodes past the end of the one before it
+    offsets = np.concatenate([np.arange(max(s, r + w), s + w) for r, s in zip([starts[0] - w, *starts], starts)])
+    numerator = restricted_norm(compute_Ap(_GridFreeBoxes(N, _Nodes(q.dxi, offsets)), p, sign, t, q), band, s)
+    denominator = (sobolev_norm(SpectralField(boxes, u0), s) + sobolev_norm(SpectralField(boxes, u1), s)) ** p
     return InflationRow(
-        N=d.N,
+        N=N,
         band_lo=band.lo,
         band_hi=band.hi,
         numerator=numerator,
@@ -351,8 +375,8 @@ def ratio_sweep(
 ) -> InflationReport:
     """Inflation ratios over an increasing list of N, with a log-log slope fit.
 
-    All N share one grid sized by the largest; pass precomputed ``rows``
-    (e.g. from a worker pool) to skip the computation and just assemble.
+    Each row is one :func:`inflation_ratio`; pass precomputed ``rows`` to
+    skip the computation and just assemble.
     """
     if any(n != int(n) for n in n_list):
         raise ValueError("N values must be whole numbers")
@@ -361,8 +385,7 @@ def ratio_sweep(
         raise ValueError("N list must be strictly increasing")
     q = q or QuadratureConfig()
     if rows is None:
-        grid = grid_for_boxes(max(n_list), p, q.dxi)
-        rows = [inflation_ratio(make_ip_data(n, grid), p, sign, s, t, q) for n in n_list]
+        rows = [inflation_ratio(n, p, sign, s, t, q) for n in n_list]
     rows = sorted(rows, key=lambda r: r.N)
     slope = intercept = residual = None
     if len(rows) >= 3:

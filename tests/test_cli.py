@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,10 +18,10 @@ from imbq.cli import (
     COMMANDS,
     DATA_SCHEMAS,
     MAX_BESOV_RESOLUTION,
-    MAX_BOX_GRID_NODES,
     MAX_DISPERSION_SAMPLES,
     MAX_SOLVE_PADDED_NODES,
     MAX_TAU_NODES,
+    MAX_TERM_ENTRIES,
     SCHEMAS,
     TOP_LEVEL_KEYS,
     ConfigError,
@@ -62,7 +63,7 @@ def test_parse_minimal_inflate_config(tmp_path):
     assert cfg.params["p"] == 2
     assert cfg.params["tau_nodes"] == 65  # default filled
     assert cfg.params["dxi"] == 1.0 / 64.0
-    assert cfg.jobs == 0 and cfg.plot is False  # 0 = all available cores
+    assert cfg.jobs == 0 and cfg.plot is False  # jobs is accepted and has no effect
 
 
 def test_parse_rejects_p_below_two(tmp_path):
@@ -245,12 +246,31 @@ def test_tau_nodes_budget_is_refused_at_parse_time(tmp_path, capsys, command, bl
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("n, nodes", [(10**9, 384000001024), (10**5, 38401024), (21843, 8388736)])
-def test_inflate_box_grid_budget_exits_2_at_parse_time(tmp_path, capsys, n, nodes):
-    # the grid_for_boxes grid of the largest N, 2 (3 (N + 2) + 2) * 64 nodes at p = 3, is never allocated
-    cfg_path = write_config(tmp_path, {"inflate": {"p": 3, "s": -0.5, "t": 0.5, "N": [8, n]}})
-    message = f"inflate asks for a box grid of {nodes} nodes; limit {MAX_BOX_GRID_NODES}"
-    with pytest.raises(ConfigError, match=f"^{message}$"):
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        # tau_nodes x (p (1/dxi - 1) + 1) is a lower bound of the entries, checked before any 5-smooth length
+        ({"p": 10**6}, "4095000065"),
+        ({"dxi": 1e-7}, "1949999870"),
+        # 1573 x 1999 entries fit the limit, 1573 x _fast_length(1999) = 1573 x 2000 do not
+        ({"p": 2, "dxi": 0.001, "tau_nodes": 1573}, "3146000"),
+        # offsets up to 3 (1e14 + 1) 64: the nodes o * dxi need every o exact in a float
+        ({"N": [8, 1e14]}, "inflate node offsets reach p (max N + 1)/dxi = 19200000000000192 >= 2^53, "
+         "where a float no longer holds every integer"),
+        # p = 10^12 at dxi = 1 fits every array; p! is never computed
+        ({"p": 10**12, "dxi": 1.0}, "inflate p = 1000000000000: A_p carries the factor p!, which is above "
+         "the largest float from p = 171"),
+    ],
+    ids=["p-1e6", "dxi-1e-7", "fast-length", "offsets-past-2^53", "p-factorial"],
+)
+def test_inflate_row_budgets_exit_2_at_parse_time(tmp_path, capsys, block, message):
+    if message.isdigit():
+        message = (
+            f"inflate asks for at least {message} term entries, tau_nodes x _fast_length(p (1/dxi - 1) + 1); "
+            f"limit {MAX_TERM_ENTRIES}"
+        )
+    cfg_path = write_config(tmp_path, {"inflate": {"p": 3, "s": -0.5, "t": 0.5, "N": [8], **block}})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config(["inflate", "--config", cfg_path])
     start = time.perf_counter()
     assert main(["inflate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
@@ -259,11 +279,17 @@ def test_inflate_box_grid_budget_exits_2_at_parse_time(tmp_path, capsys, n, node
     assert not (tmp_path / "out").exists()
 
 
-def test_inflate_box_grid_budget_admits_n_16384_at_p_3(tmp_path):
-    # N = 16384 needs 6,292,480 nodes; N = 21842 is the largest N at p = 3 within the limit
-    for n in (16384, 21842):
-        cfg_path = write_config(tmp_path, {"inflate": {"p": 3, "s": -0.5, "t": 0.5, "N": [n]}})
-        assert parse_config(["inflate", "--config", cfg_path]).params["N"] == [n]
+def test_inflate_row_admits_n_1e9_at_p_3(tmp_path):
+    # a row needs no grid, so its cost does not depend on N; the offsets 3 (1e9 + 1) 64 are exact floats,
+    # and p = 170 is the largest p whose p! is a float
+    cfg_path = write_config(tmp_path, {"inflate": {"p": 3, "s": -0.5, "t": 0.5, "N": [10**9]}})
+    start = time.perf_counter()
+    assert main(["inflate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert time.perf_counter() - start < 1.0
+    row = json.loads((tmp_path / "out" / "inflate.json").read_text())["rows"][0]
+    assert row["N"] == 10**9 and 0 < row["ratio"] < math.inf
+    at_p_limit = write_config(tmp_path, {"inflate": {"p": 170, "s": -0.5, "t": 0.5, "N": [8], "dxi": 1.0}}, "p.json")
+    assert parse_config(["inflate", "--config", at_p_limit]).params["p"] == 170
 
 
 @pytest.mark.parametrize(
@@ -349,6 +375,7 @@ def test_arithmetic_error_of_a_run_exits_3(tmp_path, capsys, monkeypatch, error,
         ("inflate", {"p": 2, "s": 0.0, "t": 0.5, "N": [8, 8.0]}),  # repeated N
         ("derivative-check", {"dxi": 0.3}),  # QuadratureConfig: dxi does not divide 1
         ("lemma-check", {"corpus_nodes": 65}),  # make_grid, before any seminorm
+        ("inflate", {"p": 2, "s": 0.0, "t": 0.5, "N": [8], "dxi": 1e9}),  # QuadratureConfig: 1/dxi rounds to 0
     ],
 )
 def test_parameter_errors_found_by_the_library_exit_2(tmp_path, capsys, command, block):

@@ -11,11 +11,13 @@ from imbq.grid import (
     FrequencyGrid,
     SpectralField,
     _fast_length,
+    _full_spectrum,
+    _half_spectrum,
     _padded_node_count,
+    _power_matrix,
     _sin_over_lambda,
     lambda_symbol,
     make_grid,
-    pointwise_power,
     random_real_field,
     restricted_norm,
     sobolev_norm,
@@ -24,6 +26,12 @@ from imbq.grid import (
 )
 from imbq.solver import CauchyData, free_propagator
 from imbq.symbols import _REAL_SYMBOLS, _TIME_FREE, Symbol, apply_symbol
+
+
+def pointwise_power(f, p, sign):
+    # sign * u^p as a field: the solver's dealiased power row on the full layout
+    amp = sign * _full_spectrum(_power_matrix(_half_spectrum(f.amplitudes[None]), f.grid, p))[0]
+    return SpectralField(f.grid, amp, real_valued=True)
 
 
 def direct_transform(grid, samples):

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,8 @@ from scipy.integrate import quad
 
 from imbq.grid import BandWindow, FrequencyGrid, lambda_symbol, restricted_norm, sobolev_norm
 from imbq.inflation import (
+    EVEN_BAND,
+    IPData,
     QuadratureConfig,
     QuadratureError,
     _box_grid_nodes,
@@ -13,7 +16,6 @@ from imbq.inflation import (
     brute_force_Ap,
     compute_Ap,
     generic_term_complex,
-    generic_term_real,
     grid_for_boxes,
     inflation_ratio,
     make_ip_data,
@@ -150,10 +152,10 @@ def test_free_evolution_unit_modulus_on_boxes():
 
 
 def test_generic_term_point_values():
-    assert generic_term_real(1.0, 1.0, np.pi / 2) == pytest.approx(np.pi / 4, rel=1e-14)
-    assert generic_term_real(1.0, 0.0, np.pi) == pytest.approx(2.0, rel=1e-14)
-    assert generic_term_real(0.0, 0.7, 0.5) == 0.0
-    assert generic_term_real(1.3, 0.4, 0.0) == 0.0
+    assert generic_term_complex(1.0, 1.0, np.pi / 2).real == pytest.approx(np.pi / 4, rel=1e-14)
+    assert generic_term_complex(1.0, 0.0, np.pi).real == pytest.approx(2.0, rel=1e-14)
+    assert generic_term_complex(0.0, 0.7, 0.5).real == 0.0
+    assert generic_term_complex(1.3, 0.4, 0.0).real == 0.0
 
 
 def test_generic_term_against_adaptive_quadrature():
@@ -163,7 +165,7 @@ def test_generic_term_against_adaptive_quadrature():
         a, b, t = rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0.05, 1.0)
         if i % 5 == 0:
             b = a + rng.uniform(-1e-9, 1e-9)  # near-degenerate
-        worst = max(worst, abs(generic_term_real(a, b, t) - quad_re(a, b, t)))
+        worst = max(worst, abs(generic_term_complex(a, b, t).real - quad_re(a, b, t)))
         got_c = generic_term_complex(a, b, t)
         worst = max(worst, abs(got_c - (quad_re(a, b, t) + 1j * quad_im(a, b, t))))
     assert worst <= 1e-10
@@ -174,7 +176,7 @@ def test_generic_term_continuous_across_branch_switch():
         thr = 1e-8 * max(alpha**2, 1.0)
         b_in = np.sqrt(alpha**2 + 0.999 * thr)  # series side
         b_out = np.sqrt(alpha**2 + 1.001 * thr)  # closed-form side
-        gap = abs(generic_term_real(alpha, b_out, t) - generic_term_real(alpha, b_in, t))
+        gap = abs(generic_term_complex(alpha, b_out, t).real - generic_term_complex(alpha, b_in, t).real)
         assert gap < 1e-9
 
 
@@ -275,16 +277,19 @@ def test_compute_ap_coarse_tau_rule_raises():
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_box_power_matches_padded_fft_power(p):
     # arbitrary complex box values, on a grid that holds the whole power and
-    # on one (extent 18) that truncates it
+    # on one (extent 18) that truncates it; one tau row of unit weight at lag 0.7
+    # leaves the power times the kernel sin(0.7 lambda)
     rng = np.random.default_rng(p)
     for d in (coarse_setup(), make_ip_data(8, FrequencyGrid(1.0 / 16.0, 2 * 18 * 16))):
         g_plus, g_minus = (rng.normal(size=(16, 2)) @ np.array([1, 1j]) for _ in range(2))
         amp = np.zeros(d.grid.node_count, dtype=complex)
         amp[d.plus], amp[d.minus] = g_plus, g_minus
         got = np.zeros_like(amp)
-        for lo, hi, term in _box_power_terms(d, g_plus, g_minus, p):
-            got[lo:hi] += term
-        ref = padded_fft_power(amp, d.grid, p)
+        half = d.grid.node_count // 2
+        terms = _box_power_terms(d.N, g_plus[None], g_minus[None], p, d.grid.dxi, [0.7], np.ones((1, 1)), -half, half)
+        for start, block in terms:
+            got[start + half : start + half + block.shape[-1]] += block[0]
+        ref = padded_fft_power(amp, d.grid, p) * np.sin(0.7 * lambda_symbol(d.grid.xi))
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -324,18 +329,82 @@ def test_odd_case_phase_gap_bracket():
 
 
 def test_inflation_ratio_zero_at_t0():
-    d = coarse_setup()
-    row = inflation_ratio(d, 2, 1, -0.5, 0.0)
+    row = inflation_ratio(8, 2, 1, -0.5, 0.0, QuadratureConfig(dxi=1.0 / 16.0))
     assert row.ratio == 0.0
 
 
 def test_inflation_ratio_band_selection():
-    d = coarse_setup()
-    even = inflation_ratio(d, 2, 1, -0.5, 0.5)
+    q = QuadratureConfig(dxi=1.0 / 16.0)
+    even = inflation_ratio(8, 2, 1, -0.5, 0.5, q)
     assert (even.band_lo, even.band_hi) == (0.25, 0.5)
-    odd = inflation_ratio(d, 3, 1, -0.5, 0.5)
+    odd = inflation_ratio(8, 3, 1, -0.5, 0.5, q)
     assert (odd.band_lo, odd.band_hi) == (8.0, 9.0)
     assert even.ratio > 0 and odd.ratio > 0
+
+
+def test_ratio_sweep_builds_no_grid_and_no_ip_data(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid-free row built a grid or an IPData")
+
+    monkeypatch.setattr(FrequencyGrid, "__post_init__", refuse)
+    monkeypatch.setattr(IPData, "__init__", refuse)
+    rep = ratio_sweep([8, 16, 10**9], 3, 1, -0.5, 0.5)
+    assert all(0 < r.ratio < math.inf for r in rep.rows)
+
+
+def _pairwise_depth(n: int) -> int:
+    # numpy sums n values pairwise: blocks of at most 128 through 8 accumulators (at most 15 additions
+    # each), a 3-level tree over them and at most 7 trailing values, blocks halved until they fit (at most
+    # ceil(log2 n) levels); no value passes through more additions than this
+    return 15 + 3 + 7 + math.ceil(math.log2(n))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_grid_free_row_equals_full_grid_compute_ap(p):
+    # the row fills only the term ranges (at N = 1, p = 5 they overlap) and sums the data size over the
+    # 2/dxi box nodes; on grid_for_boxes(N, p) nothing is clipped, so the band values, and with them the
+    # numerator, are the same floats
+    u = 2.0**-53
+    for n in (1, 2, 8, 32):
+        grid = grid_for_boxes(n, p)
+        d = make_ip_data(n, grid)
+        ap = compute_Ap(d, p, 1, 0.5)
+        band = EVEN_BAND if p % 2 == 0 else BandWindow(float(n), float(n + 1))
+        for s in (-0.5, 0.0, 0.5):
+            row = inflation_ratio(n, p, 1, s, 0.5)
+            assert row.numerator == restricted_norm(ap, band, s)
+            # the denominator sums the same nonnegative values, the grid's with zeros between them; each
+            # pairwise sum is within gamma_h = h u / (1 - h u) relative of the exact one (h its depth), the
+            # scaling and the square root round once each per side (the root halves the difference), the
+            # sum of the two norms once, and the p-th power multiplies the difference by p and rounds once
+            gamma = sum(h * u / (1 - h * u) for h in (_pairwise_depth(grid.node_count), _pairwise_depth(2 * 64)))
+            bound = p * (gamma / 2 + 6 * u) + 2 * u
+            full = (sobolev_norm(d.data.u0, s) + sobolev_norm(d.data.u1, s)) ** p
+            assert abs(row.denominator - full) <= bound * full
+            assert row.ratio == pytest.approx(row.numerator / full, rel=2 * bound)
+
+
+def test_grid_free_row_raises_where_compute_ap_raises():
+    # the nested-rule check compares the value and change rows over every node where A_p is nonzero;
+    # at p = 3, tau_nodes = 17, t = 2 the change is 1.65e-6 relative there but 6.7e-9 on the band [8, 9]
+    # alone, so a band-only check would pass where this one raises
+    verdicts = {}
+    for p, tau_nodes, t, n in product((2, 3, 4, 5), (9, 17, 33), (0.5, 2.0, 8.0), (1, 8)):
+        q = QuadratureConfig(tau_nodes=tau_nodes)
+        raised = []
+        for compute in (
+            lambda: compute_Ap(make_ip_data(n, grid_for_boxes(n, p)), p, 1, t, q),
+            lambda: inflation_ratio(n, p, 1, -0.5, t, q),
+        ):
+            try:
+                compute()
+                raised.append(False)
+            except QuadratureError:
+                raised.append(True)
+        assert raised[0] == raised[1], (p, tau_nodes, t, n)
+        verdicts[p, tau_nodes, t, n] = raised[0]
+    assert verdicts[3, 17, 2.0, 8]
+    assert 0 < sum(verdicts.values()) < len(verdicts)
 
 
 def test_ratio_sweep_diagnostic_positive_s_decays():
