@@ -195,10 +195,12 @@ MAX_SOLVE_PADDED_NODES = 2**20
 # transforms; at this limit a p = 3 call at N = 32, dxi = 1/64 peaks at 192 MB maxrss (p = 5: 321 MB), on
 # its grid_for_boxes grid or on the term ranges of an inflate row alike
 MAX_TAU_NODES = 2**13 + 1
-# work budget of an inflate row, which needs no grid: its box-power terms, tau_nodes x _fast_length(p (1/dxi
-# - 1) + 1) entries each; at this limit a row peaks at 353 MB maxrss at p = 3 (tau_nodes 1023, dxi = 1/1024)
-# and 404 MB at p = 2 (767, 1/2048), and MAX_TAU_NODES at dxi = 1/64 fits up to p = 5
+# work budgets of an inflate row, which needs no grid: its terms' tau_nodes x _fast_length(p (1/dxi - 1) + 1)
+# entries, and the nodes it fills, the union of its p + 1 term ranges. A row peaks at 353 MB maxrss at the entry
+# limit (p = 3, tau_nodes 1023, dxi = 1/1024; 404 MB at p = 2, 767, 1/2048), at 258 MB at 3,692,061 nodes (p = 170,
+# dxi = 1/128, N = 100) and at 514 MB at both (p = 6, dxi = 1/99860, tau_nodes 5); MAX_TAU_NODES fits p <= 5 at 1/64
 MAX_TERM_ENTRIES = 3 * 2**20
+MAX_ROW_NODES = 2**22
 
 
 def _check_padded_row(command: str, nodes: int, p: int):
@@ -214,15 +216,14 @@ def _check_padded_row(command: str, nodes: int, p: int):
 
 def _check_inflate_row(p: int, tau_nodes: int, dxi: float, n_max: int):
     """The budgets of an inflate row, in integers (p may exceed any float): its term arrays, its node
-    offsets, which a float must hold exactly, and p!, a factor of A_p."""
+    offsets, which a float must hold exactly, the nodes it fills, and p!, a factor of A_p."""
     num, den = dxi.as_integer_ratio()
     bins = (2 * den + num) // (2 * num)  # 1/dxi to the nearest integer
-    entries = tau_nodes * (p * (bins - 1) + 1)  # a lower bound: no 5-smooth length of a width past the limit
-    if entries <= MAX_TERM_ENTRIES:
-        entries = tau_nodes * _fast_length(p * (bins - 1) + 1)
+    width = p * (bins - 1) + 1  # of each term range (inflation._term_starts)
+    entries = tau_nodes * _fast_length(width)
     if entries > MAX_TERM_ENTRIES:
         raise ConfigError(
-            f"inflate asks for at least {entries} term entries, tau_nodes x _fast_length(p (1/dxi - 1) + 1); "
+            f"inflate asks for {entries} term entries, tau_nodes x _fast_length(p (1/dxi - 1) + 1); "
             f"limit {MAX_TERM_ENTRIES}"
         )
     if p * (n_max + 1) * bins >= 2**53:
@@ -230,6 +231,10 @@ def _check_inflate_row(p: int, tau_nodes: int, dxi: float, n_max: int):
             f"inflate node offsets reach p (max N + 1)/dxi = {p * (n_max + 1) * bins} >= 2^53, "
             "where a float no longer holds every integer"
         )
+    nodes = p * min(width, (2 * n_max + 1) * bins - 1) + width  # the term starts step by (2N + 1)/dxi - 1
+    if nodes > MAX_ROW_NODES:
+        raise ConfigError(f"inflate asks for {nodes} nodes in a row, the union of the p + 1 term ranges; "
+                          f"limit {MAX_ROW_NODES}")
     if p > 170:
         raise ConfigError(f"inflate p = {p}: A_p carries the factor p!, which is above the largest float from p = 171")
 

@@ -96,8 +96,9 @@ class IPData:
 
 
 class _Nodes(NamedTuple):
-    """The nodes o * dxi at increasing integer offsets o, with no grid around them; what :class:`SpectralField`
-    and the norms read of a grid.  Offset o is node o + M/2 of a grid of M nodes, the same xi bit for bit."""
+    """The nodes o * dxi at increasing integer offsets o, with no grid around them: what :class:`SpectralField`,
+    :func:`sobolev_norm` and :func:`restricted_norm` read of a grid, and nothing more (no dx, extent or
+    index_of, so no transform).  Offset o is node o + M/2 of a grid of M nodes, the same xi bit for bit."""
 
     dxi: float
     offsets: np.ndarray
@@ -222,7 +223,8 @@ def _box_power_terms(N, g_plus, g_minus, p, dxi, lag, weights, lo, hi):
 def compute_Ap(d, p: int, sign: int, t: float, q: QuadratureConfig | None = None) -> SpectralField:
     """p-th derivative of the flow map at zero along the box data, at time t, on the nodes of ``d.grid``.
 
-    ``d`` is an :class:`IPData` or the grid-free box data of :func:`inflation_ratio` (the term ranges only).
+    ``d`` is an :class:`IPData`, or the grid-free box data of :func:`inflation_ratio`; on that the field holds
+    the term ranges of the power only, on :class:`_Nodes`, and serves the norms only.
     At each of ``q.tau_nodes`` Chebyshev-Lobatto nodes tau of [0, t] the free evolution of the data,
     the solver's ``_free`` on a flow table of the box nodes (pure phases e^{-+i tau lambda} on the two
     boxes), is raised to the p-th convolution power box by box, and weighted by
@@ -347,7 +349,7 @@ def inflation_ratio(
     L = u0.shape[0] // 2
     starts, w = _term_starts(N, p, L), p * (L - 1) + 1
     # the starts increase with k, so each range, w nodes wide, adds its nodes past the end of the one before it
-    offsets = np.concatenate([np.arange(max(s, r + w), s + w) for r, s in zip([starts[0] - w, *starts], starts)])
+    offsets = np.concatenate([np.arange(max(a, b + w), a + w) for b, a in zip([starts[0] - w, *starts], starts)])
     numerator = restricted_norm(compute_Ap(_GridFreeBoxes(N, _Nodes(q.dxi, offsets)), p, sign, t, q), band, s)
     denominator = (sobolev_norm(SpectralField(boxes, u0), s) + sobolev_norm(SpectralField(boxes, u1), s)) ** p
     return InflationRow(

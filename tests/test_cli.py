@@ -21,6 +21,7 @@ from imbq.cli import (
     MAX_DISPERSION_SAMPLES,
     MAX_SOLVE_PADDED_NODES,
     MAX_TAU_NODES,
+    MAX_ROW_NODES,
     MAX_TERM_ENTRIES,
     SCHEMAS,
     TOP_LEVEL_KEYS,
@@ -42,6 +43,7 @@ from imbq.solver import (
     picard_window,
     solve,
 )
+from imbq import inflation as inflation_module
 from imbq import solver as solver_module
 
 
@@ -249,24 +251,30 @@ def test_tau_nodes_budget_is_refused_at_parse_time(tmp_path, capsys, command, bl
 @pytest.mark.parametrize(
     "block, message",
     [
-        # tau_nodes x (p (1/dxi - 1) + 1) is a lower bound of the entries, checked before any 5-smooth length
-        ({"p": 10**6}, "4095000065"),
-        ({"dxi": 1e-7}, "1949999870"),
-        # 1573 x 1999 entries fit the limit, 1573 x _fast_length(1999) = 1573 x 2000 do not
+        # 65 x _fast_length(3 (1e6 - 1) 63 + 1) and 65 x _fast_length(3 (1e7 - 1) + 1) term entries
+        ({"p": 10**6}, "4113281250"),
+        ({"dxi": 1e-7}, "1950000000"),
+        # 1573 x 1999 entries would fit the limit, 1573 x _fast_length(1999) = 1573 x 2000 do not
         ({"p": 2, "dxi": 0.001, "tau_nodes": 1573}, "3146000"),
         # offsets up to 3 (1e14 + 1) 64: the nodes o * dxi need every o exact in a float
         ({"N": [8, 1e14]}, "inflate node offsets reach p (max N + 1)/dxi = 19200000000000192 >= 2^53, "
          "where a float no longer holds every integer"),
-        # p = 10^12 at dxi = 1 fits every array; p! is never computed
-        ({"p": 10**12, "dxi": 1.0}, "inflate p = 1000000000000: A_p carries the factor p!, which is above "
-         "the largest float from p = 171"),
+        # 1,749,600 term entries and offsets up to 170 x 101 x 2048 fit, but the 171 disjoint term ranges of
+        # 170 x 2047 + 1 nodes fill 59,506,461 nodes
+        ({"p": 170, "N": [100], "dxi": 1.0 / 2048, "tau_nodes": 5}, "inflate asks for 59506461 nodes in a row, "
+         f"the union of the p + 1 term ranges; limit {MAX_ROW_NODES}"),
+        ({"p": 10**12, "dxi": 1.0}, "inflate asks for 1000000000001 nodes in a row, the union of the p + 1 term "
+         f"ranges; limit {MAX_ROW_NODES}"),
+        # p = 171 at dxi = 1 fits every array (172 nodes); p! is never computed
+        ({"p": 171, "dxi": 1.0}, "inflate p = 171: A_p carries the factor p!, which is above the largest float "
+         "from p = 171"),
     ],
-    ids=["p-1e6", "dxi-1e-7", "fast-length", "offsets-past-2^53", "p-factorial"],
+    ids=["p-1e6", "dxi-1e-7", "fast-length", "offsets-past-2^53", "row-nodes", "row-nodes-p-1e12", "p-factorial"],
 )
 def test_inflate_row_budgets_exit_2_at_parse_time(tmp_path, capsys, block, message):
     if message.isdigit():
         message = (
-            f"inflate asks for at least {message} term entries, tau_nodes x _fast_length(p (1/dxi - 1) + 1); "
+            f"inflate asks for {message} term entries, tau_nodes x _fast_length(p (1/dxi - 1) + 1); "
             f"limit {MAX_TERM_ENTRIES}"
         )
     cfg_path = write_config(tmp_path, {"inflate": {"p": 3, "s": -0.5, "t": 0.5, "N": [8], **block}})
@@ -290,6 +298,28 @@ def test_inflate_row_admits_n_1e9_at_p_3(tmp_path):
     assert row["N"] == 10**9 and 0 < row["ratio"] < math.inf
     at_p_limit = write_config(tmp_path, {"inflate": {"p": 170, "s": -0.5, "t": 0.5, "N": [8], "dxi": 1.0}}, "p.json")
     assert parse_config(["inflate", "--config", at_p_limit]).params["p"] == 170
+    # at N = 1 the 171 term ranges of the row-nodes case above overlap: 170 x (3 x 2048 - 1) + 347,991 nodes
+    overlapping = {"p": 170, "s": -0.5, "t": 0.5, "N": [1], "dxi": 1.0 / 2048, "tau_nodes": 5}
+    assert parse_config(["inflate", "--config", write_config(tmp_path, {"inflate": overlapping}, "o.json")])
+
+
+@pytest.mark.parametrize("block", [{"p": 5, "N": [1]}, {"p": 3, "N": [2, 8]}], ids=["overlapping", "disjoint"])
+def test_inflate_row_node_budget_is_the_count_the_row_fills(tmp_path, monkeypatch, block):
+    # the largest N fills the most nodes, and MAX_ROW_NODES admits exactly that count, overlapping terms included
+    import imbq.cli
+
+    filled, compute_ap = [], inflation_module.compute_Ap
+    monkeypatch.setattr(
+        inflation_module, "compute_Ap", lambda d, *a: filled.append(d.grid.node_count) or compute_ap(d, *a)
+    )
+    cfg_path = write_config(tmp_path, {"inflate": {"s": -0.5, "t": 0.5, "dxi": 0.0625, "tau_nodes": 33, **block}})
+    assert main(["inflate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(filled) == len(block["N"]) and filled == sorted(filled)
+    monkeypatch.setattr(imbq.cli, "MAX_ROW_NODES", filled[-1])
+    parse_config(["inflate", "--config", cfg_path])
+    monkeypatch.setattr(imbq.cli, "MAX_ROW_NODES", filled[-1] - 1)
+    with pytest.raises(ConfigError, match=f"^inflate asks for {filled[-1]} nodes in a row"):
+        parse_config(["inflate", "--config", cfg_path])
 
 
 @pytest.mark.parametrize(
