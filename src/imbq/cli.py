@@ -8,11 +8,12 @@ lemma-check       Multiplier certification: seminorms, kernel sweep, H^s corpus.
 dispersion        Fitted mode frequencies against the linear relation.
 derivative-check  Solver-vs-derivative cross validation at small amplitude.
 
-Flags: --config <path> (JSON, flags override file), --out <dir>, --jobs <n>
-(accepted, with no effect: every command runs in one process), --plot.  Exit
-codes: 0 success, 2 config error (a ConfigError), 3 numerical failure
-(non-convergence, or any other ArithmeticError, ValueError or RuntimeError of
-a run).
+Flags, before or after the command: --config <path> (JSON), --out <dir>,
+--jobs <n> (an int >= 0, with no effect: every command runs in one process),
+--plot.  Flags override the file's top-level keys, which pass the same schema
+check as the command blocks.  Exit codes: 0 success, 2 config error (a
+ConfigError), 3 numerical failure (non-convergence, or any other
+ArithmeticError, ValueError or RuntimeError of a run).
 
 The runner performs no mathematics itself: every number in its outputs is
 produced by one library operation, named in the JSON provenance fields.
@@ -58,7 +59,6 @@ class ConfigError(ValueError):
 class RunConfig:
     command: str
     out: str
-    jobs: int
     seed: int
     plot: bool
     params: dict
@@ -176,7 +176,13 @@ SCHEMAS = {
     },
 }
 
-TOP_LEVEL_KEYS = {"command", "out", "jobs", "seed", "plot"} | set(SCHEMAS)
+# the top level of a config file, next to "command" and the command's block; jobs is accepted for old configs
+TOP_SCHEMA = {
+    "out": ("out", _typed(str)),
+    "jobs": (0, _int_ge(0)),
+    "seed": (1234, _typed(int)),
+    "plot": (False, _typed(bool)),
+}
 
 # work budget of the dispersion command: amplitude samples over all modes, len(k) x (n_steps // stride + 1)
 # with n_steps, stride of solver._rk4_steps; the cost does not grow with the RK4 step count
@@ -248,14 +254,17 @@ def _extraction_in_range(eps: float, p: int) -> bool:
 
 
 def _fill(schema: dict, block: dict, where: str, extra=frozenset()) -> dict:
-    """Every ``schema`` key's checked value from ``block``, or its default; ``where`` names the block in errors."""
+    """Every ``schema`` key's checked value from ``block``, or its default; errors name the key and ``where``."""
     unknown = set(block) - set(schema) - extra
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
     out = {}
     for key, (default, check) in schema.items():
         if key in block:
-            out[key] = block[key] if check is None else check(block[key])
+            try:
+                out[key] = block[key] if check is None else check(block[key])
+            except ConfigError as err:
+                raise ConfigError(f"{key}: {err}") from None
         elif default is REQUIRED:
             raise ConfigError(f"{where} is missing required key '{key}'")
         else:
@@ -338,13 +347,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     Flags override file values; unknown keys anywhere are rejected.
     """
     parser = argparse.ArgumentParser(prog="imbq", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None, help="JSON config file")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--jobs", type=int, default=None, help="accepted for old configs; no effect")
-        cmd.add_argument("--plot", action="store_true", default=None, help="emit SVG plots")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--jobs", type=int, help="accepted for old configs; no effect")
+    parser.add_argument("--plot", action="store_true", default=None, help="emit SVG plots")
     args = parser.parse_args(argv)
 
     file_cfg: dict = {}
@@ -360,9 +367,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {err}") from err
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    unknown = set(file_cfg) - TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
+    flags = {key: value for key, value in vars(args).items() if key in TOP_SCHEMA and value is not None}
+    top = _fill(TOP_SCHEMA, {**file_cfg, **flags}, "config file", {"command", *SCHEMAS})
     if "command" in file_cfg and file_cfg["command"] != args.command:
         raise ConfigError(
             f"config file names command {file_cfg['command']!r} but {args.command!r} was invoked"
@@ -370,53 +376,27 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     stray = set(file_cfg) & set(SCHEMAS) - {args.command}
     if stray:
         raise ConfigError(f"config file has block(s) for other command(s): {', '.join(sorted(stray))}")
-
-    out = args.out if args.out is not None else file_cfg.get("out", "out")
-    jobs = args.jobs if args.jobs is not None else file_cfg.get("jobs", 0)
-    plot = args.plot if args.plot is not None else file_cfg.get("plot", False)
-    seed = file_cfg.get("seed", 1234)
-    for name, value, kind in (("out", out, str), ("jobs", jobs, int), ("seed", seed, int), ("plot", plot, bool)):
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise ConfigError(f"'{name}' must be {kind.__name__}, got {value!r}")
-    if jobs < 0:
-        raise ConfigError("jobs must be >= 0 (it has no effect)")
     params = _validate_block(args.command, file_cfg.get(args.command, {}))
-    return RunConfig(
-        command=args.command, out=out, jobs=jobs, seed=seed, plot=plot, params=params
-    )
+    return RunConfig(command=args.command, out=top["out"], seed=top["seed"], plot=top["plot"], params=params)
 
 
 # ----------------------------------------------------------------------
 # plotting (delegation only; the numbers come from the reports)
 
 
-def emit_plot(report, path: str):
-    """Deterministic SVG for an inflation or dispersion report."""
-    if not isinstance(report, (inflation.InflationReport, reports.DispersionReport)):
-        raise TypeError(f"no plot defined for {type(report).__name__}")
+def emit_plot(report: inflation.InflationReport, path: str):
+    """Deterministic log-log SVG of an inflation report's ratios and fitted slope."""
     if not report.rows:
         raise ValueError("empty report: nothing to plot")
-    if isinstance(report, inflation.InflationReport):
-        text = svgplot.loglog_points_svg(
-            [r.N for r in report.rows],
-            [r.ratio for r in report.rows],
-            report.slope,
-            report.intercept,
-            title=f"inflation ratio vs N (p={report.p}, s={report.s:g}, t={report.t:g})",
-            xlabel="N",
-            ylabel="ratio",
-        )
-    else:
-        omega = next(r.fitted_omega for r in report.rows if r.k == report.trace_k)
-        dense_t = np.linspace(min(report.trace_times), max(report.trace_times), 400)
-        overlay = list(zip(dense_t.tolist(), np.cos(omega * dense_t).tolist()))
-        text = svgplot.line_plot_svg(
-            report.trace_times,
-            report.trace_values,
-            overlay=overlay,
-            title=f"mode amplitude vs t (k={report.trace_k:g}, fitted omega={omega:.8f})",
-            ylabel="Re u_hat(k,t)/u_hat(k,0)",
-        )
+    text = svgplot.loglog_points_svg(
+        [r.N for r in report.rows],
+        [r.ratio for r in report.rows],
+        report.slope,
+        report.intercept,
+        title=f"inflation ratio vs N (p={report.p}, s={report.s:g}, t={report.t:g})",
+        xlabel="N",
+        ylabel="ratio",
+    )
     reports.atomic_write_text(path, text)
 
 
@@ -592,13 +572,7 @@ def _run_dispersion(cfg: RunConfig) -> int:
             f"dispersion k={k:g}: fitted omega={fitted:.10f} expected={expected:.10f} "
             f"rel error={rows[-1].rel_error:.3e}"
         )
-    report = reports.DispersionReport(
-        rows=tuple(rows),
-        trace_k=p["k"][0],
-        trace_times=tuple(float(t) for t in times),
-        trace_values=tuple(float(a) for a in traces[0]),
-    )
-    reports.write_dispersion_csv(os.path.join(cfg.out, "dispersion.csv"), report)
+    reports.write_dispersion_csv(os.path.join(cfg.out, "dispersion.csv"), rows)
     reports.write_json(
         os.path.join(cfg.out, "dispersion.json"),
         {
@@ -614,7 +588,15 @@ def _run_dispersion(cfg: RunConfig) -> int:
         },
     )
     if cfg.plot:
-        emit_plot(report, os.path.join(cfg.out, "dispersion.svg"))
+        omega, dense_t = rows[0].fitted_omega, np.linspace(times[0], times[-1], 400)
+        text = svgplot.line_plot_svg(
+            times.tolist(),
+            traces[0].tolist(),
+            overlay=list(zip(dense_t.tolist(), np.cos(omega * dense_t).tolist())),
+            title=f"mode amplitude vs t (k={p['k'][0]:g}, fitted omega={omega:.8f})",
+            ylabel="Re u_hat(k,t)/u_hat(k,0)",
+        )
+        reports.atomic_write_text(os.path.join(cfg.out, "dispersion.svg"), text)
     return 0
 
 

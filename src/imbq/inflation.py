@@ -373,22 +373,15 @@ def ratio_sweep(
     s: float,
     t: float,
     q: QuadratureConfig | None = None,
-    rows: list[InflationRow] | None = None,
 ) -> InflationReport:
-    """Inflation ratios over an increasing list of N, with a log-log slope fit.
-
-    Each row is one :func:`inflation_ratio`; pass precomputed ``rows`` to
-    skip the computation and just assemble.
-    """
+    """Inflation ratios over an increasing list of N, each one :func:`inflation_ratio`, with a log-log slope fit."""
     if any(n != int(n) for n in n_list):
         raise ValueError("N values must be whole numbers")
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("N list must be strictly increasing")
     q = q or QuadratureConfig()
-    if rows is None:
-        rows = [inflation_ratio(n, p, sign, s, t, q) for n in n_list]
-    rows = sorted(rows, key=lambda r: r.N)
+    rows = [inflation_ratio(n, p, sign, s, t, q) for n in n_list]
     slope = intercept = residual = None
     if len(rows) >= 3:
         x = np.log([r.N for r in rows])

@@ -29,7 +29,6 @@ __all__ = [
     "write_trajectory_csv",
     "trajectory_sidecar",
     "DispersionRow",
-    "DispersionReport",
     "write_dispersion_csv",
 ]
 
@@ -196,16 +195,6 @@ class DispersionRow:
         return abs(self.fitted_omega - self.expected_omega) / self.expected_omega
 
 
-@dataclass(frozen=True)
-class DispersionReport:
-    """Fitted frequencies per wavenumber plus one sampled mode trace."""
-
-    rows: tuple[DispersionRow, ...]
-    trace_k: float
-    trace_times: tuple[float, ...]
-    trace_values: tuple[float, ...]
-
-
-def write_dispersion_csv(path: str, report: DispersionReport):
-    rows = [(r.k, r.fitted_omega, r.expected_omega, r.rel_error) for r in report.rows]
-    write_csv(path, ["k", "fitted_omega", "expected_omega", "rel_error"], rows)
+def write_dispersion_csv(path: str, rows: list[DispersionRow]):
+    cells = [(r.k, r.fitted_omega, r.expected_omega, r.rel_error) for r in rows]
+    write_csv(path, ["k", "fitted_omega", "expected_omega", "rel_error"], cells)

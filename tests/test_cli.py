@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -24,7 +25,7 @@ from imbq.cli import (
     MAX_ROW_NODES,
     MAX_TERM_ENTRIES,
     SCHEMAS,
-    TOP_LEVEL_KEYS,
+    TOP_SCHEMA,
     ConfigError,
     RunConfig,
     emit_plot,
@@ -33,7 +34,7 @@ from imbq.cli import (
 )
 from imbq.grid import make_grid, sobolev_norm
 from imbq.inflation import InflationReport
-from imbq.reports import DispersionReport, DispersionRow, write_trajectory_csv
+from imbq.reports import write_trajectory_csv
 from imbq.solver import (
     MAX_SOLVE_WINDOWS,
     ConvergenceError,
@@ -65,7 +66,9 @@ def test_parse_minimal_inflate_config(tmp_path):
     assert cfg.params["p"] == 2
     assert cfg.params["tau_nodes"] == 65  # default filled
     assert cfg.params["dxi"] == 1.0 / 64.0
-    assert cfg.jobs == 0 and cfg.plot is False  # jobs is accepted and has no effect
+    assert (cfg.out, cfg.seed, cfg.plot) == tuple(TOP_SCHEMA[k][0] for k in ("out", "seed", "plot"))
+    # jobs is validated and dropped: nothing reads it
+    assert [f.name for f in dataclasses.fields(cfg)] == ["command", "out", "seed", "plot", "params"]
 
 
 def test_parse_rejects_p_below_two(tmp_path):
@@ -451,7 +454,9 @@ def test_every_benchmark_config_parses(tmp_path, monkeypatch):
     assert {"tau_nodes", "dxi"} <= set(SCHEMAS["inflate"])
 
 
-_SCHEMA_KEYS = sorted(TOP_LEVEL_KEYS | {k for s in (*SCHEMAS.values(), *DATA_SCHEMAS.values()) for k in s} | {"kind"})
+_SCHEMA_KEYS = sorted(
+    {"command", *TOP_SCHEMA, *SCHEMAS} | {k for s in (*SCHEMAS.values(), *DATA_SCHEMAS.values()) for k in s} | {"kind"}
+)
 _KEYS = st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=3)
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -481,7 +486,7 @@ def _block(command):
 
 
 _COMMAND_BLOCKS = st.sampled_from(COMMANDS).flatmap(lambda c: st.tuples(st.just(c), _block(c)))
-_TOP = st.fixed_dictionaries({}, optional={k: _JSON for k in sorted(TOP_LEVEL_KEYS - set(SCHEMAS))}) | st.dictionaries(
+_TOP = st.fixed_dictionaries({}, optional={k: _JSON for k in sorted({"command", *TOP_SCHEMA})}) | st.dictionaries(
     _KEYS, _JSON, max_size=3
 )
 
@@ -557,7 +562,61 @@ def test_flags_override_file(tmp_path):
     )
     cfg = parse_config(["inflate", "--config", cfg_path, "--out", "fromflag", "--jobs", "4"])
     assert cfg.out == "fromflag"
-    assert cfg.jobs == 4
+    # the flag replaces the file's valid value before either is checked
+    with pytest.raises(ConfigError, match=r"^jobs: value -1 out of range \(>= 0\)$"):
+        parse_config(["inflate", "--config", cfg_path, "--jobs", "-1"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["bogus"], "argument command: invalid choice: 'bogus'"),
+     (["dispersion", "--jobs", "two"], "argument --jobs: invalid int value: 'two'")],
+    ids=["unknown-command", "jobs-not-int"],
+)
+def test_bad_command_line_exits_2_without_traceback(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flags_before_the_command_parse(tmp_path):
+    cfg_path = write_config(tmp_path, {"inflate": {"p": 2, "s": -0.5, "t": 0.5, "N": [16]}})
+    before = parse_config(["--out", "o", "--plot", "--jobs", "3", "--config", cfg_path, "inflate"])
+    after = parse_config(["inflate", "--config", cfg_path, "--jobs", "3", "--plot", "--out", "o"])
+    mixed = parse_config(["--plot", "inflate", "--out", "o", "--config", cfg_path])
+    assert before == after == mixed
+    assert before.command == "inflate" and before.out == "o" and before.plot is True
+
+
+@pytest.mark.parametrize(
+    "payload, flags, message",
+    [
+        ({"out": 5}, [], "out: expected str, got 5"),
+        ({"out": None}, [], "out: expected str, got None"),
+        ({"jobs": "2"}, [], "jobs: expected int (>= 0), got '2'"),
+        ({"jobs": True}, [], "jobs: expected int (>= 0), got True"),
+        ({"jobs": 1.0}, [], "jobs: expected int (>= 0), got 1.0"),
+        ({"jobs": -1}, [], "jobs: value -1 out of range (>= 0)"),
+        ({}, ["--jobs", "-2"], "jobs: value -2 out of range (>= 0)"),
+        ({"seed": 1.5}, [], "seed: expected int, got 1.5"),
+        ({"seed": False}, [], "seed: expected int, got False"),
+        ({"plot": 1}, [], "plot: expected bool, got 1"),
+        ({"plot": "yes"}, [], "plot: expected bool, got 'yes'"),
+    ],
+    ids=["out-int", "out-null", "jobs-str", "jobs-bool", "jobs-float", "jobs-negative", "jobs-flag-negative",
+         "seed-float", "seed-bool", "plot-int", "plot-str"],
+)
+def test_top_level_key_of_wrong_type_exits_2_naming_it(tmp_path, capsys, monkeypatch, payload, flags, message):
+    monkeypatch.chdir(tmp_path)  # no --out: a run would write to ./out
+    cfg_path = write_config(tmp_path, {**payload, "dispersion": {"k": [1.0]}})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(["dispersion", "--config", cfg_path, *flags])
+    assert main(["dispersion", "--config", cfg_path, *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_inflate_end_to_end_with_outputs(tmp_path):
@@ -585,14 +644,19 @@ def test_inflate_deterministic_and_jobs_equivalent(tmp_path):
         tmp_path,
         {"inflate": {"p": 2, "s": -0.5, "t": 0.5, "N": [8, 16, 32], "tau_nodes": 33, "dxi": 0.0625}},
     )
-    outs = []
-    for name, jobs in (("a", "1"), ("b", "1"), ("c", "2")):
-        out = tmp_path / name
-        assert main(["inflate", "--config", cfg_path, "--out", str(out), "--jobs", jobs, "--plot"]) == 0
-        outs.append(out)
+    with_jobs = write_config(
+        tmp_path,
+        {"jobs": 2, "inflate": {"p": 2, "s": -0.5, "t": 0.5, "N": [8, 16, 32], "tau_nodes": 33, "dxi": 0.0625}},
+        "jobs.json",
+    )
+    # jobs is validated and has no effect: from the flag, from the file or absent, the outputs are the same bytes
+    runs = (("a", cfg_path, ["--jobs", "1"]), ("b", cfg_path, ["--jobs", "1"]), ("c", cfg_path, ["--jobs", "2"]),
+            ("d", cfg_path, ["--jobs", "4"]), ("e", with_jobs, []), ("f", cfg_path, []))
+    for name, path, flags in runs:
+        assert main(["inflate", "--config", path, "--out", str(tmp_path / name), *flags, "--plot"]) == 0
     for fname in ("inflate.csv", "inflate.json", "inflate.svg"):
-        blobs = [(o / fname).read_bytes() for o in outs]
-        assert blobs[0] == blobs[1] == blobs[2]
+        blobs = {(tmp_path / name / fname).read_bytes() for name, _, _ in runs}
+        assert len(blobs) == 1
 
 
 def test_solve_outputs_and_summary(tmp_path, capsys):
@@ -804,7 +868,8 @@ def test_dispersion_command(tmp_path, capsys):
     assert "fitted omega=0.70710678" in capsys.readouterr().out
     report = json.loads((out / "dispersion.json").read_text())
     assert report["rows"][0]["rel_error"] < 1e-6
-    assert (out / "dispersion.svg").exists()
+    # one marker per amplitude sample: round(T/dt) // round(0.5/dt) + 1 = 2000 // 100 + 1
+    assert (out / "dispersion.svg").read_text().count("<circle") == 21
 
 
 def test_derivative_check_command(tmp_path):
@@ -857,19 +922,6 @@ def test_emit_plot_rejects_empty_report(tmp_path):
     with pytest.raises(ValueError):
         emit_plot(empty, str(target))
     assert not target.exists()
-    empty_disp = DispersionReport(rows=(), trace_k=1.0, trace_times=(), trace_values=())
-    with pytest.raises(ValueError):
-        emit_plot(empty_disp, str(target))
-
-
-def test_emit_plot_dispersion_markers(tmp_path):
-    rows = (DispersionRow(k=1.0, fitted_omega=0.7071, expected_omega=0.70710678),)
-    ts = tuple(0.5 * i for i in range(9))
-    vals = tuple(float(__import__("numpy").cos(0.7071 * t)) for t in ts)
-    report = DispersionReport(rows=rows, trace_k=1.0, trace_times=ts, trace_values=vals)
-    target = tmp_path / "disp.svg"
-    emit_plot(report, str(target))
-    assert target.read_text().count("<circle") == 9
 
 
 def test_console_entry_point_runs():
